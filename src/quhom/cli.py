@@ -205,6 +205,18 @@ def cmd_params(args) -> int:
 
 def cmd_distance(args) -> int:
     complex2, modulus, spec = _spec_from_args(args)
+    witness = spec.scalar_witness()
+    if witness is not None:
+        # no stabilizer code, so no distance; params reports the same status
+        _emit(
+            {
+                "distance": None,
+                "distance_status": "scalar_violation",
+                "scalar_violation": witness.phase,
+            },
+            args.format,
+        )
+        return EXIT_OK
     css = distance_css(spec, args.budget)
     payload: dict = {
         "distance": _distance_value(css),
@@ -242,6 +254,8 @@ def cmd_convert(args) -> int:
     )
     if args.modulus is not None:
         modulus = args.modulus
+    if modulus < 2:
+        raise SchemaError(f"modulus must be >= 2, got {modulus}")
     complex2 = to_two_complex(hypermap, specials)
     equivalent = verify_equivalence(hypermap, specials, modulus)
     payload = {
@@ -297,15 +311,17 @@ class _Transcript:
 
 
 def _verify_projector(t: _Transcript, spec: StabilizerSpec, dense_cap: int):
+    """Record the projector_trace check; return the projector, or None if skipped."""
     dim = spec.modulus**spec.n
     if dim > dense_cap:
         t.skip("projector_trace", f"dimension {dim} over cap {dense_cap}")
-        return
+        return None
     try:
-        checks = oracle.projector_checks(spec)
+        proj = oracle.dense_projector(spec)
     except BudgetExceeded:
         t.skip("projector_trace", "group too large to enumerate")
-        return
+        return None
+    checks = oracle.projector_checks(spec, projector=proj)
     residual = max(
         checks["hermitian_residual"], checks["idempotent_residual"], checks["trace_residual"]
     )
@@ -314,6 +330,7 @@ def _verify_projector(t: _Transcript, spec: StabilizerSpec, dense_cap: int):
     if checks["expected_dimension"] == 0:
         detail += " (zero code space)"
     t.record("projector_trace", ok, residual, detail)
+    return proj
 
 
 def _verify_complement_duality(t: _Transcript, spec: StabilizerSpec, exhaustive_cap: int):
@@ -352,7 +369,7 @@ def _verify_group(t: _Transcript, spec: StabilizerSpec):
     return enum
 
 
-def _verify_distance(t: _Transcript, spec, complex2, modulus, budget, dense_cap):
+def _verify_distance(t: _Transcript, spec, complex2, modulus, budget, dense_cap, proj):
     try:
         css = distance_css(spec, budget)
     except BudgetExceeded:
@@ -383,7 +400,9 @@ def _verify_distance(t: _Transcript, spec, complex2, modulus, budget, dense_cap)
     if modulus**spec.n > dense_cap:
         t.skip("logical_action", f"dimension over cap {dense_cap}")
         return
-    t.record("logical_action", oracle.verify_logical_action(pauli, spec), None, None)
+    t.record(
+        "logical_action", oracle.verify_logical_action(pauli, spec, projector=proj), None, None
+    )
 
 
 def cmd_verify(args) -> int:
@@ -424,10 +443,10 @@ def cmd_verify(args) -> int:
     else:
         _verify_group(t, spec)
 
-    _verify_projector(t, spec, dense_cap)
+    proj = _verify_projector(t, spec, dense_cap)
     _verify_complement_duality(t, spec, exhaustive_cap)
     if spec.scalar_witness() is None:
-        _verify_distance(t, spec, complex2, modulus, args.budget, dense_cap)
+        _verify_distance(t, spec, complex2, modulus, args.budget, dense_cap, proj)
     else:
         t.skip("distance_routes", "scalar violation: no stabilizer code")
 

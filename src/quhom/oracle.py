@@ -1,7 +1,8 @@
 """Brute-force verification at tiny scale: the slow, trusted path.
 
-Dense operators realize X as the cyclic shift and Z as the diagonal of
-D-th roots of unity; qudit 1 is the slowest-varying tensor index, matching
+Operators realize X as the cyclic shift and Z as the diagonal of D-th
+roots of unity, densely for single Pauli products and sparsely for the
+group projector; qudit 1 is the slowest-varying tensor index, matching
 position 1 (leftmost factor) of the symplectic representation.  Everything
 here is deliberately independent of the exact-arithmetic production path.
 """
@@ -9,10 +10,9 @@ here is deliberately independent of the exact-arithmetic production path.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
 
 from .errors import BudgetExceeded, ScalarViolation
 from .pauli import PauliProduct, StabilizerSpec, code_dimension, enumerate_group
@@ -40,6 +40,11 @@ def _digit_table(modulus: int, n: int) -> np.ndarray:
     return table[:, :n]
 
 
+def _roots_of_unity(modulus: int) -> np.ndarray:
+    """w^k for k = 0..D-1; indexing it by exponents mod D gives the phases."""
+    return np.exp(2j * np.pi * np.arange(modulus) / modulus)
+
+
 def _pauli_action(pauli: PauliProduct, digits: np.ndarray):
     """Rows hit and phases picked up on each basis column by w^l X^x Z^z."""
     D = pauli.modulus
@@ -50,8 +55,7 @@ def _pauli_action(pauli: PauliProduct, digits: np.ndarray):
     weights = D ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rows = shifted @ weights
     phases = (pauli.phase + digits @ z) % D
-    values = np.exp(2j * np.pi * phases / D)
-    return rows, values
+    return rows, _roots_of_unity(D)[phases]
 
 
 def dense_pauli(pauli: PauliProduct, cap: int = DENSE_DIMENSION_CAP) -> np.ndarray:
@@ -64,25 +68,44 @@ def dense_pauli(pauli: PauliProduct, cap: int = DENSE_DIMENSION_CAP) -> np.ndarr
     return mat
 
 
-def dense_projector(spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP) -> np.ndarray:
-    """P = (1/|S|) sum of the group elements, accumulated column-wise."""
+def dense_projector(
+    spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP
+) -> scipy.sparse.csr_matrix:
+    """P = (1/|S|) sum of the group elements, as a sparse D^n x D^n matrix.
+
+    Every element is monomial, one entry per column in the row its X part
+    shifts to, so elements sharing an X part add up entrywise; P is then
+    assembled in COO form from one (rows, values) pair per X part.
+    """
     dim = _dense_dimension(spec.modulus, spec.n, cap)
     enum = enumerate_group(spec)
     digits = _digit_table(spec.modulus, spec.n)
-    cols = np.arange(dim)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
+    by_shift: dict = {}
     for phase, x, z in sorted(enum.elements):
         rows, values = _pauli_action(PauliProduct(spec.modulus, phase, x, z), digits)
-        mat[rows, cols] += values
-    return mat / enum.size
+        if x in by_shift:
+            by_shift[x][1] += values
+        else:
+            by_shift[x] = [rows, values]
+    rows = np.concatenate([r for r, _ in by_shift.values()])
+    values = np.concatenate([v for _, v in by_shift.values()]) / enum.size
+    cols = np.tile(np.arange(dim), len(by_shift))
+    proj = scipy.sparse.coo_matrix((values, (rows, cols)), shape=(dim, dim)).tocsr()
+    proj.eliminate_zeros()
+    return proj
 
 
-def projector_checks(spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP) -> dict:
-    """Residuals for P = P-dagger = P-squared and the trace-vs-K identity."""
-    proj = dense_projector(spec, cap)
-    herm_residual = float(np.abs(proj.conj().T - proj).max())
-    idem_residual = float(np.abs(proj @ proj - proj).max())
-    trace = complex(np.trace(proj))
+def projector_checks(
+    spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP, projector=None
+) -> dict:
+    """Residuals for P = P-dagger = P-squared and the trace-vs-K identity.
+
+    `projector` is the output of dense_projector(spec), when already built.
+    """
+    proj = dense_projector(spec, cap) if projector is None else projector
+    herm_residual = float(abs(proj.conj().T - proj).max())
+    idem_residual = float(abs(proj @ proj - proj).max())
+    trace = complex(proj.diagonal().sum())
     trace_residual = abs(trace - round(trace.real))
     try:
         expected = code_dimension(spec)
@@ -99,7 +122,7 @@ def projector_checks(spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP) -> di
 
 
 def verify_projector_dimension(spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP) -> bool:
-    """Trace of the dense projector equals the code dimension, within tolerance."""
+    """Trace of the projector equals the code dimension, within tolerance."""
     checks = projector_checks(spec, cap)
     return (
         checks["hermitian_residual"] < RESIDUAL_TOL
@@ -109,71 +132,28 @@ def verify_projector_dimension(spec: StabilizerSpec, cap: int = DENSE_DIMENSION_
     )
 
 
-def _range_basis(projector: np.ndarray, rank: int, block: int = 256) -> np.ndarray:
-    """Orthonormal basis of the range: column selection, then orthonormalization.
-
-    Columns with norm above 1e-6 are orthonormalized blockwise (classical
-    Gram-Schmidt against the accumulated basis, twice for stability, then a
-    pivoted QR inside the block); the scan stops once `rank` directions are
-    found.  Blocking keeps the work in level-3 BLAS even at full rank.
-    """
-    dim = projector.shape[0]
-    if rank == dim:
-        return np.eye(dim, dtype=np.complex128)
-    norms = np.linalg.norm(projector, axis=0)
-    selected = projector[:, norms > 1e-6]
-    basis = np.empty((dim, rank), dtype=np.complex128)
-    have = 0
-    for start in range(0, selected.shape[1], block):
-        chunk = selected[:, start : start + block].copy()
-        if have:
-            for _ in range(2):
-                chunk -= basis[:, :have] @ (basis[:, :have].conj().T @ chunk)
-        q, r, _ = scipy.linalg.qr(chunk, mode="economic", pivoting=True)
-        fresh = int((np.abs(np.diag(r)) > 1e-6).sum())
-        fresh = min(fresh, rank - have)
-        if fresh:
-            basis[:, have : have + fresh] = q[:, :fresh]
-            have += fresh
-        if have == rank:
-            break
-    if have != rank:
-        raise AssertionError(f"range extraction found {have} directions, expected {rank}")
-    return basis
-
-
-@lru_cache(maxsize=1)
-def _projector_range(spec: StabilizerSpec, cap: int):
-    """Rank and range basis of the dense projector, memoized for the last spec.
-
-    verify_logical_action is typically called for several witnesses of the
-    same instance back to back; the single-slot cache keeps memory bounded.
-    """
-    proj = dense_projector(spec, cap)
-    rank = int(round(np.trace(proj).real))
-    basis = _range_basis(proj, rank) if rank else None
-    return rank, basis
-
-
 def verify_logical_action(
-    pauli: PauliProduct, spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP
+    pauli: PauliProduct, spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP, projector=None
 ) -> bool:
     """True iff the operator restricted to the code space is not a scalar.
 
-    Requires a normalizer element (is_logical holds for it), so the range
-    basis B of the projector satisfies R B = B M with M the restriction;
-    M = c I is therefore equivalent to R B = c B, which avoids forming M.
-    The candidate scalar is tr(M)/rank = sum of <b_k|R|b_k>/rank.
+    Requires a normalizer element (is_logical holds for it).  With P = B B^dagger
+    for an orthonormal basis B of the code space, R B = B M with M the
+    restriction, so R P - c P = B (M - c I) B^dagger has the Frobenius norm of
+    M - c I.  The candidate scalar is c = tr(M)/K = tr(R P)/tr(P), and M is a
+    scalar iff R P = c P, which needs no basis of the range.
+    `projector` is the output of dense_projector(spec), when already built.
     """
-    rank, basis = _projector_range(spec, cap)
-    if rank == 0:
+    proj = dense_projector(spec, cap) if projector is None else projector
+    trace = proj.diagonal().sum().real
+    if round(trace) == 0:
         return False
-    digits = _digit_table(pauli.modulus, pauli.num_qudits)
-    rows, values = _pauli_action(pauli, digits)
-    applied = np.empty_like(basis)
-    applied[rows, :] = values[:, None] * basis  # dense(R) @ basis, row by row
-    scale = np.einsum("ij,ij->", basis.conj(), applied) / rank
-    return bool(np.abs(applied - scale * basis).max() > RESIDUAL_TOL)
+    dim = proj.shape[0]
+    rows, values = _pauli_action(pauli, _digit_table(pauli.modulus, pauli.num_qudits))
+    operator = scipy.sparse.csr_matrix((values, (rows, np.arange(dim))), shape=(dim, dim))
+    applied = operator @ proj
+    scale = applied.diagonal().sum() / trace
+    return bool(np.linalg.norm((applied - scale * proj).data) > RESIDUAL_TOL)
 
 
 def span_elements(span: SubmoduleSpan) -> set:
@@ -207,12 +187,13 @@ def complement_duality_checks(span: SubmoduleSpan) -> dict:
     dim = D**n
     if dim > EXHAUSTIVE_CAP:
         raise BudgetExceeded(f"exhaustive space {dim} exceeds cap {EXHAUSTIVE_CAP}")
-    elements = np.array(sorted(span_elements(span)), dtype=np.int64).reshape(-1, n)
+    members = sorted(span_elements(span))
+    size = len(members)
+    elements = np.array(members, dtype=np.int64).reshape(size, n)
     etas = np.array(list(itertools.product(range(D), repeat=n)), dtype=np.int64).reshape(dim, n)
     dots = (etas @ elements.T) % D
-    char_sums = np.exp(2j * np.pi * dots / D).sum(axis=1)
+    char_sums = _roots_of_unity(D)[dots].sum(axis=1)
     perp_mask = (dots == 0).all(axis=1)
-    size = elements.shape[0]
     exhaustive_perp = int(perp_mask.sum())
     char_residual = float(
         max(

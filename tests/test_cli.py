@@ -171,6 +171,24 @@ def test_distance_budget_exceeded(capsys):
     assert "budget" in err
 
 
+def test_distance_scalar_violation_matches_params(tmp_path, capsys):
+    # Z and X on one qutrit pair to w^1: the group holds a scalar, so there is no code
+    path = tmp_path / "scalar.txt"
+    path.write_text("3 2 1 1\n1 0\n1 0\n", encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "distance", "--check-matrix", str(path), "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload == {"distance": None, "distance_status": "scalar_violation", "scalar_violation": 1}
+    code, out, _ = run_cli(capsys, "params", "--check-matrix", str(path), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["distance"] is None
+    assert report["distance_status"] == "scalar_violation"
+    assert report["scalar_violation"] == payload["scalar_violation"]
+
+
 def test_convert_two_dart_hypermap(tmp_path, capsys):
     path = write_json(
         tmp_path / "h.json",
@@ -203,6 +221,17 @@ def test_convert_degenerate_face(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["certificate"]["equivalent"] is True
     assert payload["complex"]["faces"][0]["walk"] == []
+
+
+def test_convert_rejects_modulus_below_two(tmp_path, capsys):
+    path = write_json(
+        tmp_path / "h.json",
+        {"modulus": 3, "n": 2, "alpha": [[1, 2]], "sigma": [[1, 2]]},
+    )
+    code, out, err = run_cli(capsys, "convert", path, "--modulus", "1")
+    assert code == 2
+    assert out == ""
+    assert "modulus must be >= 2" in err
 
 
 def test_convert_writes_output_file(tmp_path, capsys):
@@ -259,6 +288,22 @@ def test_verify_quick_runs_dense_when_small(capsys):
     assert code == 0
     # 2^8 = 256 sits exactly at the quick cap, so the dense check runs
     assert "PASS projector_trace" in out
+
+
+def test_verify_zero_edge_complex(tmp_path, capsys):
+    # a single vertex: no qudits, a one-dimensional code space
+    path = write_json(
+        tmp_path / "point.json", {"modulus": 3, "vertices": ["v"], "edges": [], "faces": []}
+    )
+    for level in ("quick", "full"):
+        code, out, _ = run_cli(capsys, "verify", path, "--level", level, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ok"] is True
+        statuses = {c["name"]: c["status"] for c in payload["checks"]}
+        assert statuses["projector_trace"] == "PASS"
+        assert statuses["complement_duality_face_span"] == "PASS"
+        assert statuses["complement_duality_vertex_span"] == "PASS"
 
 
 def test_verify_adversarial_check_matrix(tmp_path, capsys):

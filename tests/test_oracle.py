@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from quhom.complex2 import chain_complex, rp2, torus
-from quhom.distance import distance_css, witness_pauli
+from quhom.complex2 import chain_complex, rp2, torus, torus_grid
+from quhom.distance import distance_css, distance_homological, witness_pauli
 from quhom.errors import BudgetExceeded
 from quhom.oracle import (
     complement_duality_checks,
@@ -16,10 +18,10 @@ from quhom.oracle import (
     verify_logical_action,
     verify_projector_dimension,
 )
-from quhom.pauli import PauliProduct, StabilizerSpec, code_dimension
+from quhom.pauli import PauliProduct, StabilizerSpec, code_dimension, enumerate_group
 from quhom.zmod import SubmoduleSpan, ZModMatrix
 
-from _corpus import span_corpus, two_complex_corpus
+from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, span_corpus, two_complex_corpus
 
 
 def spec_for(complex2, D):
@@ -102,13 +104,13 @@ def test_commutation_phase_matches_dense():
 
 
 def test_projector_single_z():
-    proj = dense_projector(single_generator_spec(2, z_row=(1,)))
+    proj = dense_projector(single_generator_spec(2, z_row=(1,))).toarray()
     assert np.abs(proj - np.diag([1.0, 0.0])).max() < 1e-12
 
 
 def test_projector_single_x_qutrit():
     spec = single_generator_spec(3, x_row=(1,))
-    proj = dense_projector(spec)
+    proj = dense_projector(spec).toarray()
     assert abs(np.trace(proj) - 1) < 1e-9
     assert verify_projector_dimension(spec)
 
@@ -118,7 +120,7 @@ def test_projector_rp2_and_torus():
     assert checks["rounded_trace"] == 2
     checks = projector_checks(spec_for(torus(), 2))
     assert checks["rounded_trace"] == 4
-    assert np.abs(dense_projector(spec_for(torus(), 2)) - np.eye(4)).max() < 1e-12
+    assert np.abs(dense_projector(spec_for(torus(), 2)).toarray() - np.eye(4)).max() < 1e-12
 
 
 def test_projector_scalar_spec_traces_to_zero():
@@ -137,6 +139,101 @@ def test_projector_dimension_on_corpus_samples():
             if D ** len(complex2.edges) > 4096:
                 continue
             assert verify_projector_dimension(spec_for(complex2, D)), (label, D)
+
+
+def explicit_projector(spec):
+    """(1/|S|) times the sum of the dense matrices of every enumerated element."""
+    enum = enumerate_group(spec)
+    total = sum(
+        dense_pauli(PauliProduct(spec.modulus, phase, x, z)) for phase, x, z in enum.elements
+    )
+    return total / enum.size
+
+
+def code_space_basis(spec):
+    """Orthonormal eigenvectors of the explicit projector with eigenvalue 1."""
+    eigenvalues, eigenvectors = np.linalg.eigh(explicit_projector(spec))
+    return eigenvectors[:, eigenvalues > 0.5]
+
+
+def dense_restriction_is_scalar(pauli, basis):
+    """Whether the operator restricted to the span of `basis` is a multiple of I."""
+    restriction = basis.conj().T @ dense_pauli(pauli) @ basis
+    scale = np.trace(restriction) / basis.shape[1]
+    return np.abs(restriction - scale * np.eye(basis.shape[1])).max() < 1e-9
+
+
+SMALL_SPECS = (
+    ("rp2 D=2", spec_for(rp2(), 2)),
+    ("rp2 D=3", spec_for(rp2(), 3)),
+    ("torus D=3", spec_for(torus(), 3)),
+    ("grid 1x2 D=2", spec_for(torus_grid(1, 2), 2)),
+    ("grid 1x2 D=3", spec_for(torus_grid(1, 2), 3)),
+    ("single X D=3", single_generator_spec(3, x_row=(1,))),
+    ("scalar D=2", single_generator_spec(2, z_row=(1,), x_row=(1,))),
+    ("scalar D=3 n=2", single_generator_spec(3, z_row=(1, 0), x_row=(1, 0), n=2)),
+)
+
+
+@pytest.mark.parametrize("label,spec", SMALL_SPECS, ids=[label for label, _ in SMALL_SPECS])
+def test_sparse_projector_equals_explicit_sum(label, spec):
+    proj = dense_projector(spec)
+    assert scipy.sparse.issparse(proj)
+    assert np.abs(proj.toarray() - explicit_projector(spec)).max() < 1e-12
+
+
+def test_logical_action_agrees_with_dense_restriction_on_witnesses():
+    checked = 0
+    for complex2, label in acceptance_complexes():
+        for D in ACCEPTANCE_MODULI:
+            if D ** len(complex2.edges) > 256:
+                continue
+            spec = spec_for(complex2, D)
+            proj, basis = dense_projector(spec), None
+            for rep in (distance_css(spec), distance_homological(complex2, D)):
+                pauli = witness_pauli(rep, D)
+                if pauli is None:
+                    continue
+                basis = code_space_basis(spec) if basis is None else basis
+                expected = not dense_restriction_is_scalar(pauli, basis)
+                assert verify_logical_action(pauli, spec, projector=proj) == expected, (label, D)
+                assert expected, (label, D)
+                checked += 1
+    assert checked > 0
+
+
+def test_logical_action_agrees_with_dense_restriction_on_stabilizers():
+    for label, spec in SMALL_SPECS:
+        if spec.scalar_witness() is not None:
+            continue
+        basis = code_space_basis(spec)
+        for stab in (*spec.generators(), PauliProduct.identity(spec.modulus, spec.n)):
+            assert dense_restriction_is_scalar(stab, basis), label
+            assert not verify_logical_action(stab, spec), label
+
+
+def test_logical_action_zero_code_space():
+    # P = 0, so nothing acts beyond a scalar on the code space
+    spec = single_generator_spec(3, z_row=(1, 0), x_row=(1, 0), n=2)
+    assert np.abs(explicit_projector(spec)).max() < 1e-12
+    assert not verify_logical_action(PauliProduct.x_type(3, (0, 1)), spec)
+
+
+def test_projector_checks_stay_sparse_at_the_dense_cap():
+    # 4^6 = 4096 dimensions: one dense complex D^n x D^n array alone is 268 MB
+    spec = spec_for(torus_grid(1, 3), 4)
+    witness = witness_pauli(distance_css(spec), 4)
+    tracemalloc.start()
+    try:
+        proj = dense_projector(spec)
+        checks = projector_checks(spec, projector=proj)
+        acts = verify_logical_action(witness, spec, projector=proj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checks["rounded_trace"] == checks["expected_dimension"] == 16
+    assert acts
+    assert peak < 64 * 2**20
 
 
 def test_logical_action_torus():
