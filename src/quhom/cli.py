@@ -51,6 +51,7 @@ EXIT_UNREADABLE = 6
 
 QUICK_DENSE_CAP = 256
 QUICK_EXHAUSTIVE_CAP = 4096
+GRID_CELL_CAP = 10**4  # largest K*L that --builtin torus-grid:KxL builds
 
 
 def _emit(payload: dict, fmt: str):
@@ -77,6 +78,10 @@ def _builtin_complex(name: str) -> TwoComplex:
             raise SchemaError(f"bad grid size {dims!r}, expected KxL") from None
         if k < 1 or l < 1:
             raise SchemaError("grid sides must be >= 1")
+        if k * l > GRID_CELL_CAP:
+            raise BudgetExceeded(
+                f"torus-grid {k}x{l} has {k * l} cells, over the cap of {GRID_CELL_CAP}"
+            )
         return torus_grid(k, l)
     raise SchemaError(f"unknown builtin {name!r} (use rp2, torus, torus-grid:KxL)")
 
@@ -310,14 +315,17 @@ class _Transcript:
         print("ok" if self.ok else "FAILED")
 
 
-def _verify_projector(t: _Transcript, spec: StabilizerSpec, dense_cap: int):
-    """Record the projector_trace check; return the projector, or None if skipped."""
+def _verify_projector(t: _Transcript, spec: StabilizerSpec, dense_cap: int, enum):
+    """Record the projector_trace check; return the projector, or None if skipped.
+
+    `enum` is the group enumeration _verify_group built, or None if it skipped.
+    """
     dim = spec.modulus**spec.n
     if dim > dense_cap:
         t.skip("projector_trace", f"dimension {dim} over cap {dense_cap}")
         return None
     try:
-        proj = oracle.dense_projector(spec)
+        proj = oracle.dense_projector(spec, enumeration=enum)
     except BudgetExceeded:
         t.skip("projector_trace", "group too large to enumerate")
         return None
@@ -441,9 +449,9 @@ def cmd_verify(args) -> int:
                 f"K*|S|={k_span * enum.size}",
             )
     else:
-        _verify_group(t, spec)
+        enum = _verify_group(t, spec)
 
-    proj = _verify_projector(t, spec, dense_cap)
+    proj = _verify_projector(t, spec, dense_cap, enum)
     _verify_complement_duality(t, spec, exhaustive_cap)
     if spec.scalar_witness() is None:
         _verify_distance(t, spec, complex2, modulus, args.budget, dense_cap, proj)

@@ -10,19 +10,31 @@ supports are enumerated lexicographically, nonzero value assignments in
 odometer order, and for each candidate the sides are tested in a fixed
 order (cocycle first for the symplectic route, cycle first for the
 homological one).
+
+Candidates are checked in blocks with numpy: the check columns of a block
+of supports times all their value rows, mod D.  A support is skipped
+without a product when some check row has a single nonzero entry on it
+and that entry is a unit.  `examined` is the witness's position in the
+pinned order, skipped candidates included, so block sizes never show in
+a report.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .complex2 import TwoComplex, chain_complex
 from .errors import BudgetExceeded, TheoremMismatch
 from .pauli import PauliProduct, StabilizerSpec, syndrome
 from .zmod import (
     SubmoduleSpan,
+    ZModMatrix,
     contains,
     kernel_cardinality,
     orthogonal_complement,
@@ -31,6 +43,8 @@ from .zmod import (
 )
 
 DEFAULT_BUDGET = 10**7
+CELL_CAP = 1 << 14  # entries in one block's products or candidate masks; bounds memory
+FIRST_BLOCK = 16  # candidates in the first block; later blocks double
 
 CYCLE = "cycle"
 COCYCLE = "cocycle"
@@ -85,32 +99,129 @@ def _span_subset(inner: SubmoduleSpan, outer: SubmoduleSpan) -> bool:
     return all(contains(outer, g) for g in inner.generators)
 
 
+def _odometer(modulus: int, weight: int, start: int, stop: int, dtype) -> np.ndarray:
+    """Rows start..stop-1 of itertools.product(range(1, modulus), repeat=weight)."""
+    index = np.arange(start, stop, dtype=dtype)
+    values = np.empty((stop - start, weight), dtype=dtype)
+    for pos in range(weight - 1, -1, -1):
+        values[:, pos] = index % (modulus - 1) + 1
+        index = index // (modulus - 1)
+    return values
+
+
+def _prepare_side(tag: str, checks: ZModMatrix, excluded: Callable, dtype):
+    """(tag, check rows, unit code, excluded-span test) for the block search.
+
+    The unit code of an entry is 0 when it is zero, 1 when it is a unit mod
+    D and 2 otherwise, so a check row restricted to a support sums to 1
+    exactly when it has one nonzero entry there and that entry is a unit.
+    """
+    rows = np.array(checks.entries, dtype=dtype).reshape(checks.nrows, checks.ncols)
+    code = 2 * (rows != 0) - (np.gcd(rows, checks.modulus) == 1)
+    return tag, rows, code, excluded
+
+
+def _kernel_mask(side, supports: np.ndarray, values: np.ndarray, modulus: int) -> np.ndarray:
+    """(supports, values) mask of the candidates the side's check rows annihilate.
+
+    A support is skipped without a product when some check row restricted
+    to it has a single nonzero entry and that entry is a unit: that row
+    sends every nonzero value assignment to a nonzero syndrome.
+    """
+    _, rows, code, _ = side
+    mask = np.zeros((len(supports), len(values)), dtype=bool)
+    alive = np.flatnonzero((code[:, supports].sum(axis=2) != 1).all(axis=0))
+    nrows = max(rows.shape[0], 1)
+    support_step = max(1, CELL_CAP // (nrows * len(values)))
+    value_step = max(1, CELL_CAP // nrows)
+    for lo in range(0, len(alive), support_step):
+        chosen = alive[lo : lo + support_step]
+        restricted = rows[:, supports[chosen]]
+        for vlo in range(0, len(values), value_step):
+            syndromes = restricted @ values[vlo : vlo + value_step].T
+            mask[chosen, vlo : vlo + value_step] = (syndromes % modulus == 0).all(axis=0)
+    return mask
+
+
+def _first_hit(sides, n: int, supports: np.ndarray, values: np.ndarray, modulus: int):
+    """(support index, value index, tag, vector) of the first witness in a block, or None.
+
+    Candidates with a zero syndrome go to the excluded-span test in the
+    pinned order, sides in their given order for each candidate.
+    """
+    masks = [_kernel_mask(side, supports, values, modulus) for side in sides]
+    for flat in np.flatnonzero(functools.reduce(np.logical_or, masks)).tolist():
+        s, j = divmod(flat, len(values))
+        vec = [0] * n
+        for pos, val in zip(supports[s].tolist(), values[j].tolist()):
+            vec[pos] = val
+        vec = tuple(vec)
+        for (tag, _, _, excluded), mask in zip(sides, masks):
+            if mask[s, j] and not excluded(vec):
+                return s, j, tag, vec
+    return None
+
+
 def _weight_shell_search(
     n: int,
     modulus: int,
-    sides: Sequence[tuple[str, Callable, Callable]],
+    sides: Sequence[tuple[str, ZModMatrix, Callable]],
     method: str,
     budget: int,
 ) -> DistanceReport:
-    """Shared shell scan; each side is (tag, in_big_set, in_excluded_set)."""
+    """Shared shell scan; each side is (tag, check matrix, excluded-span contains).
+
+    A candidate passes a side when the check matrix annihilates it and the
+    excluded span does not contain it.  Candidates are checked in blocks of
+    the pinned order: whole supports with all (D-1)^w value rows each, or
+    one slice of a single support's value rows when a whole one does not
+    fit.  Blocks start at FIRST_BLOCK candidates, double up to CELL_CAP,
+    and never reach past the budget.  `examined` is the witness's 1-based
+    position in the pinned order, counting the candidates of skipped
+    supports.
+    """
     if not sides:
         return DistanceReport(None, None, None, method, 0)
+    D = modulus
+    dtype = np.int64 if n * (D - 1) ** 2 < 2**63 else object  # syndromes must not wrap
+    sides = [_prepare_side(tag, checks, excluded, dtype) for tag, checks, excluded in sides]
+    nrows = max(max(side[1].shape[0] for side in sides), 1)
     examined = 0
+    block = FIRST_BLOCK
     for weight in range(1, n + 1):
-        for support in itertools.combinations(range(n), weight):
-            for values in itertools.product(range(1, modulus), repeat=weight):
-                examined += 1
-                if examined > budget:
-                    raise BudgetExceeded(
-                        f"distance search exceeded budget {budget}", examined=examined
-                    )
-                vec = [0] * n
-                for pos, val in zip(support, values):
-                    vec[pos] = val
-                vec = tuple(vec)
-                for tag, in_big, in_excluded in sides:
-                    if in_big(vec) and not in_excluded(vec):
-                        return DistanceReport(weight, vec, tag, method, examined)
+        per_support = (D - 1) ** weight
+        max_supports = max(1, CELL_CAP // (nrows * weight))
+        supports = itertools.combinations(range(n), weight)
+        left = comb(n, weight)
+        start = 0  # first value row of the current support not yet checked
+        while left:
+            allowed = budget - examined
+            if allowed <= 0:
+                raise BudgetExceeded(
+                    f"distance search exceeded budget {budget} in weight shell {weight} "
+                    f"of {n} after {examined} candidates ({method} route)",
+                    examined=examined + 1,
+                )
+            if start == 0 and per_support <= min(block, allowed):
+                k = min(left, block // per_support, allowed // per_support, max_supports)
+                chunk = np.array(list(itertools.islice(supports, k)), dtype=np.int64)
+                stop = per_support
+            else:
+                if start == 0:
+                    chunk = np.array([next(supports)], dtype=np.int64)
+                stop = min(per_support, start + block, start + allowed)
+            values = _odometer(D, weight, start, stop, dtype)
+            hit = _first_hit(sides, n, chunk, values, D)
+            if hit is not None:
+                s, j, tag, vec = hit
+                return DistanceReport(weight, vec, tag, method, examined + s * len(values) + j + 1)
+            examined += len(chunk) * len(values)
+            if stop == per_support:
+                left -= len(chunk)
+                start = 0
+            else:
+                start = stop
+            block = min(2 * block, CELL_CAP)
     return DistanceReport(None, None, None, method, examined)
 
 
@@ -121,23 +232,12 @@ def distance_css(spec: StabilizerSpec, budget: int = DEFAULT_BUDGET) -> Distance
     the excluded span) is dropped before scanning; when both drop, the
     report is no_logicals without examining any candidate.
     """
-    D = spec.modulus
-    n = spec.n
-    face_rows = spec.face_matrix.entries
-    vertex_rows = spec.vertex_matrix.entries
-
-    def in_face_perp(vec):
-        return all(sum(a * b for a, b in zip(row, vec)) % D == 0 for row in face_rows)
-
-    def in_vertex_perp(vec):
-        return all(sum(a * b for a, b in zip(row, vec)) % D == 0 for row in vertex_rows)
-
     sides = []
     if not _span_subset(orthogonal_complement(spec.face_span), spec.vertex_span):
-        sides.append((COCYCLE, in_face_perp, spec.vertex_span.membership.contains))
+        sides.append((COCYCLE, spec.face_matrix, spec.vertex_span.membership.contains))
     if not _span_subset(orthogonal_complement(spec.vertex_span), spec.face_span):
-        sides.append((CYCLE, in_vertex_perp, spec.face_span.membership.contains))
-    return _weight_shell_search(n, D, sides, "css", budget)
+        sides.append((CYCLE, spec.vertex_matrix, spec.face_span.membership.contains))
+    return _weight_shell_search(spec.n, spec.modulus, sides, "css", budget)
 
 
 def distance_homological(
@@ -158,17 +258,9 @@ def distance_homological(
 
     sides = []
     if kernel_cardinality(d1) != span_cardinality(boundaries):
-        sides.append(
-            (CYCLE, lambda vec: not any(d1.matvec(vec)), boundaries.membership.contains)
-        )
+        sides.append((CYCLE, d1, boundaries.membership.contains))
     if kernel_cardinality(delta2) != span_cardinality(coboundaries):
-        sides.append(
-            (
-                COCYCLE,
-                lambda vec: not any(delta2.matvec(vec)),
-                coboundaries.membership.contains,
-            )
-        )
+        sides.append((COCYCLE, delta2, coboundaries.membership.contains))
     return _weight_shell_search(chain.num_edges, modulus, sides, "homological", budget)
 
 

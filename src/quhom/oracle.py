@@ -69,16 +69,17 @@ def dense_pauli(pauli: PauliProduct, cap: int = DENSE_DIMENSION_CAP) -> np.ndarr
 
 
 def dense_projector(
-    spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP
+    spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP, enumeration=None
 ) -> scipy.sparse.csr_matrix:
     """P = (1/|S|) sum of the group elements, as a sparse D^n x D^n matrix.
 
     Every element is monomial, one entry per column in the row its X part
     shifts to, so elements sharing an X part add up entrywise; P is then
     assembled in COO form from one (rows, values) pair per X part.
+    `enumeration` is the output of enumerate_group(spec), when already built.
     """
     dim = _dense_dimension(spec.modulus, spec.n, cap)
-    enum = enumerate_group(spec)
+    enum = enumerate_group(spec) if enumeration is None else enumeration
     digits = _digit_table(spec.modulus, spec.n)
     by_shift: dict = {}
     for phase, x, z in sorted(enum.elements):

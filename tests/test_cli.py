@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import quhom
 from quhom.cli import main
 from quhom.complex2 import chain_complex, rp2, torus_grid
 from quhom.documents import complex_to_dict
@@ -157,7 +159,7 @@ def test_distance_no_logicals(capsys):
 
 
 def test_distance_budget_exceeded(capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys,
         "distance",
         "--builtin",
@@ -168,7 +170,32 @@ def test_distance_budget_exceeded(capsys):
         "10",
     )
     assert code == 4
-    assert "budget" in err
+    assert out == ""
+    # the first shell holds 18 edges x 4 values, so the search stops inside it
+    assert "exceeded budget 10 in weight shell 1 of 18 after 10 candidates" in err
+
+
+def test_torus_grid_size_capped_before_building(capsys):
+    code, out, err = run_cli(
+        capsys, "params", "--builtin", "torus-grid:100000x100000", "--modulus", "2"
+    )
+    assert code == 4
+    assert out == ""
+    assert "100000x100000" in err and "10000" in err
+
+
+def test_verify_full_enumerates_group_once(capsys, monkeypatch):
+    from quhom import oracle
+
+    def refuse(spec):
+        raise AssertionError("the projector must reuse the verify enumeration")
+
+    monkeypatch.setattr(oracle, "enumerate_group", refuse)
+    code, out, _ = run_cli(
+        capsys, "verify", "--builtin", "rp2", "--modulus", "2", "--level", "full"
+    )
+    assert code == 0
+    assert "PASS projector_trace" in out
 
 
 def test_distance_scalar_violation_matches_params(tmp_path, capsys):
@@ -354,12 +381,16 @@ def test_route_mismatch_exit_code(capsys, monkeypatch):
 
 
 def test_console_entry_point():
+    # the child imports quhom from wherever this process did, installed or not
+    src = os.path.dirname(os.path.dirname(quhom.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "quhom.cli", "params", "--builtin", "rp2",
          "--modulus", "4", "--format", "json"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dimension"] == 2

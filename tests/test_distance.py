@@ -1,10 +1,14 @@
 import random
 from itertools import combinations, product
+from math import comb
 
+import numpy as np
 import pytest
 
+from quhom import distance
 from quhom.complex2 import chain_complex, rp2, torus, torus_grid
 from quhom.distance import (
+    DistanceReport,
     distance_css,
     distance_homological,
     is_in_normalizer,
@@ -12,10 +16,13 @@ from quhom.distance import (
     witness_pauli,
 )
 from quhom.errors import BudgetExceeded
-from quhom.pauli import PauliProduct, StabilizerSpec, syndrome
-from quhom.zmod import contains
+from quhom.pauli import PauliProduct, StabilizerSpec, code_dimension, syndrome
+from quhom.zmod import ZModMatrix, contains
 
-from _corpus import two_complex_corpus
+from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, two_complex_corpus
+
+# torus grids on which the scalar reference search stays cheap
+REFERENCE_GRIDS = ((3, 3, 2), (3, 3, 3), (3, 3, 6), (3, 4, 3), (4, 4, 2))
 
 
 def spec_for(complex2, D):
@@ -196,3 +203,152 @@ def test_witness_is_deterministic():
     first = distance_css(spec)
     second = distance_css(spec)
     assert first == second
+
+
+def scalar_shell_search(n, modulus, sides, method, budget):
+    """One candidate at a time in the pinned order: the reference for the block search."""
+    if not sides:
+        return DistanceReport(None, None, None, method, 0)
+    examined = 0
+    for weight in range(1, n + 1):
+        for support in combinations(range(n), weight):
+            for values in product(range(1, modulus), repeat=weight):
+                examined += 1
+                if examined > budget:
+                    raise BudgetExceeded("reference budget", examined=examined)
+                vec = [0] * n
+                for pos, val in zip(support, values):
+                    vec[pos] = val
+                vec = tuple(vec)
+                for tag, checks, excluded in sides:
+                    annihilated = all(
+                        sum(a * b for a, b in zip(row, vec)) % modulus == 0
+                        for row in checks.entries
+                    )
+                    if annihilated and not excluded(vec):
+                        return DistanceReport(weight, vec, tag, method, examined)
+    return DistanceReport(None, None, None, method, examined)
+
+
+def both_routes(complex2, D, budget=distance.DEFAULT_BUDGET):
+    spec = spec_for(complex2, D)
+    return distance_css(spec, budget), distance_homological(complex2, D, budget)
+
+
+def reference_routes(monkeypatch, complex2, D, budget=distance.DEFAULT_BUDGET):
+    with monkeypatch.context() as m:
+        m.setattr(distance, "_weight_shell_search", scalar_shell_search)
+        return both_routes(complex2, D, budget)
+
+
+def test_block_search_matches_scalar_reference_on_acceptance_corpus(monkeypatch):
+    for complex2, label in acceptance_complexes():
+        for D in ACCEPTANCE_MODULI:
+            expected = reference_routes(monkeypatch, complex2, D)
+            assert both_routes(complex2, D) == expected, (label, D)
+
+
+@pytest.mark.parametrize("k,l,D", REFERENCE_GRIDS)
+def test_block_search_matches_scalar_reference_on_grids(monkeypatch, k, l, D):
+    grid = torus_grid(k, l)
+    css, hom = both_routes(grid, D)
+    assert (css, hom) == reference_routes(monkeypatch, grid, D)
+    assert css.distance == min(k, l)
+
+
+def test_grid_4x4_mod_6():
+    css, hom = both_routes(torus_grid(4, 4), 6)
+    assert css.distance == hom.distance == 4
+    assert css.examined == hom.examined == 922561
+
+
+def test_huge_modulus_keeps_exact_syndromes():
+    # (D-1)^2 overflows int64, so the block search computes with Python integers
+    D = 3 * 2**62
+    never = lambda vec: False  # noqa: E731
+    checks = ZModMatrix.from_rows([[2**63]], 1, D)  # 2^63 v = 0 mod D iff 3 divides v
+    report = distance._weight_shell_search(1, D, [("cycle", checks, never)], "css", 100)
+    assert (report.witness, report.examined) == ((3,), 3)
+    for rep in both_routes(rp2(), D):  # even D: the weight-1 cycle survives
+        assert (rep.distance, rep.witness, rep.witness_side, rep.examined) == (1, (1,), "cycle", 1)
+
+
+def shell_of(position, n, D):
+    """Weight shell holding the 1-based candidate position in the pinned order."""
+    for weight in range(1, n + 1):
+        size = comb(n, weight) * (D - 1) ** weight
+        if position <= size:
+            return weight
+        position -= size
+    raise AssertionError("position past the last shell")
+
+
+@pytest.mark.parametrize("k,l,D", ((3, 3, 2), (3, 3, 6), (4, 4, 3)))
+def test_budget_edges(k, l, D):
+    grid = torus_grid(k, l)
+    spec = spec_for(grid, D)
+    report = distance_css(spec)
+    n = spec.n
+    assert distance_css(spec, budget=report.examined) == report
+    assert distance_homological(grid, D, budget=report.examined).examined == report.examined
+    rng = random.Random(k * 100 + l * 10 + D)
+    budgets = {0, 1, report.examined - 1, *rng.sample(range(report.examined), 20)}
+    for budget in sorted(budgets):
+        with pytest.raises(BudgetExceeded) as info:
+            distance_css(spec, budget=budget)
+        assert info.value.examined == budget + 1
+        shell = shell_of(budget + 1, n, D)
+        assert f"weight shell {shell} of {n} after {budget} candidates" in str(info.value)
+
+
+def test_negative_budget_stops_at_the_first_candidate():
+    spec = spec_for(torus(), 3)
+    with pytest.raises(BudgetExceeded) as info:
+        distance_css(spec, budget=-5)
+    assert info.value.examined == 1
+
+
+def test_unit_rule_never_prunes_a_nonunit_entry():
+    # at D = 4 the single entry 2 has 2 * 2 = 0, so (2, 0) is annihilated
+    never = lambda vec: False  # noqa: E731
+    checks = ZModMatrix.from_rows([[2, 0]], 2, 4)
+    report = distance._weight_shell_search(2, 4, [("cycle", checks, never)], "css", 100)
+    assert (report.witness, report.examined) == ((2, 0), 2)
+    # a unit entry rules out every value on its support, though the count goes on
+    checks = ZModMatrix.from_rows([[3, 0]], 2, 4)
+    report = distance._weight_shell_search(2, 4, [("cycle", checks, never)], "css", 100)
+    assert (report.witness, report.examined) == ((0, 1), 4)
+
+
+@pytest.mark.parametrize("D", (4, 6, 8, 9))
+def test_kernel_mask_equals_unpruned_products(D):
+    rng = random.Random(D)
+    n, weight = 7, 3
+    for _ in range(4):
+        rows = [[rng.choice((0, 0, 0, rng.randrange(D))) for _ in range(n)] for _ in range(4)]
+        side = distance._prepare_side("cycle", ZModMatrix.from_rows(rows, n, D), None, np.int64)
+        supports = np.array(list(combinations(range(n), weight)), dtype=np.int64)
+        values = np.array(list(product(range(1, D), repeat=weight)), dtype=np.int64)
+        mask = distance._kernel_mask(side, supports, values, D)
+        for s, support in enumerate(supports):
+            for j, vals in enumerate(values):
+                zero = all(
+                    sum(row[p] * v for p, v in zip(support, vals)) % D == 0 for row in rows
+                )
+                assert mask[s, j] == zero, (rows, support, vals)
+
+
+def distance_or_infinity(report):
+    return float("inf") if report.no_logicals else report.distance
+
+
+def test_crt_dimension_and_distance():
+    cases = [(c, label) for c, label in acceptance_complexes()]
+    cases += [(torus_grid(3, 3), "grid3x3"), (torus_grid(4, 4), "grid4x4")]
+    for complex2, label in cases:
+        dims = {D: code_dimension(spec_for(complex2, D)) for D in (2, 3, 6)}
+        assert dims[6] == dims[2] * dims[3], label
+        reports = {D: both_routes(complex2, D) for D in (2, 3, 6)}
+        for route in (0, 1):
+            d = {D: distance_or_infinity(reports[D][route]) for D in (2, 3, 6)}
+            assert d[6] == min(d[2], d[3]), (label, route)
