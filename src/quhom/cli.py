@@ -13,6 +13,7 @@ import sys
 
 from . import documents, oracle
 from .complex2 import (
+    ChainComplexData,
     TwoComplex,
     chain_complex,
     homology_cardinality,
@@ -125,22 +126,24 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _spec_from_args(args) -> tuple[TwoComplex | None, int, StabilizerSpec]:
+def _spec_from_args(args) -> tuple[TwoComplex | None, ChainComplexData | None, StabilizerSpec]:
+    """(complex, its chain complex, spec); the first two are None for a check matrix."""
     if getattr(args, "check_matrix", None):
         with open(args.check_matrix, encoding="utf-8") as fh:
             spec = parse_check_matrix(fh.read())
         if args.modulus is not None and args.modulus != spec.modulus:
             raise SchemaError("--modulus cannot override a check matrix")
-        return None, spec.modulus, spec
+        return None, None, spec
     complex2, modulus = _load_complex(args)
     if _require_valid(complex2):
         raise SchemaError("input complex failed validation")
-    spec = StabilizerSpec.from_chain(chain_complex(complex2, modulus))
-    return complex2, modulus, spec
+    chain = chain_complex(complex2, modulus)
+    return complex2, chain, StabilizerSpec.from_chain(chain)
 
 
 def cmd_params(args) -> int:
-    complex2, modulus, spec = _spec_from_args(args)
+    complex2, chain, spec = _spec_from_args(args)
+    modulus = spec.modulus
     report: dict = {
         "modulus": modulus,
         "num_qudits": spec.n,
@@ -155,7 +158,7 @@ def cmd_params(args) -> int:
     }
     try:
         size = stabilizer_size(spec)
-        dimension = code_dimension(spec)
+        dimension = modulus**spec.n // size
         report["stabilizer_size"] = size
         report["dimension"] = dimension
         report["scalar_violation"] = None
@@ -187,8 +190,8 @@ def cmd_params(args) -> int:
             report["distance_status"] = "budget_exceeded"
 
     if args.verify and report["scalar_violation"] is None:
-        if complex2 is not None:
-            homology = homology_cardinality(chain_complex(complex2, modulus))
+        if chain is not None:
+            homology = homology_cardinality(chain)
             if homology != report["dimension"]:
                 raise TheoremMismatch(
                     f"span route K={report['dimension']} but homology gives {homology}"
@@ -209,7 +212,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    complex2, modulus, spec = _spec_from_args(args)
+    complex2, _, spec = _spec_from_args(args)
+    modulus = spec.modulus
     witness = spec.scalar_witness()
     if witness is not None:
         # no stabilizer code, so no distance; params reports the same status
@@ -414,7 +418,8 @@ def _verify_distance(t: _Transcript, spec, complex2, modulus, budget, dense_cap,
 
 
 def cmd_verify(args) -> int:
-    complex2, modulus, spec = _spec_from_args(args)
+    complex2, chain, spec = _spec_from_args(args)
+    modulus = spec.modulus
     dense_cap = oracle.DENSE_DIMENSION_CAP if args.level == "full" else QUICK_DENSE_CAP
     exhaustive_cap = (
         oracle.EXHAUSTIVE_CAP if args.level == "full" else QUICK_EXHAUSTIVE_CAP
@@ -423,7 +428,6 @@ def cmd_verify(args) -> int:
 
     if complex2 is not None:
         t.record("walk_validation", not validate(complex2), None, None)
-        chain = chain_complex(complex2, modulus)
         t.record("chain_composition", (chain.d1 @ chain.d2).is_zero(), None, None)
         bad_pairs = sum(
             1

@@ -31,13 +31,13 @@ import numpy as np
 
 from .complex2 import TwoComplex, chain_complex
 from .errors import BudgetExceeded, TheoremMismatch
-from .pauli import PauliProduct, StabilizerSpec, syndrome
+from .pauli import PauliProduct, StabilizerSpec, stabilizer_size, syndrome
 from .zmod import (
-    SubmoduleSpan,
     ZModMatrix,
     contains,
     kernel_cardinality,
     orthogonal_complement,
+    product_dtype,
     row_span,
     span_cardinality,
 )
@@ -95,10 +95,6 @@ def is_logical(pauli: PauliProduct, spec: StabilizerSpec) -> bool:
     return not in_group
 
 
-def _span_subset(inner: SubmoduleSpan, outer: SubmoduleSpan) -> bool:
-    return all(contains(outer, g) for g in inner.generators)
-
-
 def _odometer(modulus: int, weight: int, start: int, stop: int, dtype) -> np.ndarray:
     """Rows start..stop-1 of itertools.product(range(1, modulus), repeat=weight)."""
     index = np.arange(start, stop, dtype=dtype)
@@ -116,7 +112,7 @@ def _prepare_side(tag: str, checks: ZModMatrix, excluded: Callable, dtype):
     D and 2 otherwise, so a check row restricted to a support sums to 1
     exactly when it has one nonzero entry there and that entry is a unit.
     """
-    rows = np.array(checks.entries, dtype=dtype).reshape(checks.nrows, checks.ncols)
+    rows = checks.array(dtype)
     code = 2 * (rows != 0) - (np.gcd(rows, checks.modulus) == 1)
     return tag, rows, code, excluded
 
@@ -183,7 +179,7 @@ def _weight_shell_search(
     if not sides:
         return DistanceReport(None, None, None, method, 0)
     D = modulus
-    dtype = np.int64 if n * (D - 1) ** 2 < 2**63 else object  # syndromes must not wrap
+    dtype = product_dtype(n, D)
     sides = [_prepare_side(tag, checks, excluded, dtype) for tag, checks, excluded in sides]
     nrows = max(max(side[1].shape[0] for side in sides), 1)
     examined = 0
@@ -228,15 +224,19 @@ def _weight_shell_search(
 def distance_css(spec: StabilizerSpec, budget: int = DEFAULT_BUDGET) -> DistanceReport:
     """Minimum Hamming weight over W = r(B)p \\ r(A) union r(A)p \\ r(B).
 
-    A side whose difference set is provably empty (the perp is contained in
-    the excluded span) is dropped before scanning; when both drop, the
-    report is no_logicals without examining any candidate.
+    Raises ScalarViolation when the spec's group holds a nontrivial scalar.
+    Otherwise r(A) lies in r(B)p and r(B) in r(A)p, and |Mp| = D^n / |M|
+    over Z_D, so each side is empty exactly when |r(A)| |r(B)| = D^n, that
+    is K = 1.  Then the report is no_logicals without examining any
+    candidate.  A membership solver is built only once a zero-syndrome
+    candidate reaches it.
     """
     sides = []
-    if not _span_subset(orthogonal_complement(spec.face_span), spec.vertex_span):
-        sides.append((COCYCLE, spec.face_matrix, spec.vertex_span.membership.contains))
-    if not _span_subset(orthogonal_complement(spec.vertex_span), spec.face_span):
-        sides.append((CYCLE, spec.vertex_matrix, spec.face_span.membership.contains))
+    if stabilizer_size(spec) != spec.modulus**spec.n:
+        sides = [
+            (COCYCLE, spec.face_matrix, functools.partial(contains, spec.vertex_span)),
+            (CYCLE, spec.vertex_matrix, functools.partial(contains, spec.face_span)),
+        ]
     return _weight_shell_search(spec.n, spec.modulus, sides, "css", budget)
 
 

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .complex2 import ChainComplexData
 from .errors import BudgetExceeded, ScalarViolation, SchemaError
-from .zmod import SubmoduleSpan, ZModMatrix, row_span, span_cardinality
+from .zmod import SubmoduleSpan, ZModMatrix, product_dtype, row_span, span_cardinality
 
 ENUMERATION_CAP = 10**6
 
@@ -169,15 +171,17 @@ class StabilizerSpec:
 
         Z^v X^u and X^u Z^v differ by w^(v.u), so the commutator of a face
         and a vertex generator is the scalar w^(v.u); the group is
-        scalar-free iff every such pairing vanishes mod D.
+        scalar-free iff every such pairing vanishes mod D.  All pairings
+        come from one product; the witness is the first nonzero one in
+        face-major order.
         """
-        D = self.modulus
-        for v in self.face_matrix.entries:
-            for u in self.vertex_matrix.entries:
-                pairing = _dot(v, u) % D
-                if pairing:
-                    return PauliProduct.scalar(D, pairing, self.n)
-        return None
+        dtype = product_dtype(self.n, self.modulus)
+        faces, vertices = self.face_matrix.array(dtype), self.vertex_matrix.array(dtype)
+        pairings = faces @ vertices.T % self.modulus
+        nonzero = np.flatnonzero(pairings)
+        if not len(nonzero):
+            return None
+        return PauliProduct.scalar(self.modulus, int(pairings.flat[nonzero[0]]), self.n)
 
 
 def face_operator(chain: ChainComplexData, f: int) -> PauliProduct:

@@ -2,8 +2,9 @@
 
 Z_D is not a PID when D is composite, so everything here lifts to the
 integers: Smith normal form is computed with arbitrary-precision integer
-arithmetic and only the cardinality/solve steps reduce mod D.  All values
-are immutable; all operations are pure functions.
+arithmetic and only the cardinality/solve steps reduce mod D.  Matrix
+products run in numpy (see `product_dtype`).  All values are immutable;
+all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -14,8 +15,19 @@ from functools import cached_property, lru_cache
 from math import gcd, prod
 from typing import Iterable, Sequence
 
+import numpy as np
+
 Vector = tuple[int, ...]
 IntRows = tuple[tuple[int, ...], ...]
+
+
+def product_dtype(terms: int, modulus: int):
+    """numpy dtype for sums of `terms` products of entries reduced mod D.
+
+    int64 when no such sum can reach 2^63, so nothing wraps (D itself then
+    fits, even for zero terms); otherwise object arrays of Python ints.
+    """
+    return np.int64 if max(terms, 1) * (modulus - 1) ** 2 < 2**63 else object
 
 
 def _reduced(rows: Iterable[Sequence[int]], modulus: int) -> IntRows:
@@ -67,18 +79,18 @@ class ZModMatrix:
             cols = tuple(() for _ in range(self.ncols)) if self.ncols else ()
         return ZModMatrix(self.ncols, self.nrows, self.modulus, cols)
 
+    def array(self, dtype) -> np.ndarray:
+        return np.array(self.entries, dtype=dtype).reshape(self.nrows, self.ncols)
+
     def __matmul__(self, other: ZModMatrix) -> ZModMatrix:
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch for matrix product")
         D = self.modulus
-        other_cols = [other.column(j) for j in range(other.ncols)]
-        rows = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) % D for col in other_cols)
-            for row in self.entries
-        )
-        return ZModMatrix(self.nrows, other.ncols, D, rows)
+        dtype = product_dtype(self.ncols, D)
+        product = self.array(dtype) @ other.array(dtype) % D
+        return ZModMatrix(self.nrows, other.ncols, D, tuple(map(tuple, product.tolist())))
 
     def matvec(self, x: Sequence[int]) -> Vector:
         if len(x) != self.ncols:
@@ -115,8 +127,11 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     """Smith normal form of an integer matrix, exactly.
 
     Pivot choice is the smallest nonzero absolute value in the trailing
-    block, which bounds entry growth; arithmetic is plain Python int so
-    intermediate values may exceed machine words without error.
+    block (the first in row-major order on ties), which bounds entry growth;
+    arithmetic is plain Python int so intermediate values may exceed
+    machine words without error.  A unit pivot ends the pivot scan, as no
+    entry is smaller, and divides everything, so the divisibility check is
+    skipped for it.
     """
     M = [[int(e) for e in row] for row in matrix]
     m = len(M)
@@ -141,10 +156,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
         U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
 
     def col_addmul(dst, src, c):
-        for row in M:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
+        for row in itertools.chain(M, V):
+            if row[src]:
+                row[dst] += c * row[src]
 
     def find_pivot(t):
         best = None
@@ -153,6 +167,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
                 e = M[i][j]
                 if e and (best is None or abs(e) < abs(M[best[0]][best[1]])):
                     best = (i, j)
+                    if abs(e) == 1:
+                        return best
         return best
 
     t = 0
@@ -186,10 +202,12 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
                 break
         # enforce the divisibility chain: fold a non-divisible row into row t
         pivot = M[t][t]
-        offender = next(
-            (i for i in range(t + 1, m) for j in range(t + 1, n) if M[i][j] % pivot),
-            None,
-        )
+        offender = None
+        if abs(pivot) != 1:
+            offender = next(
+                (i for i in range(t + 1, m) for j in range(t + 1, n) if M[i][j] % pivot),
+                None,
+            )
         if offender is not None:
             row_addmul(t, offender, 1)
             continue

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -394,3 +395,34 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dimension"] == 2
+
+
+def test_params_verify_builds_no_membership_solver(capsys, monkeypatch):
+    # emptiness comes from cardinalities, and the budget stops the search
+    # before any zero-syndrome candidate reaches a membership test
+    from quhom import zmod
+
+    def refuse(self, span):
+        raise AssertionError("params --verify --budget 1 built a SpanMembership")
+
+    monkeypatch.setattr(zmod.SpanMembership, "__init__", refuse)
+    code, out, _ = run_cli(
+        capsys, "params", "--verify", "--budget", "1", "--builtin", "torus-grid:10x10",
+        "--modulus", "3",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert (report["dimension"], report["distance_status"]) == (9, "budget_exceeded")
+    assert report["verified"] is True
+
+
+def test_params_verify_grid_14x14_in_time(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "params", "--verify", "--budget", "1", "--builtin", "torus-grid:14x14",
+        "--modulus", "6",
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["dimension"] == 36
+    assert elapsed < 3.0, f"params --verify on the 14x14 grid took {elapsed:.2f}s, limit 3s"

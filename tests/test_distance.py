@@ -8,6 +8,8 @@ import pytest
 from quhom import distance
 from quhom.complex2 import chain_complex, rp2, torus, torus_grid
 from quhom.distance import (
+    COCYCLE,
+    CYCLE,
     DistanceReport,
     distance_css,
     distance_homological,
@@ -15,9 +17,9 @@ from quhom.distance import (
     is_logical,
     witness_pauli,
 )
-from quhom.errors import BudgetExceeded
+from quhom.errors import BudgetExceeded, ScalarViolation
 from quhom.pauli import PauliProduct, StabilizerSpec, code_dimension, syndrome
-from quhom.zmod import ZModMatrix, contains
+from quhom.zmod import ZModMatrix, contains, orthogonal_complement
 
 from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, two_complex_corpus
 
@@ -342,13 +344,58 @@ def distance_or_infinity(report):
     return float("inf") if report.no_logicals else report.distance
 
 
+def check_crt(cases, a, b):
+    """K(ab) = K(a) K(b) and d(ab) = min(d(a), d(b)) for coprime a, b, on both routes."""
+    moduli = (a, b, a * b)
+    for complex2, label in cases:
+        dims = {D: code_dimension(spec_for(complex2, D)) for D in moduli}
+        assert dims[a * b] == dims[a] * dims[b], label
+        reports = {D: both_routes(complex2, D) for D in moduli}
+        for route in (0, 1):
+            d = {D: distance_or_infinity(reports[D][route]) for D in moduli}
+            assert d[a * b] == min(d[a], d[b]), (label, route)
+
+
 def test_crt_dimension_and_distance():
     cases = [(c, label) for c, label in acceptance_complexes()]
     cases += [(torus_grid(3, 3), "grid3x3"), (torus_grid(4, 4), "grid4x4")]
-    for complex2, label in cases:
-        dims = {D: code_dimension(spec_for(complex2, D)) for D in (2, 3, 6)}
-        assert dims[6] == dims[2] * dims[3], label
-        reports = {D: both_routes(complex2, D) for D in (2, 3, 6)}
-        for route in (0, 1):
-            d = {D: distance_or_infinity(reports[D][route]) for D in (2, 3, 6)}
-            assert d[6] == min(d[2], d[3]), (label, route)
+    check_crt(cases, 2, 3)
+
+
+@pytest.mark.parametrize("a,b", ((2, 5), (3, 4)))
+def test_crt_other_coprime_pairs(a, b):
+    check_crt([*acceptance_complexes(), (torus_grid(3, 3), "grid3x3")], a, b)
+
+
+def span_subset(inner, outer):
+    return all(contains(outer, g) for g in inner.generators)
+
+
+def test_css_sides_equal_span_subset_decision(monkeypatch):
+    # the sides a membership test of the complement generators keeps
+    seen = []
+    monkeypatch.setattr(
+        distance, "_weight_shell_search", lambda n, D, sides, method, budget: seen.append(sides)
+    )
+    for complex2, label in acceptance_complexes():
+        for D in ACCEPTANCE_MODULI:
+            spec = spec_for(complex2, D)
+            expected = []
+            if not span_subset(orthogonal_complement(spec.face_span), spec.vertex_span):
+                expected.append((COCYCLE, spec.face_matrix))
+            if not span_subset(orthogonal_complement(spec.vertex_span), spec.face_span):
+                expected.append((CYCLE, spec.vertex_matrix))
+            distance_css(spec)
+            assert [(tag, checks) for tag, checks, _ in seen.pop()] == expected, (label, D)
+
+
+def test_css_raises_on_scalar_violation():
+    spec = StabilizerSpec(
+        modulus=4,
+        n=2,
+        face_matrix=ZModMatrix.from_rows([(1, 0)], 2, 4),
+        vertex_matrix=ZModMatrix.from_rows([(2, 1)], 2, 4),
+    )
+    with pytest.raises(ScalarViolation) as info:
+        distance_css(spec)
+    assert info.value.witness.phase == 2

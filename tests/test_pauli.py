@@ -250,3 +250,33 @@ def test_check_matrix_parse_errors():
         parse_check_matrix("2 2 1 0\n1 1 1")
     with pytest.raises(SchemaError):
         parse_check_matrix("2 2 1 0\n3 0")
+
+
+def reference_scalar_witness(spec):
+    """Face-by-vertex double loop: the reference for the one-product check."""
+    for v in spec.face_matrix.entries:
+        for u in spec.vertex_matrix.entries:
+            pairing = sum(a * b for a, b in zip(v, u)) % spec.modulus
+            if pairing:
+                return PauliProduct.scalar(spec.modulus, pairing, spec.n)
+    return None
+
+
+def random_spec(rng, D, n, sparse):
+    def rows(count):
+        pick = (lambda: rng.choice((0, 0, 0, rng.randrange(D)))) if sparse else (lambda: rng.randrange(D))
+        return ZModMatrix.from_rows([[pick() for _ in range(n)] for _ in range(count)], n, D)
+
+    return StabilizerSpec(D, n, rows(rng.randint(0, 4)), rows(rng.randint(0, 4)))
+
+
+@pytest.mark.parametrize("D", (2, 3, 4, 6, 12, 3 * 2**62))
+def test_scalar_witness_equals_double_loop(D):
+    rng = random.Random(D % 1000)
+    for trial in range(150):
+        spec = random_spec(rng, D, rng.randint(0, 5), sparse=trial % 2 == 0)
+        assert spec.scalar_witness() == reference_scalar_witness(spec), spec
+    for complex2, label in two_complex_corpus(40, seed=61):
+        if D < 100:
+            spec = spec_for(complex2, D)
+            assert spec.scalar_witness() is None is reference_scalar_witness(spec), label

@@ -2,9 +2,14 @@ import random
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from quhom.complex2 import boundary1, boundary2, torus_grid
 from quhom.zmod import (
+    SmithDecomposition,
     SubmoduleSpan,
     ZModMatrix,
     all_vectors,
@@ -12,6 +17,7 @@ from quhom.zmod import (
     contains,
     kernel_cardinality,
     orthogonal_complement,
+    product_dtype,
     smith_normal_form,
     span_cardinality,
 )
@@ -244,3 +250,157 @@ def test_matmul_and_transpose():
     empty = ZModMatrix.zero(0, 3, 5)
     assert empty.transpose().nrows == 3
     assert empty.transpose().ncols == 0
+
+
+def reference_snf(matrix):
+    """Full-scan Smith normal form without early exits: the reference for the exact one."""
+    M = [[int(e) for e in row] for row in matrix]
+    m = len(M)
+    n = len(M[0]) if m else 0
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(a, b):
+        M[a], M[b] = M[b], M[a]
+        U[a], U[b] = U[b], U[a]
+
+    def swap_cols(a, b):
+        for row in M + V:
+            row[a], row[b] = row[b], row[a]
+
+    def row_addmul(dst, src, c):
+        M[dst] = [x + c * y for x, y in zip(M[dst], M[src])]
+        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
+
+    def col_addmul(dst, src, c):
+        for row in M + V:
+            row[dst] += c * row[src]
+
+    t = 0
+    while True:
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                e = M[i][j]
+                if e and (best is None or abs(e) < abs(M[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        while True:
+            restart = False
+            for i in range(t + 1, m):
+                if M[i][t] == 0:
+                    continue
+                row_addmul(i, t, -(M[i][t] // M[t][t]))
+                if M[i][t]:
+                    swap_rows(t, i)
+                    restart = True
+                    break
+            if restart:
+                continue
+            for j in range(t + 1, n):
+                if M[t][j] == 0:
+                    continue
+                col_addmul(j, t, -(M[t][j] // M[t][t]))
+                if M[t][j]:
+                    swap_cols(t, j)
+                    restart = True
+                    break
+            if not restart:
+                break
+        pivot = M[t][t]
+        offender = next(
+            (i for i in range(t + 1, m) for j in range(t + 1, n) if M[i][j] % pivot),
+            None,
+        )
+        if offender is not None:
+            row_addmul(t, offender, 1)
+            continue
+        if pivot < 0:
+            M[t] = [-e for e in M[t]]
+            U[t] = [-e for e in U[t]]
+        t += 1
+    return SmithDecomposition(
+        U=tuple(map(tuple, U)), diag=tuple(M[i][i] for i in range(t)), V=tuple(map(tuple, V))
+    )
+
+
+def reference_matmul(a, b):
+    """Row-by-column Python sums mod D: the reference for the numpy product."""
+    cols = [b.column(j) for j in range(b.ncols)]
+    rows = tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % a.modulus for col in cols)
+        for row in a.entries
+    )
+    return ZModMatrix(a.nrows, b.ncols, a.modulus, rows)
+
+
+# mostly units, zeros and small entries, so that unit pivots, non-unit
+# pivots, zero rows and zero columns all occur
+ENTRIES = st.one_of(st.sampled_from((0, 0, 0, 1, -1)), st.integers(-12, 12))
+
+
+@st.composite
+def integer_matrices(draw, entries=ENTRIES):
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 6))
+    return [[draw(entries) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(integer_matrices())
+@example([])
+@example([[], []])
+@example([[0, 0], [0, 0]])
+def test_snf_equals_full_scan_reference(matrix):
+    assert smith_normal_form(matrix) == reference_snf(matrix)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(integer_matrices(st.integers(-2**70, 2**70)))
+def test_snf_equals_reference_on_large_entries(matrix):
+    assert smith_normal_form(matrix) == reference_snf(matrix)
+
+
+def test_snf_equals_reference_on_boundary_matrices():
+    for D in (2, 6):
+        grid = torus_grid(4, 5)
+        for mat in (boundary1(grid, D), boundary2(grid, D), boundary2(grid, D).transpose()):
+            assert smith_normal_form(mat.entries) == reference_snf(mat.entries)
+
+
+@st.composite
+def matrix_pairs(draw, moduli=st.integers(2, 12)):
+    D = draw(moduli)
+    m, k, n = (draw(st.integers(0, 6)) for _ in range(3))
+    entries = st.integers(0, D - 1)
+    a = [[draw(entries) for _ in range(k)] for _ in range(m)]
+    b = [[draw(entries) for _ in range(n)] for _ in range(k)]
+    return ZModMatrix.from_rows(a, k, D), ZModMatrix.from_rows(b, n, D)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrix_pairs())
+def test_matmul_equals_python_sums(pair):
+    a, b = pair
+    assert a @ b == reference_matmul(a, b)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(matrix_pairs(st.sampled_from((3 * 2**62, 2**64 + 1))))
+def test_matmul_on_object_path_equals_python_sums(pair):
+    a, b = pair
+    assert product_dtype(a.ncols, a.modulus) is object
+    assert a @ b == reference_matmul(a, b)
+
+
+def test_product_dtype_switches_before_int64_wraps():
+    assert product_dtype(2, 2**31) is np.int64  # 2 (2^31 - 1)^2 < 2^63
+    assert product_dtype(2, 2**31 + 1) is object  # 2 (2^31)^2 = 2^63 would wrap
+    assert product_dtype(0, 3 * 2**62) is object  # D itself must fit for the reduction
+    assert product_dtype(1, 3 * 2**62) is object
+    # 2^63 * 2^63 mod 3 * 2^62 computed exactly
+    big = ZModMatrix.from_rows([[2**63]], 1, 3 * 2**62)
+    assert (big @ big).entries == ((2**126 % (3 * 2**62),),)
