@@ -369,8 +369,12 @@ def _verify_group(t: _Transcript, spec: StabilizerSpec):
     witness = spec.scalar_witness()
     try:
         enum = enumerate_group(spec)
-    except BudgetExceeded:
-        t.skip("group_enumeration", "predicted size over enumeration cap")
+    except BudgetExceeded as exc:
+        if exc.examined:  # predicted size within the cap: scalars made the group larger
+            detail = f"closure over enumeration cap after {exc.examined} elements (scalars)"
+        else:
+            detail = "predicted size over enumeration cap"
+        t.skip("group_enumeration", detail)
         return None
     if witness is None:
         ok = enum.size == stabilizer_size(spec) and enum.scalar_violation is None

@@ -9,18 +9,23 @@ here is deliberately independent of the exact-arithmetic production path.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import scipy.sparse
 
 from .errors import BudgetExceeded, ScalarViolation
-from .pauli import PauliProduct, StabilizerSpec, code_dimension, enumerate_group
+from .pauli import (
+    PauliProduct,
+    StabilizerSpec,
+    code_dimension,
+    enumerate_group,
+    enumerate_pauli_closure,
+)
 from .zmod import SubmoduleSpan, orthogonal_complement, span_cardinality
 
 DENSE_DIMENSION_CAP = 4096
 EXHAUSTIVE_CAP = 10**6
 RESIDUAL_TOL = 1e-9
+CELL_CAP = 1 << 14  # entries in one block of projector values; bounds memory
 
 
 def _dense_dimension(modulus: int, n: int, cap: int) -> int:
@@ -74,24 +79,43 @@ def dense_projector(
     """P = (1/|S|) sum of the group elements, as a sparse D^n x D^n matrix.
 
     Every element is monomial, one entry per column in the row its X part
-    shifts to, so elements sharing an X part add up entrywise; P is then
-    assembled in COO form from one (rows, values) pair per X part.
+    shifts to, so the elements of one X class add up entrywise.  A class's
+    phases are one product (phase + z . digits) mod D, its values a lookup
+    into the roots of unity, summed over the class in sorted (phase, x, z)
+    order in blocks of at most CELL_CAP entries.  P is then assembled in COO
+    form from one (rows, values) pair per class.
     `enumeration` is the output of enumerate_group(spec), when already built.
     """
-    dim = _dense_dimension(spec.modulus, spec.n, cap)
+    D = spec.modulus
+    n = spec.n
+    dim = _dense_dimension(D, n, cap)
     enum = enumerate_group(spec) if enumeration is None else enumeration
-    digits = _digit_table(spec.modulus, spec.n)
-    by_shift: dict = {}
-    for phase, x, z in sorted(enum.elements):
-        rows, values = _pauli_action(PauliProduct(spec.modulus, phase, x, z), digits)
-        if x in by_shift:
-            by_shift[x][1] += values
-        else:
-            by_shift[x] = [rows, values]
-    rows = np.concatenate([r for r, _ in by_shift.values()])
-    values = np.concatenate([v for _, v in by_shift.values()]) / enum.size
-    cols = np.tile(np.arange(dim), len(by_shift))
-    proj = scipy.sparse.coo_matrix((values, (rows, cols)), shape=(dim, dim)).tocsr()
+    digits = _digit_table(D, n)
+    weights = D ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    elements = enum.rows.astype(np.int64)  # entries < D <= cap; the identity alone if n = 0
+    elements = elements[np.lexsort(elements.T[::-1])]  # sorted (phase, x, z) order
+    shifts = elements[:, 1 : n + 1] @ weights
+    # Each class holds (0, x, 0), a product of X-type generators alone, so the
+    # classes first appear in the sort in ascending x; members keep sorted order.
+    order = np.argsort(shifts, kind="stable")
+    classes = np.split(order, np.flatnonzero(np.diff(shifts[order])) + 1)
+    roots = _roots_of_unity(D)
+    step = max(1, CELL_CAP // dim)
+    rows, values = [], []
+    for members in classes:
+        rows.append(((digits + elements[members[0], 1 : n + 1]) % D) @ weights)
+        total = None
+        for lo in range(0, len(members), step):
+            block = elements[members[lo : lo + step]]
+            block_values = roots[(block[:, :1] + block[:, n + 1 :] @ digits.T) % D]
+            if total is not None:
+                block_values = np.concatenate((total[None], block_values))
+            total = block_values.sum(axis=0)
+        values.append(total)
+    cols = np.tile(np.arange(dim), len(classes))
+    proj = scipy.sparse.coo_matrix(
+        (np.concatenate(values) / enum.size, (np.concatenate(rows), cols)), shape=(dim, dim)
+    ).tocsr()
     proj.eliminate_zeros()
     return proj
 
@@ -158,23 +182,14 @@ def verify_logical_action(
 
 
 def span_elements(span: SubmoduleSpan) -> set:
-    """Every element of the span by closure under addition (the brute-force oracle)."""
+    """Every element of the span, as the group closure of its X-type generators."""
     if span.modulus**span.ambient > EXHAUSTIVE_CAP:
         raise BudgetExceeded(
             f"span ambient space {span.modulus}^{span.ambient} exceeds cap {EXHAUSTIVE_CAP}"
         )
-    D = span.modulus
-    zero = (0,) * span.ambient
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for g in span.generators:
-            nxt = tuple((a + b) % D for a, b in zip(cur, g))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+    gens = [PauliProduct.x_type(span.modulus, g) for g in span.generators]
+    rows = enumerate_pauli_closure(gens, span.modulus, span.ambient, EXHAUSTIVE_CAP).rows
+    return set(map(tuple, rows[:, 1 : span.ambient + 1].tolist()))
 
 
 def complement_duality_checks(span: SubmoduleSpan) -> dict:
@@ -191,7 +206,7 @@ def complement_duality_checks(span: SubmoduleSpan) -> dict:
     members = sorted(span_elements(span))
     size = len(members)
     elements = np.array(members, dtype=np.int64).reshape(size, n)
-    etas = np.array(list(itertools.product(range(D), repeat=n)), dtype=np.int64).reshape(dim, n)
+    etas = _digit_table(D, n)
     dots = (etas @ elements.T) % D
     char_sums = _roots_of_unity(D)[dots].sum(axis=1)
     perp_mask = (dots == 0).all(axis=1)

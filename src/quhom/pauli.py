@@ -8,8 +8,7 @@ never leave the representable set.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -20,6 +19,7 @@ from .errors import BudgetExceeded, ScalarViolation, SchemaError
 from .zmod import SubmoduleSpan, ZModMatrix, product_dtype, row_span, span_cardinality
 
 ENUMERATION_CAP = 10**6
+CELL_CAP = 1 << 14  # entries in one block of closure products; bounds memory
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -201,13 +201,25 @@ def syndrome(error: PauliProduct, spec: StabilizerSpec) -> tuple[int, ...]:
     return tuple(error.commutation_phase(g) for g in spec.generators())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupEnumeration:
-    """Closure result; elements are raw (phase, x, z) triples."""
+    """Closure result: group order, first scalar found, and the elements.
+
+    `rows` holds one element per row, (phase, x..., z...), in discovery
+    order; `elements` is the same set as raw (phase, x, z) triples, built
+    on first use.
+    """
 
     size: int
     scalar_violation: PauliProduct | None
-    elements: frozenset
+    rows: np.ndarray = field(repr=False)
+
+    @cached_property
+    def elements(self) -> frozenset:
+        n = (self.rows.shape[1] - 1) // 2
+        return frozenset(
+            (row[0], tuple(row[1 : n + 1]), tuple(row[n + 1 :])) for row in self.rows.tolist()
+        )
 
 
 def enumerate_pauli_closure(
@@ -218,41 +230,65 @@ def enumerate_pauli_closure(
 ) -> GroupEnumeration:
     """Breadth-first closure under multiplication, starting from the identity.
 
-    Raises BudgetExceeded as soon as the discovered set outgrows the cap;
-    the first element found with x = z = 0 and nonzero phase is reported as
-    the scalar violation.
+    One BFS level at a time: each block of the frontier times every
+    generator is one numpy product, and new elements are kept in
+    (parent, generator) order, the discovery order of a FIFO queue.  An
+    element's key is its digits (phase, x, z) read in base D, exact in
+    int64 or in Python ints.  Raises BudgetExceeded as soon as the
+    discovered set outgrows the cap; the first element found with
+    x = z = 0 and nonzero phase is reported as the scalar violation.
     """
     D = modulus
     n = num_qudits
+    width = 2 * n + 1
     gens = []
     for g in generators:
         if g.modulus != D or g.num_qudits != n:
             raise ValueError("generator does not match the requested dimensions")
-        gens.append((g.phase, g.x, g.z))
+        gens.append((g.phase, *g.x, *g.z))
+    dtype = product_dtype(n + 2, D)  # phase + g_phase + z . g_x
+    gens = np.array(gens, dtype=dtype).reshape(len(gens), width)
+    g_x = gens[:, 1 : n + 1]
+    key_dtype = np.int64 if D**width <= 2**63 else object
+    weights = np.array([D**p for p in range(width - 1, -1, -1)], dtype=key_dtype)
+    step = max(1, CELL_CAP // (max(len(gens), 1) * width))  # frontier rows per block
 
-    identity = (0, (0,) * n, (0,) * n)
-    seen = {identity}
-    queue = deque([identity])
+    frontier = np.zeros((1, width), dtype=dtype)
+    levels = [frontier]
+    seen = {0}  # the identity's key
     violation = None
-    while queue:
-        phase, x, z = queue.popleft()
-        for gphase, gx, gz in gens:
-            nxt = (
-                (phase + gphase + _dot(z, gx)) % D,
-                tuple((a + b) % D for a, b in zip(x, gx)),
-                tuple((a + b) % D for a, b in zip(z, gz)),
-            )
-            if nxt in seen:
-                continue
-            seen.add(nxt)
+    level = 0
+    while len(frontier) and len(gens):
+        level += 1
+        found = []
+        for lo in range(0, len(frontier), step):
+            block = frontier[lo : lo + step]
+            products = block[:, None, :] + gens
+            products[:, :, 0] += block[:, n + 1 :] @ g_x.T
+            products = products.reshape(-1, width) % D
+            keys = products.astype(key_dtype, copy=False) @ weights
+            fresh = []
+            for i, key in enumerate(keys.tolist()):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
             if len(seen) > cap:
                 raise BudgetExceeded(
-                    f"group closure exceeded cap {cap}", examined=len(seen)
+                    f"group closure exceeded cap {cap} at BFS level {level}"
+                    f" ({cap + 1} elements found)",
+                    examined=cap + 1,
                 )
-            if violation is None and nxt[0] and not any(nxt[1]) and not any(nxt[2]):
-                violation = PauliProduct(D, nxt[0], nxt[1], nxt[2])
-            queue.append(nxt)
-    return GroupEnumeration(len(seen), violation, frozenset(seen))
+            new = products[fresh]
+            if violation is None:
+                scalars = np.flatnonzero((new[:, 0] != 0) & ~(new[:, 1:] != 0).any(axis=1))
+                if len(scalars):
+                    row = new[scalars[0]].tolist()
+                    violation = PauliProduct(D, row[0], row[1 : n + 1], row[n + 1 :])
+            found.append(new)
+        frontier = np.concatenate(found)
+        levels.append(frontier)
+    rows = np.concatenate(levels)
+    return GroupEnumeration(len(rows), violation, rows)
 
 
 def enumerate_group(spec: StabilizerSpec, cap: int = ENUMERATION_CAP) -> GroupEnumeration:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -351,6 +352,30 @@ def test_verify_adversarial_check_matrix(tmp_path, capsys):
     assert code == 0
     assert "zero code space" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "cap,detail",
+    [
+        (5, "predicted size over enumeration cap"),
+        (10, "closure over enumeration cap after 11 elements (scalars)"),
+    ],
+)
+def test_verify_group_skip_says_why(tmp_path, capsys, monkeypatch, cap, detail):
+    # X and Z on one qutrit: |r(B)| |r(A)| = 9 predicted, 27 elements with the scalars
+    from quhom import cli, pauli
+    from quhom.zmod import ZModMatrix
+
+    monkeypatch.setattr(cli, "enumerate_group", functools.partial(pauli.enumerate_group, cap=cap))
+    row = ZModMatrix.from_rows([(1,)], 1, 3)
+    path = tmp_path / "adv.txt"
+    path.write_text(export_check_matrix(StabilizerSpec(3, 1, row, row)), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", "--check-matrix", str(path), "--format", "json")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 0
+    assert checks["group_enumeration"] == {
+        "name": "group_enumeration", "status": "SKIP", "residual": None, "detail": detail
+    }
 
 
 def test_params_check_matrix(tmp_path, capsys):

@@ -9,6 +9,9 @@ from quhom.complex2 import chain_complex, rp2, torus, torus_grid
 from quhom.distance import distance_css, distance_homological, witness_pauli
 from quhom.errors import BudgetExceeded
 from quhom.oracle import (
+    DENSE_DIMENSION_CAP,
+    _digit_table,
+    _pauli_action,
     complement_duality_checks,
     dense_pauli,
     dense_projector,
@@ -182,6 +185,52 @@ def test_sparse_projector_equals_explicit_sum(label, spec):
     assert np.abs(proj.toarray() - explicit_projector(spec)).max() < 1e-12
 
 
+def reference_projector(spec):
+    """One _pauli_action per element in sorted order, summed per X part: the
+    reference for the per-class assembly."""
+    dim = spec.modulus**spec.n
+    digits = _digit_table(spec.modulus, spec.n)
+    enum = enumerate_group(spec)
+    by_shift = {}
+    for phase, x, z in sorted(enum.elements):
+        rows, values = _pauli_action(PauliProduct(spec.modulus, phase, x, z), digits)
+        if x in by_shift:
+            by_shift[x][1] += values
+        else:
+            by_shift[x] = [rows, values]
+    rows = np.concatenate([r for r, _ in by_shift.values()])
+    values = np.concatenate([v for _, v in by_shift.values()]) / enum.size
+    cols = np.tile(np.arange(dim), len(by_shift))
+    proj = scipy.sparse.coo_matrix((values, (rows, cols)), shape=(dim, dim)).tocsr()
+    proj.eliminate_zeros()
+    return proj
+
+
+def assert_same_csr(proj, expected):
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(proj, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+# the oracle_verify benchmark grids; 2x2 D=5 (5^8 dimensions) is over the dense cap
+ORACLE_GRIDS = ((1, 2, 5), (1, 3, 3), (1, 5, 2), (2, 2, 5), (1, 3, 4))
+
+
+@pytest.mark.parametrize("label,spec", SMALL_SPECS, ids=[label for label, _ in SMALL_SPECS])
+def test_projector_bit_identical_to_reference(label, spec):
+    assert_same_csr(dense_projector(spec), reference_projector(spec))
+
+
+@pytest.mark.parametrize("k,l,D", ORACLE_GRIDS, ids=[f"{k}x{l} D={D}" for k, l, D in ORACLE_GRIDS])
+def test_projector_bit_identical_to_reference_on_grids(k, l, D):
+    spec = spec_for(torus_grid(k, l), D)
+    if D**spec.n > DENSE_DIMENSION_CAP:
+        with pytest.raises(BudgetExceeded):
+            dense_projector(spec)
+        return
+    assert_same_csr(dense_projector(spec), reference_projector(spec))
+
+
 def test_logical_action_agrees_with_dense_restriction_on_witnesses():
     checked = 0
     for complex2, label in acceptance_complexes():
@@ -221,19 +270,22 @@ def test_logical_action_zero_code_space():
 
 def test_projector_checks_stay_sparse_at_the_dense_cap():
     # 4^6 = 4096 dimensions: one dense complex D^n x D^n array alone is 268 MB
-    spec = spec_for(torus_grid(1, 3), 4)
-    witness = witness_pauli(distance_css(spec), 4)
-    tracemalloc.start()
-    try:
-        proj = dense_projector(spec)
-        checks = projector_checks(spec, projector=proj)
-        acts = verify_logical_action(witness, spec, projector=proj)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert checks["rounded_trace"] == checks["expected_dimension"] == 16
-    assert acts
-    assert peak < 64 * 2**20
+    grid = spec_for(torus_grid(1, 3), 4)
+    # full-rank Z rows, no X rows: one X class of 4096 members
+    one_class = StabilizerSpec(4, 6, ZModMatrix.identity(6, 4), ZModMatrix.zero(0, 6, 4))
+    for spec, dimension in ((grid, 16), (one_class, 1)):
+        witness = witness_pauli(distance_css(spec), 4)
+        tracemalloc.start()
+        try:
+            proj = dense_projector(spec)
+            checks = projector_checks(spec, projector=proj)
+            acts = witness is None or verify_logical_action(witness, spec, projector=proj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert checks["rounded_trace"] == checks["expected_dimension"] == dimension
+        assert acts
+        assert peak < 64 * 2**20
 
 
 def test_logical_action_torus():

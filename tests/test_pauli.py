@@ -1,10 +1,15 @@
 import random
+import tracemalloc
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quhom.complex2 import chain_complex, homology_cardinality, rp2, torus, torus_grid
 from quhom.errors import BudgetExceeded, ScalarViolation
 from quhom.pauli import (
+    ENUMERATION_CAP,
     PauliProduct,
     StabilizerSpec,
     code_dimension,
@@ -20,7 +25,7 @@ from quhom.pauli import (
 
 from quhom.zmod import ZModMatrix
 
-from _corpus import ACCEPTANCE_MODULI, two_complex_corpus
+from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, two_complex_corpus
 
 
 def random_pauli(rng, D, n):
@@ -280,3 +285,115 @@ def test_scalar_witness_equals_double_loop(D):
         if D < 100:
             spec = spec_for(complex2, D)
             assert spec.scalar_witness() is None is reference_scalar_witness(spec), label
+
+
+def reference_closure(generators, modulus, num_qudits, cap):
+    """Deque BFS over (phase, x, z) tuples: the reference for the level-wise closure.
+
+    Returns (size, scalar_violation, elements) like GroupEnumeration's fields.
+    """
+    D = modulus
+    n = num_qudits
+    gens = [(g.phase, g.x, g.z) for g in generators]
+    identity = (0, (0,) * n, (0,) * n)
+    seen = {identity}
+    queue = deque([identity])
+    violation = None
+    while queue:
+        phase, x, z = queue.popleft()
+        for gphase, gx, gz in gens:
+            nxt = (
+                (phase + gphase + sum(a * b for a, b in zip(z, gx))) % D,
+                tuple((a + b) % D for a, b in zip(x, gx)),
+                tuple((a + b) % D for a, b in zip(z, gz)),
+            )
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            if len(seen) > cap:
+                raise BudgetExceeded(f"group closure exceeded cap {cap}", examined=len(seen))
+            if violation is None and nxt[0] and not any(nxt[1]) and not any(nxt[2]):
+                violation = PauliProduct(D, nxt[0], nxt[1], nxt[2])
+            queue.append(nxt)
+    return len(seen), violation, frozenset(seen)
+
+
+def closure_outcome(generators, modulus, num_qudits, cap, reference=False):
+    """(size, scalar_violation, elements), or ("budget", examined) when over cap."""
+    try:
+        if reference:
+            return reference_closure(generators, modulus, num_qudits, cap)
+        enum = enumerate_pauli_closure(generators, modulus, num_qudits, cap)
+    except BudgetExceeded as exc:
+        return "budget", exc.examined
+    return enum.size, enum.scalar_violation, enum.elements
+
+
+@st.composite
+def generator_sets(draw):
+    D = draw(st.sampled_from((2, 3, 4, 6, 12, 3 * 2**62)))
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.sampled_from((0, 1, D - 1, D // 2)), st.integers(0, D - 1))
+    vector = st.lists(entry, min_size=n, max_size=n)
+    # single-qudit X and Z: two on one qudit do not commute
+    unit = st.integers(0, max(n - 1, 0)).map(lambda q: [int(i == q) for i in range(n)])
+    pauli = st.one_of(
+        st.builds(lambda p, x, z: PauliProduct(D, p, x, z), entry, vector, vector),
+        st.builds(lambda p: PauliProduct.scalar(D, p, n), entry),
+        st.builds(lambda x: PauliProduct.x_type(D, x), unit),
+        st.builds(lambda z: PauliProduct.z_type(D, z), unit),
+    )
+    return D, n, draw(st.lists(pauli, max_size=5))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(generator_sets())
+def test_closure_equals_deque_reference(case):
+    D, n, gens = case
+    assert closure_outcome(gens, D, n, 500) == closure_outcome(gens, D, n, 500, reference=True)
+
+
+def test_closure_equals_deque_reference_on_acceptance_complexes():
+    for complex2, label in acceptance_complexes():
+        for D in ACCEPTANCE_MODULI:
+            spec = spec_for(complex2, D)
+            args = (spec.generators(), D, spec.n, ENUMERATION_CAP)
+            assert closure_outcome(*args) == closure_outcome(*args, reference=True), (label, D)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        spec_for(torus_grid(2, 2), 3),
+        spec_for(rp2(), 4),
+        StabilizerSpec(
+            3, 1, ZModMatrix.from_rows([(1,)], 1, 3), ZModMatrix.from_rows([(1,)], 1, 3)
+        ),
+    ],
+    ids=["grid 2x2 D=3", "rp2 D=4", "scalar D=3"],
+)
+def test_closure_cap_edges(spec):
+    gens = spec.generators()
+    size = enumerate_pauli_closure(gens, spec.modulus, spec.n).size
+    assert enumerate_pauli_closure(gens, spec.modulus, spec.n, cap=size).size == size
+    message = rf"at BFS level \d+ \({size} elements found\)"
+    with pytest.raises(BudgetExceeded, match=message) as info:
+        enumerate_pauli_closure(gens, spec.modulus, spec.n, cap=size - 1)
+    assert info.value.examined == size
+    assert closure_outcome(gens, spec.modulus, spec.n, size - 1, reference=True) == (
+        "budget",
+        size,
+    )
+
+
+def test_closure_memory_is_bounded():
+    # 15,625 elements; products are formed one bounded block of the frontier at a time
+    spec = spec_for(torus_grid(2, 2), 5)
+    tracemalloc.start()
+    try:
+        enum = enumerate_group(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enum.size == 5**6
+    assert peak < 8 * 2**20
