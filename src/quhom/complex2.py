@@ -213,10 +213,14 @@ def homology_cardinality(chain: ChainComplexData) -> int:
     return cycles // boundaries
 
 
+def faces_sum_to_zero(d2: ZModMatrix) -> bool:
+    """True iff the columns of d2, the face boundaries, sum to zero mod D."""
+    return all(sum(row) % d2.modulus == 0 for row in d2.entries)
+
+
 def is_orientable(complex2: TwoComplex, modulus: int) -> bool:
     """True iff the face boundaries sum to zero mod D (a D-dependent test)."""
-    d2 = boundary2(complex2, modulus)
-    return all(sum(row) % modulus == 0 for row in d2.entries)
+    return faces_sum_to_zero(boundary2(complex2, modulus))
 
 
 def is_orientable_integral(complex2: TwoComplex) -> bool:

@@ -35,7 +35,6 @@ from .pauli import PauliProduct, StabilizerSpec, stabilizer_size, syndrome
 from .zmod import (
     ZModMatrix,
     contains,
-    kernel_cardinality,
     orthogonal_complement,
     product_dtype,
     row_span,
@@ -247,8 +246,10 @@ def distance_homological(
 
     Cycle side: ker d1 minus im d2; cocycle side: ker delta2 minus im
     delta1, with the coboundary maps realized as transposes.  Emptiness is
-    prechecked through cardinalities: im is always inside ker, so the side
-    is empty exactly when |ker| equals |im|.
+    prechecked through cardinalities: im is always inside ker, so a side is
+    empty exactly when |ker| equals |im|.  As |ker d1| = D^E / |im delta1|
+    and |ker delta2| = D^E / |im d2|, both sides are empty exactly when
+    |im d2| |im delta1| = D^E, that is when |H_1| = 1.
     """
     chain = chain_complex(complex2, modulus)
     d1 = chain.d1
@@ -257,10 +258,11 @@ def distance_homological(
     coboundaries = row_span(chain.d1)  # im delta1
 
     sides = []
-    if kernel_cardinality(d1) != span_cardinality(boundaries):
-        sides.append((CYCLE, d1, boundaries.membership.contains))
-    if kernel_cardinality(delta2) != span_cardinality(coboundaries):
-        sides.append((COCYCLE, delta2, coboundaries.membership.contains))
+    if span_cardinality(boundaries) * span_cardinality(coboundaries) != modulus**chain.num_edges:
+        sides = [
+            (CYCLE, d1, boundaries.membership.contains),
+            (COCYCLE, delta2, coboundaries.membership.contains),
+        ]
     return _weight_shell_search(chain.num_edges, modulus, sides, "homological", budget)
 
 

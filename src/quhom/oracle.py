@@ -125,6 +125,8 @@ def projector_checks(
 ) -> dict:
     """Residuals for P = P-dagger = P-squared and the trace-vs-K identity.
 
+    `residual` is the largest of the three, and `ok` the verdict: it is
+    under RESIDUAL_TOL and the rounded trace is K.
     `projector` is the output of dense_projector(spec), when already built.
     """
     proj = dense_projector(spec, cap) if projector is None else projector
@@ -136,25 +138,23 @@ def projector_checks(
         expected = code_dimension(spec)
     except ScalarViolation:
         expected = 0
+    residual = max(herm_residual, idem_residual, float(trace_residual))
+    rounded = int(round(trace.real))
     return {
         "hermitian_residual": herm_residual,
         "idempotent_residual": idem_residual,
         "trace": trace,
         "trace_residual": float(trace_residual),
-        "rounded_trace": int(round(trace.real)),
+        "rounded_trace": rounded,
         "expected_dimension": expected,
+        "residual": residual,
+        "ok": residual < RESIDUAL_TOL and rounded == expected,
     }
 
 
 def verify_projector_dimension(spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP) -> bool:
     """Trace of the projector equals the code dimension, within tolerance."""
-    checks = projector_checks(spec, cap)
-    return (
-        checks["hermitian_residual"] < RESIDUAL_TOL
-        and checks["idempotent_residual"] < RESIDUAL_TOL
-        and checks["trace_residual"] < RESIDUAL_TOL
-        and checks["rounded_trace"] == checks["expected_dimension"]
-    )
+    return projector_checks(spec, cap)["ok"]
 
 
 def verify_logical_action(
@@ -196,7 +196,9 @@ def complement_duality_checks(span: SubmoduleSpan) -> dict:
     """Exhaustive complement count and the character-sum dichotomy.
 
     For every eta in Z_D^n the sum of w^(eta.x) over x in the span is |E|
-    when eta is orthogonal to the whole span and zero otherwise.
+    when eta is orthogonal to the whole span and zero otherwise.  `ok` is
+    the verdict: the two complement counts agree, |E| |E-perp| = D^n, and
+    the character sums are within RESIDUAL_TOL.
     """
     D = span.modulus
     n = span.ambient
@@ -217,22 +219,20 @@ def complement_duality_checks(span: SubmoduleSpan) -> dict:
             np.abs(char_sums[~perp_mask]).max() if (~perp_mask).any() else 0.0,
         )
     )
-    comp = orthogonal_complement(span)
+    complement_size = span_cardinality(orthogonal_complement(span))
     return {
         "span_size": size,
         "exhaustive_perp_size": exhaustive_perp,
-        "complement_cardinality": span_cardinality(comp),
+        "complement_cardinality": complement_size,
         "product": size * exhaustive_perp,
         "full_space": dim,
         "char_residual": char_residual,
+        "ok": exhaustive_perp == complement_size
+        and size * exhaustive_perp == dim
+        and char_residual < RESIDUAL_TOL,
     }
 
 
 def verify_complement_duality(span: SubmoduleSpan) -> bool:
     """|E| |E-perp| = D^n with the complement counted two independent ways."""
-    checks = complement_duality_checks(span)
-    return (
-        checks["exhaustive_perp_size"] == checks["complement_cardinality"]
-        and checks["product"] == checks["full_space"]
-        and checks["char_residual"] < RESIDUAL_TOL
-    )
+    return complement_duality_checks(span)["ok"]

@@ -1,10 +1,12 @@
 """Exact linear algebra over Z_D for arbitrary integer D >= 2.
 
-Z_D is not a PID when D is composite, so everything here lifts to the
-integers: Smith normal form is computed with arbitrary-precision integer
-arithmetic and only the cardinality/solve steps reduce mod D.  Matrix
-products run in numpy (see `product_dtype`).  All values are immutable;
-all operations are pure functions.
+Z_D is not a PID when D is composite.  Cardinalities come from sparse
+elimination mod D on unit pivots, which needs no factorization of D
+(`unit_pivot_cardinality`).  Membership and orthogonal complements lift
+to the integers: Smith normal form, with its U and V, is computed with
+arbitrary-precision integer arithmetic and only the solve steps reduce
+mod D.  Matrix products run in numpy (see `product_dtype`).  All values
+are immutable; all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -34,6 +36,13 @@ def _reduced(rows: Iterable[Sequence[int]], modulus: int) -> IntRows:
     return tuple(tuple(int(e) % modulus for e in row) for row in rows)
 
 
+def _reduced_to(rows: IntRows, ncols: int, modulus: int) -> bool:
+    """True iff every entry of rows of length ncols lies in [0, D); min/max per row."""
+    if not rows or not ncols:
+        return True
+    return min(map(min, rows)) >= 0 and max(map(max, rows)) < modulus
+
+
 @dataclass(frozen=True)
 class ZModMatrix:
     """Integer matrix with entries canonically reduced to [0, D)."""
@@ -48,9 +57,9 @@ class ZModMatrix:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         if len(self.entries) != self.nrows:
             raise ValueError("row count mismatch")
-        if any(len(row) != self.ncols for row in self.entries):
+        if set(map(len, self.entries)) - {self.ncols}:
             raise ValueError("column count mismatch")
-        if any(not 0 <= e < self.modulus for row in self.entries for e in row):
+        if not _reduced_to(self.entries, self.ncols, self.modulus):
             raise ValueError("entries must be reduced to [0, D)")
 
     @classmethod
@@ -224,6 +233,68 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     )
 
 
+def unit_pivot_cardinality(rows: Iterable[Sequence[int]], modulus: int) -> int:
+    """Number of elements of the row span mod D, by sparse unit-pivot elimination.
+
+    The rows' entries must be reduced to [0, D); they are held as
+    {column: entry} dicts, nonzero entries only.  A pivot is an entry e with gcd(e, D) = 1, in the first remaining row that
+    has one, on that row's sparsest column; row operations mod D clear its
+    column from every other row.  The pivot row then spans a copy of Z_D
+    that meets the span of the others only in 0, so it adds a factor D and
+    is dropped.  When no unit is left, the integer SNF diagonal of the
+    remaining block gives the rest, prod D / gcd(d_i, D).  No factorization
+    of D is needed and all arithmetic is on Python ints.
+    """
+    D = modulus
+    live: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}  # column -> live rows with a nonzero entry there
+    for i, row in enumerate(rows):
+        entries = {j: row[j] for j in itertools.compress(range(len(row)), row)}
+        if entries:
+            live[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
+    pivots = 0
+    i = 0
+    end = max(live, default=-1) + 1
+    while i < end:
+        row = live.get(i)
+        units = [j for j, e in row.items() if gcd(e, D) == 1] if row else ()
+        if not units:
+            i += 1
+            continue
+        c = min(units, key=lambda j: len(cols[j]))
+        inv = pow(row[c], -1, D)
+        del live[i]
+        for j in row:
+            cols[j].discard(i)
+        rest = [(j, e) for j, e in row.items() if j != c]
+        touched = cols.pop(c)
+        for r in touched:
+            other = live[r]
+            f = other.pop(c) * inv % D
+            for j, e in rest:
+                v = (other.get(j, 0) - f * e) % D
+                if v:
+                    if j not in other:
+                        cols[j].add(r)
+                    other[j] = v
+                elif j in other:
+                    del other[j]
+                    cols[j].discard(r)
+            if not other:
+                del live[r]
+        pivots += 1
+        # a row skipped for having no unit may have gained one
+        i = min(i + 1, min(touched, default=end))
+    size = D**pivots
+    if live:
+        used = sorted({j for row in live.values() for j in row})
+        block = [[row.get(j, 0) for j in used] for row in live.values()]
+        size *= prod(D // gcd(d, D) for d in smith_normal_form(block).diag)
+    return size
+
+
 @dataclass(frozen=True)
 class SubmoduleSpan:
     """Submodule of Z_D^n given by a generating set of row vectors."""
@@ -235,9 +306,9 @@ class SubmoduleSpan:
     def __post_init__(self):
         if self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if any(len(g) != self.ambient for g in self.generators):
+        if set(map(len, self.generators)) - {self.ambient}:
             raise ValueError("generator length mismatch")
-        if any(not 0 <= e < self.modulus for g in self.generators for e in g):
+        if not _reduced_to(self.generators, self.ambient, self.modulus):
             raise ValueError("generators must be reduced to [0, D)")
 
     @classmethod
@@ -245,13 +316,8 @@ class SubmoduleSpan:
         return cls(ambient, modulus, _reduced(rows, modulus))
 
     @cached_property
-    def snf(self) -> SmithDecomposition:
-        return smith_normal_form(self.generators)
-
-    @cached_property
     def cardinality(self) -> int:
-        D = self.modulus
-        return prod(D // gcd(d, D) for d in self.snf.diag)
+        return unit_pivot_cardinality(self.generators, self.modulus)
 
     @cached_property
     def membership(self) -> SpanMembership:
@@ -296,11 +362,12 @@ def span_cardinality(span: SubmoduleSpan) -> int:
 
 
 def kernel_cardinality(matrix: ZModMatrix) -> int:
-    """Size of {x in Z_D^n : A x = 0 mod D}."""
-    dec = smith_normal_form(matrix.entries if matrix.entries else [])
+    """Size of {x in Z_D^n : A x = 0 mod D}: D^n over the size of the image.
+
+    The image A Z_D^n has as many elements as the row span of A.
+    """
     D = matrix.modulus
-    free = matrix.ncols - dec.rank
-    return D**free * prod(gcd(d, D) for d in dec.diag)
+    return D**matrix.ncols // unit_pivot_cardinality(matrix.entries, D)
 
 
 @lru_cache(maxsize=4096)
@@ -316,7 +383,7 @@ def orthogonal_complement(span: SubmoduleSpan) -> SubmoduleSpan:
     if not span.generators:
         eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         return SubmoduleSpan(n, D, eye)
-    dec = span.snf
+    dec = smith_normal_form(span.generators)
     gens = []
     for i in range(n):
         col = tuple(dec.V[r][i] for r in range(n))

@@ -441,6 +441,39 @@ def test_params_verify_builds_no_membership_solver(capsys, monkeypatch):
     assert report["verified"] is True
 
 
+def test_params_verify_calls_no_smith_normal_form(capsys, monkeypatch):
+    # K, |S| and |H_1| come from unit-pivot elimination; the SNF is left to
+    # membership and the orthogonal complement, which this run never needs
+    from quhom import zmod
+
+    def refuse(matrix):
+        raise AssertionError("params --verify --budget 1 called smith_normal_form")
+
+    monkeypatch.setattr(zmod, "smith_normal_form", refuse)
+    code, out, _ = run_cli(
+        capsys, "params", "--verify", "--budget", "1", "--builtin", "torus-grid:10x10",
+        "--modulus", "3",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert (report["dimension"], report["stabilizer_size"]) == (9, 3**198)
+    assert report["verified"] is True
+
+
+def test_params_builds_d2_once(capsys, monkeypatch):
+    from quhom import complex2
+
+    calls = []
+    original = complex2.boundary2
+    monkeypatch.setattr(
+        complex2, "boundary2", lambda *args: calls.append(args) or original(*args)
+    )
+    code, out, _ = run_cli(capsys, "params", "--builtin", "torus-grid:3x3", "--modulus", "4")
+    assert code == 0
+    assert json.loads(out)["orientable_mod_d"] is True
+    assert len(calls) == 1
+
+
 def test_params_verify_grid_14x14_in_time(capsys):
     start = time.perf_counter()
     code, out, _ = run_cli(

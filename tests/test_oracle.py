@@ -126,6 +126,16 @@ def test_projector_rp2_and_torus():
     assert np.abs(dense_projector(spec_for(torus(), 2)).toarray() - np.eye(4)).max() < 1e-12
 
 
+def test_projector_checks_verdict():
+    spec = spec_for(torus(), 3)
+    proj = dense_projector(spec)
+    checks = projector_checks(spec, projector=proj)
+    assert checks["ok"] and checks["residual"] < 1e-9
+    checks = projector_checks(spec, projector=2 * proj)  # 4P != 2P, trace 18 != 9
+    assert not checks["ok"]
+    assert checks["residual"] == checks["idempotent_residual"] > 1
+
+
 def test_projector_scalar_spec_traces_to_zero():
     # noncommuting pure-type generators force a nontrivial scalar
     spec = single_generator_spec(2, z_row=(1,), x_row=(1,))
@@ -314,9 +324,12 @@ def test_complement_duality_examples():
     assert checks["exhaustive_perp_size"] == 2
     assert checks["product"] == 6
 
+    assert checks["ok"]
+
     checks = complement_duality_checks(SubmoduleSpan.from_rows([], 2, 3))
     assert checks["span_size"] == 1
     assert checks["exhaustive_perp_size"] == 9
+    assert checks["ok"]
 
 
 def test_complement_duality_on_corpus():

@@ -1,13 +1,14 @@
 import random
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quhom.complex2 import boundary1, boundary2, torus_grid
+from quhom import zmod
+from quhom.complex2 import boundary1, boundary2, chain_complex, homology_cardinality, torus_grid
 from quhom.zmod import (
     SmithDecomposition,
     SubmoduleSpan,
@@ -18,9 +19,13 @@ from quhom.zmod import (
     kernel_cardinality,
     orthogonal_complement,
     product_dtype,
+    row_span,
     smith_normal_form,
     span_cardinality,
+    unit_pivot_cardinality,
 )
+
+from _corpus import ACCEPTANCE_MODULI, acceptance_complexes
 
 
 def bareiss_det(rows):
@@ -240,6 +245,18 @@ def test_matrix_validation():
         ZModMatrix(1, 2, 3, ((5, 0),))
     with pytest.raises(ValueError):
         ZModMatrix.from_rows([(1, 2)], 2, 3) @ ZModMatrix.from_rows([(1, 2)], 2, 3)
+    for bad in (-1, 3, 7):
+        with pytest.raises(ValueError, match=r"entries must be reduced to \[0, D\)"):
+            ZModMatrix(2, 2, 3, ((0, 1), (bad, 2)))
+        with pytest.raises(ValueError, match=r"generators must be reduced to \[0, D\)"):
+            SubmoduleSpan(2, 3, ((0, 1), (2, bad)))
+    with pytest.raises(ValueError, match="column count mismatch"):
+        ZModMatrix(2, 2, 3, ((0, 1), (2,)))
+    with pytest.raises(ValueError, match="generator length mismatch"):
+        SubmoduleSpan(2, 3, ((0, 1, 2),))
+    # zero columns or no rows: nothing to range-check
+    assert ZModMatrix(2, 0, 3, ((), ())).transpose().nrows == 0
+    assert SubmoduleSpan(0, 3, ((),)).cardinality == 1
 
 
 def test_matmul_and_transpose():
@@ -404,3 +421,94 @@ def test_product_dtype_switches_before_int64_wraps():
     # 2^63 * 2^63 mod 3 * 2^62 computed exactly
     big = ZModMatrix.from_rows([[2**63]], 1, 3 * 2**62)
     assert (big @ big).entries == ((2**126 % (3 * 2**62),),)
+
+
+def reference_span_cardinality(rows, D):
+    """prod D / gcd(d_i, D) over the SNF diagonal: the reference for the elimination."""
+    return prod(D // gcd(d, D) for d in smith_normal_form(rows).diag)
+
+
+def reference_kernel_cardinality(rows, ncols, D):
+    """D^(ncols - rank) prod gcd(d_i, D) over the SNF diagonal."""
+    diag = smith_normal_form(rows).diag
+    return D ** (ncols - len(diag)) * prod(gcd(d, D) for d in diag)
+
+
+CARDINALITY_MODULI = (2, 3, 4, 6, 12, 3 * 2**62)
+
+
+@st.composite
+def reduced_matrices(draw, moduli=st.sampled_from(CARDINALITY_MODULI)):
+    """(rows, ncols, D); a scale sharing a factor with D leaves no unit entry."""
+    D = draw(moduli)
+    m = draw(st.integers(0, 7))
+    n = draw(st.integers(0, 7))
+    scale = draw(st.sampled_from((1, 1, 2, 3)))
+    entries = st.one_of(st.sampled_from((0, 0, 0, 1, 2, 3, D - 1)), st.integers(0, D - 1))
+    rows = [[scale * draw(entries) % D for _ in range(n)] for _ in range(m)]
+    return rows, n, D
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(reduced_matrices())
+@example(([], 0, 2))
+@example(([], 3, 6))
+@example(([[], []], 0, 4))
+@example(([[0, 0, 0], [0, 0, 0]], 3, 12))
+@example(([[2, 0, 2], [0, 2, 2], [2, 2, 0]], 3, 4))  # no unit entry at D = 4
+@example(([[3, 6, 0], [0, 3, 3], [6, 0, 3]], 3, 9))  # nor at D = 9
+@example(([[2, 3], [1, 1]], 2, 6))  # row 0 gains the unit 1 only after elimination
+@example(([[4, 3, 0], [0, 2, 0], [1, 0, 5]], 3, 6))
+def test_unit_pivot_cardinality_equals_snf_diagonal(case):
+    rows, n, D = case
+    assert unit_pivot_cardinality(rows, D) == reference_span_cardinality(rows, D)
+    assert span_cardinality(SubmoduleSpan(n, D, tuple(map(tuple, rows)))) == (
+        reference_span_cardinality(rows, D)
+    )
+    matrix = ZModMatrix(len(rows), n, D, tuple(map(tuple, rows)))
+    assert kernel_cardinality(matrix) == reference_kernel_cardinality(rows, n, D)
+
+
+def refuse_snf(*args):
+    raise AssertionError("a cardinality called smith_normal_form")
+
+
+def test_row_that_gains_a_unit_is_pivoted_not_left_to_the_snf(monkeypatch):
+    # row 0 has no unit mod 6 (or 12) until row 1's pivot is cleared from it
+    monkeypatch.setattr(zmod, "smith_normal_form", refuse_snf)
+    assert unit_pivot_cardinality([[2, 3], [1, 1]], 6) == 36
+    assert unit_pivot_cardinality([[3, 4], [1, 1]], 12) == 144
+
+
+def test_cardinalities_on_torus_grids_equal_snf_and_call_no_snf(monkeypatch):
+    for k, l in ((1, 1), (2, 3), (5, 7), (14, 14)):
+        for D in (2, 3, 4, 6):
+            chain = chain_complex(torus_grid(k, l), D)
+            d1, d2t = chain.d1, chain.d2.transpose()  # V and F of the stabilizer spec
+            matrices = (d1, d2t, d1.transpose(), chain.d2)
+            want = [reference_span_cardinality(m.entries, D) for m in matrices]
+            want_kernel = reference_kernel_cardinality(d1.entries, d1.ncols, D)
+            with monkeypatch.context() as patch:
+                patch.setattr(zmod, "smith_normal_form", refuse_snf)
+                assert [span_cardinality(row_span(m)) for m in matrices] == want, (k, l, D)
+                assert kernel_cardinality(d1) == want_kernel
+                assert homology_cardinality(chain) == D**2
+
+
+def test_cardinalities_match_snf_on_acceptance_complexes():
+    for complex2, label in acceptance_complexes():
+        for D in ACCEPTANCE_MODULI:
+            chain = chain_complex(complex2, D)
+            d1, d2t = chain.d1, chain.d2.transpose()
+            spans = (row_span(d1), row_span(d2t), row_span(chain.d2))
+            for span in spans:
+                assert span_cardinality(span) == reference_span_cardinality(
+                    span.generators, D
+                ), (label, D)
+            cycles = reference_kernel_cardinality(d1.entries, d1.ncols, D)
+            assert kernel_cardinality(d1) == cycles, (label, D)
+            assert kernel_cardinality(d2t) == reference_kernel_cardinality(
+                d2t.entries, d2t.ncols, D
+            ), (label, D)
+            homology = cycles // reference_span_cardinality(d2t.entries, D)
+            assert homology_cardinality(chain) == homology, (label, D)
