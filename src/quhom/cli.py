@@ -8,6 +8,7 @@ deterministic: sorted keys, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -150,12 +151,8 @@ def cmd_params(args) -> int:
         "num_qudits": spec.n,
         "num_face_generators": spec.num_face_generators,
         "num_vertex_generators": spec.num_vertex_generators,
-        "face_generator_weights": [
-            sum(1 for e in row if e) for row in spec.face_matrix.entries
-        ],
-        "vertex_generator_weights": [
-            sum(1 for e in row if e) for row in spec.vertex_matrix.entries
-        ],
+        "face_generator_weights": spec.face_matrix.row_weights(),
+        "vertex_generator_weights": spec.vertex_matrix.row_weights(),
     }
     try:
         size = stabilizer_size(spec)
@@ -425,12 +422,10 @@ def cmd_verify(args) -> int:
     if complex2 is not None:
         t.record("walk_validation", not validate(complex2), None, None)
         t.record("chain_composition", (chain.d1 @ chain.d2).is_zero(), None, None)
-        bad_pairs = sum(
-            1
-            for i in range(spec.num_face_generators)
-            for j in range(spec.num_vertex_generators)
-            if spec.face_generator(i).commutation_phase(spec.vertex_generator(j))
-        )
+        generators = spec.generators()
+        faces = generators[: spec.num_face_generators]
+        vertices = generators[spec.num_face_generators :]
+        bad_pairs = sum(1 for f in faces for v in vertices if f.commutation_phase(v))
         t.record("generator_commutation", bad_pairs == 0, None, f"bad_pairs={bad_pairs}")
         k_span = code_dimension(spec)
         k_homology = homology_cardinality(chain)
@@ -470,7 +465,9 @@ def _add_input_flags(sub, check_matrix=False):
         sub.add_argument("--check-matrix", help="read a stabilizer check-matrix file instead")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quhom", description="Qudit homological quantum codes over Z_D"
     )
@@ -510,8 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

@@ -154,25 +154,32 @@ def validate(complex2: TwoComplex) -> list[str]:
 
 def boundary1(complex2: TwoComplex, modulus: int) -> ZModMatrix:
     """|V| x |E| matrix: column e is I_t(e) - I_s(e); zero for self-loops."""
-    rows = [[0] * len(complex2.edges) for _ in complex2.vertices]
-    for j, (s, t) in enumerate(zip(complex2.sources, complex2.targets)):
-        rows[complex2.vertex_index[t]][j] += 1
-        rows[complex2.vertex_index[s]][j] -= 1
-    return ZModMatrix.from_rows(rows, len(complex2.edges), modulus)
+    index = complex2.vertex_index
+    num_edges = len(complex2.edges)
+    return ZModMatrix.from_coo(
+        len(complex2.vertices),
+        num_edges,
+        modulus,
+        [index[v] for v in complex2.targets + complex2.sources],
+        [*range(num_edges), *range(num_edges)],
+        [1] * num_edges + [-1] * num_edges,
+    )
 
 
 def boundary2(complex2: TwoComplex, modulus: int) -> ZModMatrix:
     """|E| x |F| matrix: column f holds the signed edge multiplicities of B(f).
 
-    Multiplicities accumulate over the integers before reduction, so a walk
-    traversing an edge both ways cancels and one traversing it twice the
-    same way contributes 2.
+    Each step is one signed entry, and entries at the same position are
+    summed over the integers before reduction, so a walk traversing an
+    edge both ways cancels and one traversing it twice the same way
+    contributes 2.
     """
-    rows = [[0] * len(complex2.faces) for _ in complex2.edges]
-    for j, walk in enumerate(complex2.walks):
-        for edge, mult in walk.edge_multiplicities().items():
-            rows[complex2.edge_index[edge]][j] += mult
-    return ZModMatrix.from_rows(rows, len(complex2.faces), modulus)
+    index = complex2.edge_index
+    steps = [(index[s.edge], f, s.sign) for f, walk in enumerate(complex2.walks) for s in walk.steps]
+    rows, cols, signs = zip(*steps) if steps else ((), (), ())
+    return ZModMatrix.from_coo(
+        len(complex2.edges), len(complex2.faces), modulus, rows, cols, signs
+    )
 
 
 @dataclass(frozen=True)
@@ -215,7 +222,7 @@ def homology_cardinality(chain: ChainComplexData) -> int:
 
 def faces_sum_to_zero(d2: ZModMatrix) -> bool:
     """True iff the columns of d2, the face boundaries, sum to zero mod D."""
-    return all(sum(row) % d2.modulus == 0 for row in d2.entries)
+    return not d2.row_sums().any()
 
 
 def is_orientable(complex2: TwoComplex, modulus: int) -> bool:

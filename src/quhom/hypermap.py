@@ -173,34 +173,30 @@ class SpecialDarts:
 
 def d2_matrix(hypermap: Hypermap, modulus: int) -> ZModMatrix:
     """Darts x faces; column f is the indicator of the darts in face f."""
-    structure = hypermap.orbit_structure()
-    rows = [[0] * len(structure.faces) for _ in range(hypermap.n)]
-    for j, face in enumerate(structure.faces):
-        for dart in face:
-            rows[dart - 1][j] += 1
-    return ZModMatrix.from_rows(rows, len(structure.faces), modulus)
+    return _indicator_columns(hypermap.n, hypermap.orbit_structure().faces, modulus)
 
 
 def d1_matrix(hypermap: Hypermap, modulus: int) -> ZModMatrix:
     """Hypervertices x darts; column i is v(alpha^-1(i)) - v(i)."""
     structure = hypermap.orbit_structure()
-    rows = [[0] * hypermap.n for _ in structure.hypervertices]
-    for i in range(1, hypermap.n + 1):
-        head = structure.hypervertex_of[hypermap.alpha_inverse[i - 1] - 1]
-        tail = structure.hypervertex_of[i - 1]
-        rows[head][i - 1] += 1
-        rows[tail][i - 1] -= 1
-    return ZModMatrix.from_rows(rows, hypermap.n, modulus)
+    n = hypermap.n
+    heads = [structure.hypervertex_of[a - 1] for a in hypermap.alpha_inverse]
+    return ZModMatrix.from_coo(
+        len(structure.hypervertices), n, modulus, heads + list(structure.hypervertex_of),
+        [*range(n), *range(n)], [1] * n + [-1] * n,
+    )
 
 
 def iota_matrix(hypermap: Hypermap, modulus: int) -> ZModMatrix:
     """Darts x hyperedges; column e is the indicator of the darts in hyperedge e."""
-    structure = hypermap.orbit_structure()
-    rows = [[0] * len(structure.hyperedges) for _ in range(hypermap.n)]
-    for j, hyperedge in enumerate(structure.hyperedges):
-        for dart in hyperedge:
-            rows[dart - 1][j] += 1
-    return ZModMatrix.from_rows(rows, len(structure.hyperedges), modulus)
+    return _indicator_columns(hypermap.n, hypermap.orbit_structure().hyperedges, modulus)
+
+
+def _indicator_columns(n: int, orbits, modulus: int) -> ZModMatrix:
+    """n x len(orbits) matrix: column j is the indicator of the darts in orbit j."""
+    pairs = [(dart - 1, j) for j, orbit in enumerate(orbits) for dart in orbit]
+    rows, cols = zip(*pairs) if pairs else ((), ())
+    return ZModMatrix.from_coo(n, len(orbits), modulus, rows, cols, [1] * len(pairs))
 
 
 def reduce_to_basis(
@@ -244,22 +240,16 @@ class HypermapChain:
 def delta_matrices(hypermap: Hypermap, specials: SpecialDarts, modulus: int) -> HypermapChain:
     """Delta2 = reduce(d2 columns), Delta1 = d1 restricted to basis darts."""
     basis = specials.non_special(hypermap.n)
-    d2 = d2_matrix(hypermap, modulus)
-    d1 = d1_matrix(hypermap, modulus)
-    delta2_cols = [
-        reduce_to_basis(d2.column(j), hypermap, specials, modulus)
-        for j in range(d2.ncols)
-    ]
+    faces = d2_matrix(hypermap, modulus).transpose()  # row f: column f of d2
+    darts = d1_matrix(hypermap, modulus).transpose()  # row i - 1: column i of d1
     delta2 = ZModMatrix.from_rows(
-        list(zip(*delta2_cols)) if delta2_cols and basis else [() for _ in basis],
-        d2.ncols,
-        modulus,
-    )
-    delta1 = ZModMatrix.from_rows(
-        [tuple(row[i - 1] for i in basis) for row in d1.entries],
+        [reduce_to_basis(faces.row(f), hypermap, specials, modulus) for f in range(faces.nrows)],
         len(basis),
         modulus,
-    )
+    ).transpose()
+    delta1 = ZModMatrix.from_rows(
+        [darts.row(i - 1) for i in basis], darts.ncols, modulus
+    ).transpose()
     chain = HypermapChain(modulus, delta1, delta2, basis)
     if not (delta1 @ delta2).is_zero():
         raise AssertionError("Delta1 @ Delta2 != 0; quotient construction is broken")

@@ -161,10 +161,21 @@ class StabilizerSpec:
         return PauliProduct.x_type(self.modulus, self.vertex_matrix.row(i))
 
     def generators(self) -> tuple[PauliProduct, ...]:
-        """Faces first, then vertices, each in input order."""
+        """Faces first, then vertices, each in input order; built once per spec."""
+        return self._generators
+
+    @cached_property
+    def _generators(self) -> tuple[PauliProduct, ...]:
         faces = tuple(self.face_generator(i) for i in range(self.num_face_generators))
         vertices = tuple(self.vertex_generator(i) for i in range(self.num_vertex_generators))
         return faces + vertices
+
+    @cached_property
+    def _scalar_witness(self) -> PauliProduct | None:
+        pairings = self.face_matrix @ self.vertex_matrix.transpose()
+        if pairings.is_zero():
+            return None
+        return PauliProduct.scalar(self.modulus, int(pairings.data[0]), self.n)
 
     def scalar_witness(self) -> PauliProduct | None:
         """A nontrivial scalar in the generated group, if one exists.
@@ -172,16 +183,11 @@ class StabilizerSpec:
         Z^v X^u and X^u Z^v differ by w^(v.u), so the commutator of a face
         and a vertex generator is the scalar w^(v.u); the group is
         scalar-free iff every such pairing vanishes mod D.  All pairings
-        come from one product; the witness is the first nonzero one in
-        face-major order.
+        come from one sparse product F V^T, computed once per spec; the
+        witness is the first nonzero one in face-major order, the first
+        stored entry of the product.
         """
-        dtype = product_dtype(self.n, self.modulus)
-        faces, vertices = self.face_matrix.array(dtype), self.vertex_matrix.array(dtype)
-        pairings = faces @ vertices.T % self.modulus
-        nonzero = np.flatnonzero(pairings)
-        if not len(nonzero):
-            return None
-        return PauliProduct.scalar(self.modulus, int(pairings.flat[nonzero[0]]), self.n)
+        return self._scalar_witness
 
 
 def face_operator(chain: ChainComplexData, f: int) -> PauliProduct:

@@ -5,8 +5,10 @@ elimination mod D on unit pivots, which needs no factorization of D
 (`unit_pivot_cardinality`).  Membership and orthogonal complements lift
 to the integers: Smith normal form, with its U and V, is computed with
 arbitrary-precision integer arithmetic and only the solve steps reduce
-mod D.  Matrix products run in numpy (see `product_dtype`).  All values
-are immutable; all operations are pure functions.
+mod D.  Matrices are compressed sparse rows in numpy arrays, and their
+products, transposes and row reads cost O(nnz); dense rows are built only
+on demand, for the SNF.  Values are treated as immutable; all operations
+are pure functions.
 """
 
 from __future__ import annotations
@@ -32,83 +34,233 @@ def product_dtype(terms: int, modulus: int):
     return np.int64 if max(terms, 1) * (modulus - 1) ** 2 < 2**63 else object
 
 
-def _reduced(rows: Iterable[Sequence[int]], modulus: int) -> IntRows:
-    return tuple(tuple(int(e) % modulus for e in row) for row in rows)
+def _value_dtype(modulus: int):
+    """dtype of stored values: int64 when D itself fits, object (Python ints) otherwise."""
+    return np.int64 if modulus < 2**63 else object
 
 
-def _reduced_to(rows: IntRows, ncols: int, modulus: int) -> bool:
-    """True iff every entry of rows of length ncols lies in [0, D); min/max per row."""
-    if not rows or not ncols:
-        return True
-    return min(map(min, rows)) >= 0 and max(map(max, rows)) < modulus
+def _int_array(values, shape=None) -> np.ndarray:
+    """Integers as an int64 array when they all fit, as Python ints otherwise."""
+    try:
+        out = np.array(values, dtype=np.int64)
+    except OverflowError:
+        out = np.array(values, dtype=object)
+    return out if shape is None else out.reshape(shape)
 
 
-@dataclass(frozen=True)
+def _check_modulus(modulus: int):
+    if modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
+
+
+def _checked_dense(rows: Sequence[Sequence[int]], ncols: int, modulus: int, length_error: str,
+                   range_error: str) -> np.ndarray:
+    """Dense rows of length ncols, checked to lie in [0, D), as one array."""
+    if set(map(len, rows)) - {ncols}:
+        raise ValueError(length_error)
+    dense = _int_array(rows, (len(rows), ncols))
+    if dense.size and (dense.min() < 0 or dense.max() >= modulus):
+        raise ValueError(range_error)
+    return dense
+
+
+def _indptr(row_ids: np.ndarray, nrows: int) -> np.ndarray:
+    """Row pointers for entries with these rows, listed by increasing row."""
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.bincount(row_ids, minlength=nrows).cumsum(out=indptr[1:])
+    return indptr
+
+
+def _csr_of_dense(dense: np.ndarray, modulus: int) -> tuple:
+    """ZModMatrix fields of a 2-d array whose entries are reduced to [0, D)."""
+    rows, cols = np.nonzero(dense)
+    data = dense[rows, cols].astype(_value_dtype(modulus))
+    return (*dense.shape, modulus, _indptr(rows, len(dense)), cols, data)
+
+
 class ZModMatrix:
-    """Integer matrix with entries canonically reduced to [0, D)."""
+    """Matrix over Z_D in compressed sparse rows.
 
-    nrows: int
-    ncols: int
-    modulus: int
-    entries: IntRows
+    Row i stores its nonzero entries only: columns `indices[indptr[i]:
+    indptr[i + 1]]` in increasing order, with values `data[...]` in [1, D).
+    Values are int64 when D fits in int64 and Python ints otherwise.  The
+    form is canonical, so equal matrices have equal arrays.  Entries are
+    checked or reduced once, when the matrix is built; every operation
+    below reads the arrays in O(nnz), apart from the dense views `entries`
+    and `array`.  Matrices are never changed after they are built.
+    """
 
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if len(self.entries) != self.nrows:
+    def __init__(self, nrows: int, ncols: int, modulus: int, entries: IntRows):
+        """From dense rows, each of length ncols with entries already in [0, D)."""
+        _check_modulus(modulus)
+        if len(entries) != nrows:
             raise ValueError("row count mismatch")
-        if set(map(len, self.entries)) - {self.ncols}:
-            raise ValueError("column count mismatch")
-        if not _reduced_to(self.entries, self.ncols, self.modulus):
-            raise ValueError("entries must be reduced to [0, D)")
+        dense = _checked_dense(
+            entries, ncols, modulus, "column count mismatch", "entries must be reduced to [0, D)"
+        )
+        self._set(*_csr_of_dense(dense, modulus))
+
+    def _set(self, nrows, ncols, modulus, indptr, indices, data):
+        self.nrows, self.ncols, self.modulus = nrows, ncols, modulus
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self._transpose = None
+
+    @classmethod
+    def _csr(cls, nrows, ncols, modulus, indptr, indices, data) -> ZModMatrix:
+        matrix = cls.__new__(cls)
+        matrix._set(nrows, ncols, modulus, indptr, indices, data)
+        return matrix
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], ncols: int, modulus: int) -> ZModMatrix:
-        entries = _reduced(rows, modulus)
-        return cls(len(entries), ncols, modulus, entries)
+        """From dense rows of any integers, reduced mod D."""
+        rows = list(rows)
+        _check_modulus(modulus)
+        if set(map(len, rows)) - {ncols}:
+            raise ValueError("column count mismatch")
+        dense = _int_array(rows, (len(rows), ncols))
+        if _value_dtype(modulus) is object:
+            dense = dense.astype(object)
+        return cls._csr(*_csr_of_dense(dense % modulus, modulus))
+
+    @classmethod
+    def from_coo(cls, nrows: int, ncols: int, modulus: int, rows, cols, values) -> ZModMatrix:
+        """From (row, column, value) triples: positions in range, values any integers.
+
+        Triples at the same position are summed over the integers before the
+        sum is reduced mod D, so opposite values cancel.
+        """
+        _check_modulus(modulus)
+        keys = np.asarray(rows, dtype=np.int64) * ncols + np.asarray(cols, dtype=np.int64)
+        values = values if isinstance(values, np.ndarray) else _int_array(values)
+        return cls._from_keys(nrows, ncols, modulus, keys, values)
+
+    @classmethod
+    def _from_keys(cls, nrows, ncols, modulus, keys, values) -> ZModMatrix:
+        """COO triples given as row-major keys row * ncols + column."""
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        distinct = np.empty(len(keys), dtype=bool)
+        distinct[:1] = True
+        distinct[1:] = keys[1:] != keys[:-1]
+        starts = distinct.nonzero()[0]
+        sums = np.add.reduceat(values[order], starts)
+        dtype = _value_dtype(modulus)
+        if dtype is object:
+            sums = sums.astype(object)
+        sums %= modulus
+        kept = sums.nonzero()[0]
+        keys = keys[starts[kept]]
+        rows = keys // ncols if ncols else keys
+        return cls._csr(nrows, ncols, modulus, _indptr(rows, nrows), keys - rows * ncols,
+                        sums[kept].astype(dtype, copy=False))
 
     @classmethod
     def zero(cls, nrows: int, ncols: int, modulus: int) -> ZModMatrix:
-        return cls(nrows, ncols, modulus, tuple((0,) * ncols for _ in range(nrows)))
+        return cls.from_coo(nrows, ncols, modulus, (), (), ())
 
     @classmethod
     def identity(cls, n: int, modulus: int) -> ZModMatrix:
-        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return cls(n, n, modulus, rows)
+        return cls.from_coo(n, n, modulus, range(n), range(n), [1] * n)
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ZModMatrix):
+            return NotImplemented
+        return (
+            (self.nrows, self.ncols, self.modulus) == (other.nrows, other.ncols, other.modulus)
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.data, other.data)
+        )
 
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
+    def __hash__(self) -> int:
+        return hash((self.nrows, self.ncols, self.modulus, self.indptr.tobytes(),
+                     self.indices.tobytes(), tuple(self.data.tolist())))
 
-    def transpose(self) -> ZModMatrix:
-        cols = tuple(zip(*self.entries)) if self.entries else ()
-        if not cols:
-            cols = tuple(() for _ in range(self.ncols)) if self.ncols else ()
-        return ZModMatrix(self.ncols, self.nrows, self.modulus, cols)
+    def __repr__(self) -> str:
+        return (f"ZModMatrix(nrows={self.nrows}, ncols={self.ncols}, modulus={self.modulus}, "
+                f"nnz={len(self.data)})")
+
+    @cached_property
+    def _row_ids(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.arange(self.nrows).repeat(self.indptr[1:] - self.indptr[:-1])
+
+    @cached_property
+    def entries(self) -> IntRows:
+        """Dense rows as tuples of Python ints; built on first use."""
+        return tuple(map(tuple, self.array(self.data.dtype).tolist()))
 
     def array(self, dtype) -> np.ndarray:
-        return np.array(self.entries, dtype=dtype).reshape(self.nrows, self.ncols)
+        """Dense (nrows, ncols) array of the given dtype, scattered from the stored entries."""
+        out = np.zeros((self.nrows, self.ncols), dtype=dtype)
+        out[self._row_ids, self.indices] = self.data.astype(dtype)
+        return out
+
+    def sparse_rows(self) -> list[dict[int, int]]:
+        """Each row as {column: entry}, nonzero entries only."""
+        cols, vals, ptr = self.indices.tolist(), self.data.tolist(), self.indptr.tolist()
+        return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(ptr, ptr[1:])]
+
+    def row(self, i: int) -> Vector:
+        out = [0] * self.ncols
+        a, b = self.indptr[i], self.indptr[i + 1]
+        for j, v in zip(self.indices[a:b].tolist(), self.data[a:b].tolist()):
+            out[j] = v
+        return tuple(out)
+
+    def column(self, j: int) -> Vector:
+        out = [0] * self.nrows
+        hits = self.indices == j
+        for i, v in zip(self._row_ids[hits].tolist(), self.data[hits].tolist()):
+            out[i] = v
+        return tuple(out)
+
+    def row_weights(self) -> list[int]:
+        """Number of nonzero entries in each row."""
+        return (self.indptr[1:] - self.indptr[:-1]).tolist()
+
+    def row_sums(self) -> np.ndarray:
+        """Each row's sum mod D."""
+        dtype = product_dtype(len(self.data), self.modulus)
+        totals = np.zeros(len(self.data) + 1, dtype=dtype)
+        totals[1:] = self.data.astype(dtype).cumsum()
+        return (totals[self.indptr[1:]] - totals[self.indptr[:-1]]) % self.modulus
+
+    def transpose(self) -> ZModMatrix:
+        """The transpose; built once, and its own transpose is this matrix."""
+        if self._transpose is None:
+            order = self.indices.argsort(kind="stable")
+            self._transpose = ZModMatrix._csr(
+                self.ncols, self.nrows, self.modulus, _indptr(self.indices, self.ncols),
+                self._row_ids[order], self.data[order],
+            )
+            self._transpose._transpose = self
+        return self._transpose
 
     def __matmul__(self, other: ZModMatrix) -> ZModMatrix:
+        """Product over the stored entries: entry (i, j) of self meets row j of other."""
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch for matrix product")
-        D = self.modulus
-        dtype = product_dtype(self.ncols, D)
-        product = self.array(dtype) @ other.array(dtype) % D
-        return ZModMatrix(self.nrows, other.ncols, D, tuple(map(tuple, product.tolist())))
+        dtype = product_dtype(self.ncols, self.modulus)
+        starts = other.indptr[self.indices]
+        counts = other.indptr[self.indices + 1] - starts
+        right = (starts + counts - counts.cumsum()).repeat(counts)
+        right += np.arange(len(right))  # the entries of other that each entry of self meets
+        keys = (self._row_ids * other.ncols).repeat(counts) + other.indices[right]
+        values = self.data.astype(dtype).repeat(counts) * other.data[right].astype(dtype)
+        return ZModMatrix._from_keys(self.nrows, other.ncols, self.modulus, keys, values)
 
     def matvec(self, x: Sequence[int]) -> Vector:
         if len(x) != self.ncols:
             raise ValueError("vector length mismatch")
         D = self.modulus
-        return tuple(sum(a * b for a, b in zip(row, x)) % D for row in self.entries)
+        return tuple(sum(e * x[j] for j, e in row.items()) % D for row in self.sparse_rows())
 
     def is_zero(self) -> bool:
-        return all(e == 0 for row in self.entries for e in row)
+        return not len(self.data)
 
 
 @dataclass(frozen=True)
@@ -233,27 +385,30 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     )
 
 
-def unit_pivot_cardinality(rows: Iterable[Sequence[int]], modulus: int) -> int:
+def unit_pivot_cardinality(rows: ZModMatrix | Iterable[Sequence[int]], modulus: int) -> int:
     """Number of elements of the row span mod D, by sparse unit-pivot elimination.
 
-    The rows' entries must be reduced to [0, D); they are held as
-    {column: entry} dicts, nonzero entries only.  A pivot is an entry e with gcd(e, D) = 1, in the first remaining row that
-    has one, on that row's sparsest column; row operations mod D clear its
-    column from every other row.  The pivot row then spans a copy of Z_D
-    that meets the span of the others only in 0, so it adds a factor D and
-    is dropped.  When no unit is left, the integer SNF diagonal of the
-    remaining block gives the rest, prod D / gcd(d_i, D).  No factorization
-    of D is needed and all arithmetic is on Python ints.
+    `rows` is a matrix, whose stored rows are used as they are, or dense
+    rows with entries reduced to [0, D).  Rows are held as {column: entry}
+    dicts, nonzero entries only.  A pivot is an entry e with gcd(e, D) = 1,
+    in the first remaining row that has one, on that row's sparsest
+    column; row operations mod D clear its column from every other row.
+    The pivot row then spans a copy of Z_D that meets the span of the
+    others only in 0, so it adds a factor D and is dropped.  When no unit
+    is left, the integer SNF diagonal of the remaining block gives the
+    rest, prod D / gcd(d_i, D).  No factorization of D is needed and all
+    arithmetic is on Python ints.
     """
     D = modulus
-    live: dict[int, dict[int, int]] = {}
+    if isinstance(rows, ZModMatrix):
+        rows = rows.sparse_rows()
+    else:
+        rows = [{j: row[j] for j in itertools.compress(range(len(row)), row)} for row in rows]
+    live = {i: row for i, row in enumerate(rows) if row}
     cols: dict[int, set[int]] = {}  # column -> live rows with a nonzero entry there
-    for i, row in enumerate(rows):
-        entries = {j: row[j] for j in itertools.compress(range(len(row)), row)}
-        if entries:
-            live[i] = entries
-            for j in entries:
-                cols.setdefault(j, set()).add(i)
+    for i, row in live.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
     pivots = 0
     i = 0
     end = max(live, default=-1) + 1
@@ -295,29 +450,56 @@ def unit_pivot_cardinality(rows: Iterable[Sequence[int]], modulus: int) -> int:
     return size
 
 
-@dataclass(frozen=True)
 class SubmoduleSpan:
-    """Submodule of Z_D^n given by a generating set of row vectors."""
+    """Submodule of Z_D^n generated by the rows of a matrix over Z_D."""
 
-    ambient: int
-    modulus: int
-    generators: IntRows
+    def __init__(self, ambient: int, modulus: int, generators: IntRows):
+        """From dense generators, each of length `ambient` with entries in [0, D)."""
+        _check_modulus(modulus)
+        dense = _checked_dense(
+            generators, ambient, modulus, "generator length mismatch",
+            "generators must be reduced to [0, D)",
+        )
+        self.matrix = ZModMatrix._csr(*_csr_of_dense(dense, modulus))
 
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if set(map(len, self.generators)) - {self.ambient}:
-            raise ValueError("generator length mismatch")
-        if not _reduced_to(self.generators, self.ambient, self.modulus):
-            raise ValueError("generators must be reduced to [0, D)")
+    @classmethod
+    def of(cls, matrix: ZModMatrix) -> SubmoduleSpan:
+        """The row span of a matrix, whose entries are already checked."""
+        span = cls.__new__(cls)
+        span.matrix = matrix
+        return span
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], ambient: int, modulus: int) -> SubmoduleSpan:
-        return cls(ambient, modulus, _reduced(rows, modulus))
+        return cls.of(ZModMatrix.from_rows(rows, ambient, modulus))
+
+    @property
+    def ambient(self) -> int:
+        return self.matrix.ncols
+
+    @property
+    def modulus(self) -> int:
+        return self.matrix.modulus
+
+    @property
+    def generators(self) -> IntRows:
+        """The generators as dense rows (the matrix's dense view)."""
+        return self.matrix.entries
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SubmoduleSpan):
+            return NotImplemented
+        return self.matrix == other.matrix
+
+    def __hash__(self) -> int:
+        return hash(self.matrix)
+
+    def __repr__(self) -> str:
+        return f"SubmoduleSpan({self.matrix!r})"
 
     @cached_property
     def cardinality(self) -> int:
-        return unit_pivot_cardinality(self.generators, self.modulus)
+        return unit_pivot_cardinality(self.matrix, self.modulus)
 
     @cached_property
     def membership(self) -> SpanMembership:
@@ -333,8 +515,7 @@ class SpanMembership:
 
     def __init__(self, span: SubmoduleSpan):
         self.span = span
-        gt = list(zip(*span.generators)) if span.generators else [() for _ in range(span.ambient)]
-        dec = smith_normal_form(gt)
+        dec = smith_normal_form(span.matrix.transpose().entries)
         self._U = dec.U
         self._moduli = []
         D = span.modulus
@@ -367,7 +548,7 @@ def kernel_cardinality(matrix: ZModMatrix) -> int:
     The image A Z_D^n has as many elements as the row span of A.
     """
     D = matrix.modulus
-    return D**matrix.ncols // unit_pivot_cardinality(matrix.entries, D)
+    return D**matrix.ncols // unit_pivot_cardinality(matrix, D)
 
 
 @lru_cache(maxsize=4096)
@@ -380,9 +561,8 @@ def orthogonal_complement(span: SubmoduleSpan) -> SubmoduleSpan:
     """
     D = span.modulus
     n = span.ambient
-    if not span.generators:
-        eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return SubmoduleSpan(n, D, eye)
+    if not span.matrix.nrows:
+        return SubmoduleSpan.of(ZModMatrix.identity(n, D))
     dec = smith_normal_form(span.generators)
     gens = []
     for i in range(n):
@@ -396,7 +576,7 @@ def orthogonal_complement(span: SubmoduleSpan) -> SubmoduleSpan:
             gen = tuple(c % D for c in col)
         if any(gen):
             gens.append(gen)
-    return SubmoduleSpan(n, D, tuple(gens))
+    return SubmoduleSpan.of(ZModMatrix.from_rows(gens, n, D))
 
 
 def contains(span: SubmoduleSpan, x: Sequence[int]) -> bool:
@@ -405,7 +585,7 @@ def contains(span: SubmoduleSpan, x: Sequence[int]) -> bool:
 
 
 def row_span(matrix: ZModMatrix) -> SubmoduleSpan:
-    return SubmoduleSpan(matrix.ncols, matrix.modulus, matrix.entries)
+    return SubmoduleSpan.of(matrix)
 
 
 def column_span(matrix: ZModMatrix) -> SubmoduleSpan:

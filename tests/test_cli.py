@@ -484,3 +484,56 @@ def test_params_verify_grid_14x14_in_time(capsys):
     assert code == 0
     assert json.loads(out)["dimension"] == 36
     assert elapsed < 3.0, f"params --verify on the 14x14 grid took {elapsed:.2f}s, limit 3s"
+
+
+def count_products(monkeypatch):
+    """Shapes (rows, inner, columns) of every ZModMatrix product from now on."""
+    from quhom.zmod import ZModMatrix
+
+    shapes = []
+    original = ZModMatrix.__matmul__
+
+    def counting(self, other):
+        shapes.append((self.nrows, self.ncols, other.ncols))
+        return original(self, other)
+
+    monkeypatch.setattr(ZModMatrix, "__matmul__", counting)
+    return shapes
+
+
+def test_params_computes_the_scalar_pairings_once(tmp_path, capsys, monkeypatch):
+    # F V^T (faces x vertices) is cached on the spec: cmd_params and
+    # distance_css both ask for the witness.  An isolated vertex makes the
+    # chain check d1 @ d2 (5 x 8 times 8 x 4) differ in shape from F V^T.
+    doc = complex_to_dict(torus_grid(2, 2), 6)
+    doc["vertices"].append("isolated")
+    shapes = count_products(monkeypatch)
+    code, out, _ = run_cli(capsys, "params", write_json(tmp_path / "grid.json", doc))
+    assert code == 0 and json.loads(out)["dimension"] == 36  # an isolated vertex leaves H_1
+    assert sorted(shapes) == [(4, 8, 5), (5, 8, 4)]
+    spec = StabilizerSpec.from_chain(chain_complex(torus_grid(3, 4), 6))
+    path = tmp_path / "grid.chk"
+    path.write_text(export_check_matrix(spec), encoding="utf-8")
+    shapes.clear()
+    code, out, _ = run_cli(capsys, "params", "--check-matrix", str(path))
+    assert code == 0 and json.loads(out)["dimension"] == 36
+    assert shapes == [(12, 24, 12)]
+
+
+def test_params_verify_builds_no_dense_view(capsys, monkeypatch):
+    # every exact-route step reads the sparse rows; only the SNF, the
+    # oracle and the check-matrix export build dense rows
+    from quhom.zmod import ZModMatrix
+
+    def refuse(self):
+        raise AssertionError("params --verify --budget 1 built a dense entries view")
+
+    monkeypatch.setattr(ZModMatrix, "entries", property(refuse))
+    for D in ("2", "3", "6"):
+        code, out, _ = run_cli(
+            capsys, "params", "--verify", "--budget", "1", "--builtin", "torus-grid:10x10",
+            "--modulus", D,
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert (report["distance_status"], report["verified"]) == ("budget_exceeded", True)

@@ -1,0 +1,83 @@
+"""Golden CLI outputs: the sha256 of each command's exit code and stdout.
+
+The fixture pins `params --verify --budget 1` and `distance` on the
+acceptance complexes at every acceptance modulus, and
+`params --verify --budget 1` on the torus grids 1x1..10x10 at D = 2, 3, 6.
+The oracle cross-checks of `params --verify` (group closure and sparse
+projector) are turned off by setting their caps to 0: they add nothing to
+stdout (a mismatch would exit 5, and the printed K and |S| already pin
+the exact route), the oracle and acceptance tests cover them, and on
+these inputs they would take about a minute.  The exact route and the
+homology cross-check still run.  With the caps at their defaults the
+digests are the same (checked when the fixture was written).  Regenerate
+the fixture only for an intended output change, with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+from unittest import mock
+
+from quhom import cli, oracle
+from quhom.cli import main
+from quhom.documents import complex_to_dict
+
+from _corpus import ACCEPTANCE_MODULI, acceptance_complexes
+
+FIXTURE = pathlib.Path(__file__).with_name("golden_outputs.json")
+GRID_MODULI = (2, 3, 6)
+GRID_SIDES = range(1, 11)
+
+
+def _digest(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+
+
+def golden_cases(workdir: pathlib.Path):
+    """(case id, argv) pairs; complex documents are written into workdir."""
+    for complex2, label in acceptance_complexes():
+        for D in ACCEPTANCE_MODULI:
+            path = workdir / f"{label}_d{D}.json"
+            path.write_text(json.dumps(complex_to_dict(complex2, D)), encoding="utf-8")
+            yield f"params {label} D{D}", ("params", str(path), "--verify", "--budget", "1")
+            yield f"distance {label} D{D}", ("distance", str(path))
+    for k in GRID_SIDES:
+        for l in GRID_SIDES:
+            for D in GRID_MODULI:
+                yield f"params grid {k}x{l} D{D}", (
+                    "params", "--verify", "--budget", "1",
+                    "--builtin", f"torus-grid:{k}x{l}", "--modulus", str(D),
+                )
+
+
+def compute(workdir: pathlib.Path) -> dict:
+    with mock.patch.object(cli, "ENUMERATION_CAP", 0), mock.patch.object(
+        oracle, "DENSE_DIMENSION_CAP", 0
+    ):
+        return {case: _digest(argv) for case, argv in golden_cases(workdir)}
+
+
+def test_cli_outputs_match_golden_digests(tmp_path):
+    want = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    got = compute(tmp_path)
+    assert got.keys() == want.keys()
+    assert [case for case in want if got[case] != want[case]] == []
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = compute(pathlib.Path(tmp))
+    FIXTURE.write_text(json.dumps(digests, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {FIXTURE}")
