@@ -194,6 +194,7 @@ def cmd_params(args) -> int:
                 raise TheoremMismatch(
                     f"span route K={report['dimension']} but homology gives {homology}"
                 )
+        enum = None
         if report["stabilizer_size"] <= ENUMERATION_CAP:
             enum = enumerate_group(spec)
             if enum.size != report["stabilizer_size"]:
@@ -201,7 +202,8 @@ def cmd_params(args) -> int:
                     f"enumerated group size {enum.size} != span product {report['stabilizer_size']}"
                 )
         if modulus**spec.n <= oracle.DENSE_DIMENSION_CAP:
-            if not oracle.verify_projector_dimension(spec):
+            proj = oracle.dense_projector(spec, enumeration=enum)
+            if not oracle.projector_checks(spec, projector=proj)["ok"]:
                 raise TheoremMismatch("dense projector trace does not match K")
         report["verified"] = True
 

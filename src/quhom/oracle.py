@@ -1,16 +1,18 @@
 """Brute-force verification at tiny scale: the slow, trusted path.
 
 Operators realize X as the cyclic shift and Z as the diagonal of D-th
-roots of unity, densely for single Pauli products and sparsely for the
-group projector; qudit 1 is the slowest-varying tensor index, matching
-position 1 (leftmost factor) of the symplectic representation.  Everything
-here is deliberately independent of the exact-arithmetic production path.
+roots of unity, densely for single Pauli products and one X class at a
+time for the group projector; qudit 1 is the slowest-varying tensor index,
+matching position 1 (leftmost factor) of the symplectic representation.
+Everything here is deliberately independent of the exact-arithmetic
+production path.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-import scipy.sparse
 
 from .errors import BudgetExceeded, ScalarViolation
 from .pauli import (
@@ -73,17 +75,32 @@ def dense_pauli(pauli: PauliProduct, cap: int = DENSE_DIMENSION_CAP) -> np.ndarr
     return mat
 
 
+@dataclass(frozen=True)
+class ClassProjector:
+    """P stored as its X classes, each one entry per basis column.
+
+    Class i gathers the group elements whose X part has the base-D code
+    codes[i], qudit 1 the most significant digit as in basis indices.  Its
+    entry in column c lies in row rows[i, c], the basis state c shifted by
+    that X part, and has the value values[i, c].  Codes are distinct and
+    ascending; values keep exact zeros.
+    """
+
+    codes: np.ndarray  # (classes,) int64
+    rows: np.ndarray  # (classes, D^n) int64
+    values: np.ndarray  # (classes, D^n) complex128
+
+
 def dense_projector(
     spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP, enumeration=None
-) -> scipy.sparse.csr_matrix:
-    """P = (1/|S|) sum of the group elements, as a sparse D^n x D^n matrix.
+) -> ClassProjector:
+    """P = (1/|S|) sum of the group elements, one X class at a time.
 
     Every element is monomial, one entry per column in the row its X part
     shifts to, so the elements of one X class add up entrywise.  A class's
     phases are one product (phase + z . digits) mod D, its values a lookup
     into the roots of unity, summed over the class in sorted (phase, x, z)
-    order in blocks of at most CELL_CAP entries.  P is then assembled in COO
-    form from one (rows, values) pair per class.
+    order in blocks of at most CELL_CAP entries.
     `enumeration` is the output of enumerate_group(spec), when already built.
     """
     D = spec.modulus
@@ -101,9 +118,10 @@ def dense_projector(
     classes = np.split(order, np.flatnonzero(np.diff(shifts[order])) + 1)
     roots = _roots_of_unity(D)
     step = max(1, CELL_CAP // dim)
-    rows, values = [], []
-    for members in classes:
-        rows.append(((digits + elements[members[0], 1 : n + 1]) % D) @ weights)
+    rows = np.empty((len(classes), dim), dtype=np.int64)
+    values = np.empty((len(classes), dim), dtype=np.complex128)
+    for i, members in enumerate(classes):
+        rows[i] = ((digits + elements[members[0], 1 : n + 1]) % D) @ weights
         total = None
         for lo in range(0, len(members), step):
             block = elements[members[lo : lo + step]]
@@ -111,13 +129,24 @@ def dense_projector(
             if total is not None:
                 block_values = np.concatenate((total[None], block_values))
             total = block_values.sum(axis=0)
-        values.append(total)
-    cols = np.tile(np.arange(dim), len(classes))
-    proj = scipy.sparse.coo_matrix(
-        (np.concatenate(values) / enum.size, (np.concatenate(rows), cols)), shape=(dim, dim)
-    ).tocsr()
-    proj.eliminate_zeros()
-    return proj
+        values[i] = total / enum.size
+    return ClassProjector(shifts[[members[0] for members in classes]], rows, values)
+
+
+def _slots(dim: int, *codes: np.ndarray) -> np.ndarray:
+    """Code -> rank among the distinct given codes, -1 for a code not given.
+
+    On the codes of a ClassProjector alone, the rank is the class index.
+    """
+    seen = np.zeros(dim, dtype=bool)
+    for given in codes:
+        seen[given] = True
+    return np.where(seen, np.cumsum(seen) - 1, -1)
+
+
+def _trace(proj: ClassProjector, slots: np.ndarray) -> complex:
+    """tr P: only the class of X part 0 has entries on the diagonal."""
+    return complex(proj.values[slots[0]].sum()) if slots[0] >= 0 else 0j
 
 
 def projector_checks(
@@ -125,14 +154,43 @@ def projector_checks(
 ) -> dict:
     """Residuals for P = P-dagger = P-squared and the trace-vs-K identity.
 
+    Each residual is the largest entrywise difference.  An entry whose class
+    is missing from the other side counts in full, so nothing assumes that
+    the classes of P are closed under negation or sums.
     `residual` is the largest of the three, and `ok` the verdict: it is
     under RESIDUAL_TOL and the rounded trace is K.
     `projector` is the output of dense_projector(spec), when already built.
     """
     proj = dense_projector(spec, cap) if projector is None else projector
-    herm_residual = float(abs(proj.conj().T - proj).max())
-    idem_residual = float(abs(proj @ proj - proj).max())
-    trace = complex(proj.diagonal().sum())
+    D, n = spec.modulus, spec.n
+    codes, rows, values = proj.codes, proj.rows, proj.values
+    dim = rows.shape[1]
+    slots = _slots(dim, codes)
+    weights = D ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # P-dagger[r, c] = conj(P[c, r]): class x of P meets class -x read at its rows
+    partners = slots[(-_digit_table(D, n)[codes] % D) @ weights]
+    herm_residual = 0.0
+    for i, partner in enumerate(partners):
+        diff = values[i] if partner < 0 else np.conj(np.take(values[partner], rows[i])) - values[i]
+        herm_residual = max(herm_residual, float(np.abs(diff).max()))
+    # P_i P_j is the class x_i + x_j, whose code is the column x_j shifted by
+    # x_i; its entry in column c is values[i] read at the row class j sends c to.
+    # Column blocks of at most CELL_CAP products reuse one buffer.
+    sums = rows[:, codes]
+    square_slots = _slots(dim, codes, sums)
+    square = np.zeros((square_slots.max() + 1, dim), dtype=np.complex128)
+    step = min(dim, max(1, CELL_CAP // len(codes)))
+    buffer = np.empty((len(codes), step), dtype=np.complex128)
+    for lo in range(0, dim, step):
+        block_rows = rows[:, lo : lo + step]
+        products = buffer[:, : block_rows.shape[1]]
+        for i, targets in enumerate(square_slots[sums]):
+            np.take(values[i], block_rows, out=products)
+            products *= values[:, lo : lo + step]
+            square[targets, lo : lo + step] += products
+    square[square_slots[codes]] -= values
+    idem_residual = float(np.abs(square).max())
+    trace = _trace(proj, slots)
     trace_residual = abs(trace - round(trace.real))
     try:
         expected = code_dimension(spec)
@@ -152,11 +210,6 @@ def projector_checks(
     }
 
 
-def verify_projector_dimension(spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP) -> bool:
-    """Trace of the projector equals the code dimension, within tolerance."""
-    return projector_checks(spec, cap)["ok"]
-
-
 def verify_logical_action(
     pauli: PauliProduct, spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP, projector=None
 ) -> bool:
@@ -170,15 +223,21 @@ def verify_logical_action(
     `projector` is the output of dense_projector(spec), when already built.
     """
     proj = dense_projector(spec, cap) if projector is None else projector
-    trace = proj.diagonal().sum().real
+    slots = _slots(proj.rows.shape[1], proj.codes)
+    trace = _trace(proj, slots).real
     if round(trace) == 0:
         return False
-    dim = proj.shape[0]
-    rows, values = _pauli_action(pauli, _digit_table(pauli.modulus, pauli.num_qudits))
-    operator = scipy.sparse.csr_matrix((values, (rows, np.arange(dim))), shape=(dim, dim))
-    applied = operator @ proj
-    scale = applied.diagonal().sum() / trace
-    return bool(np.linalg.norm((applied - scale * proj).data) > RESIDUAL_TOL)
+    op_rows, phases = _pauli_action(pauli, _digit_table(pauli.modulus, pauli.num_qudits))
+    # R P: class x of P moves to class x + x_R, each entry times R's phase on its row
+    applied = phases[proj.rows] * proj.values
+    shifted = op_rows[proj.codes]
+    scale = applied[shifted == 0].sum() / trace  # tr(R P): its class of X part 0, if any
+    targets = slots[shifted]
+    hit = targets >= 0
+    applied[hit] -= scale * proj.values[targets[hit]]
+    unmatched = np.delete(proj.values, targets[hit], axis=0)  # classes of P that R P misses
+    residual = np.hypot(np.linalg.norm(applied), abs(scale) * np.linalg.norm(unmatched))
+    return bool(residual > RESIDUAL_TOL)
 
 
 def span_elements(span: SubmoduleSpan) -> set:

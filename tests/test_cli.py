@@ -200,6 +200,25 @@ def test_verify_full_enumerates_group_once(capsys, monkeypatch):
     assert "PASS projector_trace" in out
 
 
+def test_params_verify_enumerates_group_once(capsys, monkeypatch):
+    from quhom import cli, oracle, pauli
+
+    calls = []
+
+    def counted(spec, *args):
+        calls.append(spec)
+        return pauli.enumerate_group(spec, *args)
+
+    monkeypatch.setattr(cli, "enumerate_group", counted)
+    monkeypatch.setattr(oracle, "enumerate_group", counted)
+    code, out, _ = run_cli(
+        capsys, "params", "--verify", "--builtin", "rp2", "--modulus", "2", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+    assert len(calls) == 1
+
+
 def test_distance_scalar_violation_matches_params(tmp_path, capsys):
     # Z and X on one qutrit pair to w^1: the group holds a scalar, so there is no code
     path = tmp_path / "scalar.txt"
@@ -420,6 +439,29 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dimension"] == 2
+
+
+def test_cli_loads_no_scipy():
+    # the import alone and a full verify, which runs every oracle check
+    src = os.path.dirname(os.path.dirname(quhom.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = (
+        "import sys\n"
+        "import quhom.cli\n"
+        "code = quhom.cli.main(['verify', '--builtin', 'rp2', '--modulus', '2', '--level', 'full'])\n"
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS projector_trace" in proc.stdout
+    assert "PASS logical_action" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_params_verify_builds_no_membership_solver(capsys, monkeypatch):

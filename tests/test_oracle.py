@@ -1,15 +1,16 @@
+import dataclasses
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from quhom.complex2 import chain_complex, rp2, torus, torus_grid
 from quhom.distance import distance_css, distance_homological, witness_pauli
 from quhom.errors import BudgetExceeded
 from quhom.oracle import (
     DENSE_DIMENSION_CAP,
+    ClassProjector,
     _digit_table,
     _pauli_action,
     complement_duality_checks,
@@ -19,7 +20,6 @@ from quhom.oracle import (
     span_elements,
     verify_complement_duality,
     verify_logical_action,
-    verify_projector_dimension,
 )
 from quhom.pauli import PauliProduct, StabilizerSpec, code_dimension, enumerate_group
 from quhom.zmod import SubmoduleSpan, ZModMatrix
@@ -106,16 +106,25 @@ def test_commutation_phase_matches_dense():
         assert np.abs(lhs - rhs).max() < 1e-9
 
 
+def densify(proj):
+    """The D^n x D^n array of a ClassProjector."""
+    dim = proj.rows.shape[1]
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for rows, values in zip(proj.rows, proj.values):
+        mat[rows, np.arange(dim)] = values
+    return mat
+
+
 def test_projector_single_z():
-    proj = dense_projector(single_generator_spec(2, z_row=(1,))).toarray()
+    proj = densify(dense_projector(single_generator_spec(2, z_row=(1,))))
     assert np.abs(proj - np.diag([1.0, 0.0])).max() < 1e-12
 
 
 def test_projector_single_x_qutrit():
     spec = single_generator_spec(3, x_row=(1,))
-    proj = dense_projector(spec).toarray()
+    proj = densify(dense_projector(spec))
     assert abs(np.trace(proj) - 1) < 1e-9
-    assert verify_projector_dimension(spec)
+    assert projector_checks(spec)["ok"]
 
 
 def test_projector_rp2_and_torus():
@@ -123,7 +132,7 @@ def test_projector_rp2_and_torus():
     assert checks["rounded_trace"] == 2
     checks = projector_checks(spec_for(torus(), 2))
     assert checks["rounded_trace"] == 4
-    assert np.abs(dense_projector(spec_for(torus(), 2)).toarray() - np.eye(4)).max() < 1e-12
+    assert np.abs(densify(dense_projector(spec_for(torus(), 2))) - np.eye(4)).max() < 1e-12
 
 
 def test_projector_checks_verdict():
@@ -131,7 +140,8 @@ def test_projector_checks_verdict():
     proj = dense_projector(spec)
     checks = projector_checks(spec, projector=proj)
     assert checks["ok"] and checks["residual"] < 1e-9
-    checks = projector_checks(spec, projector=2 * proj)  # 4P != 2P, trace 18 != 9
+    doubled = dataclasses.replace(proj, values=2 * proj.values)
+    checks = projector_checks(spec, projector=doubled)  # 4P != 2P, trace 18 != 9
     assert not checks["ok"]
     assert checks["residual"] == checks["idempotent_residual"] > 1
 
@@ -143,7 +153,7 @@ def test_projector_scalar_spec_traces_to_zero():
     assert checks["expected_dimension"] == 0
     assert checks["rounded_trace"] == 0
     assert checks["idempotent_residual"] < 1e-9
-    assert verify_projector_dimension(spec)
+    assert checks["ok"]
 
 
 def test_projector_dimension_on_corpus_samples():
@@ -151,7 +161,7 @@ def test_projector_dimension_on_corpus_samples():
         for D in (2, 3):
             if D ** len(complex2.edges) > 4096:
                 continue
-            assert verify_projector_dimension(spec_for(complex2, D)), (label, D)
+            assert projector_checks(spec_for(complex2, D))["ok"], (label, D)
 
 
 def explicit_projector(spec):
@@ -191,15 +201,15 @@ SMALL_SPECS = (
 @pytest.mark.parametrize("label,spec", SMALL_SPECS, ids=[label for label, _ in SMALL_SPECS])
 def test_sparse_projector_equals_explicit_sum(label, spec):
     proj = dense_projector(spec)
-    assert scipy.sparse.issparse(proj)
-    assert np.abs(proj.toarray() - explicit_projector(spec)).max() < 1e-12
+    assert isinstance(proj, ClassProjector)
+    assert np.abs(densify(proj) - explicit_projector(spec)).max() < 1e-12
 
 
 def reference_projector(spec):
     """One _pauli_action per element in sorted order, summed per X part: the
     reference for the per-class assembly."""
-    dim = spec.modulus**spec.n
-    digits = _digit_table(spec.modulus, spec.n)
+    D, n = spec.modulus, spec.n
+    digits = _digit_table(D, n)
     enum = enumerate_group(spec)
     by_shift = {}
     for phase, x, z in sorted(enum.elements):
@@ -208,18 +218,18 @@ def reference_projector(spec):
             by_shift[x][1] += values
         else:
             by_shift[x] = [rows, values]
-    rows = np.concatenate([r for r, _ in by_shift.values()])
-    values = np.concatenate([v for _, v in by_shift.values()]) / enum.size
-    cols = np.tile(np.arange(dim), len(by_shift))
-    proj = scipy.sparse.coo_matrix((values, (rows, cols)), shape=(dim, dim)).tocsr()
-    proj.eliminate_zeros()
-    return proj
+    weights = D ** np.arange(n - 1, -1, -1)
+    codes = np.array([np.dot(x, weights) for x in by_shift], dtype=np.int64)
+    rows = np.stack([r for r, _ in by_shift.values()])
+    values = np.stack([v for _, v in by_shift.values()]) / enum.size
+    return ClassProjector(codes, rows, values)
 
 
-def assert_same_csr(proj, expected):
-    for name in ("indptr", "indices", "data"):
+def assert_same_classes(proj, expected):
+    for name in ("codes", "rows", "values"):
         got, want = getattr(proj, name), getattr(expected, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 # the oracle_verify benchmark grids; 2x2 D=5 (5^8 dimensions) is over the dense cap
@@ -228,7 +238,7 @@ ORACLE_GRIDS = ((1, 2, 5), (1, 3, 3), (1, 5, 2), (2, 2, 5), (1, 3, 4))
 
 @pytest.mark.parametrize("label,spec", SMALL_SPECS, ids=[label for label, _ in SMALL_SPECS])
 def test_projector_bit_identical_to_reference(label, spec):
-    assert_same_csr(dense_projector(spec), reference_projector(spec))
+    assert_same_classes(dense_projector(spec), reference_projector(spec))
 
 
 @pytest.mark.parametrize("k,l,D", ORACLE_GRIDS, ids=[f"{k}x{l} D={D}" for k, l, D in ORACLE_GRIDS])
@@ -238,7 +248,43 @@ def test_projector_bit_identical_to_reference_on_grids(k, l, D):
         with pytest.raises(BudgetExceeded):
             dense_projector(spec)
         return
-    assert_same_csr(dense_projector(spec), reference_projector(spec))
+    assert_same_classes(dense_projector(spec), reference_projector(spec))
+
+
+def unclosed_projector(D, n, codes, seed):
+    """A ClassProjector with random values on the given X classes, closed or not."""
+    rng = np.random.default_rng(seed)
+    digits = _digit_table(D, n)
+    weights = D ** np.arange(n - 1, -1, -1)
+    codes = np.array(codes, dtype=np.int64)
+    rows = ((digits[None] + digits[codes][:, None]) % D) @ weights
+    values = rng.normal(size=rows.shape) + 1j * rng.normal(size=rows.shape)
+    return ClassProjector(codes, rows, values)
+
+
+def checks_against_dense(spec, proj):
+    checks = projector_checks(spec, projector=proj)
+    dense = densify(proj)
+    assert abs(checks["hermitian_residual"] - np.abs(dense.conj().T - dense).max()) < 1e-12
+    assert abs(checks["idempotent_residual"] - np.abs(dense @ dense - dense).max()) < 1e-12
+    assert abs(checks["trace"] - np.trace(dense)) < 1e-12
+    return checks
+
+
+@pytest.mark.parametrize("label,spec", SMALL_SPECS, ids=[label for label, _ in SMALL_SPECS])
+def test_projector_checks_match_dense_residuals(label, spec):
+    proj = dense_projector(spec)
+    checks_against_dense(spec, proj)
+    checks_against_dense(spec, dataclasses.replace(proj, values=2 * proj.values))
+
+
+def test_projector_checks_count_missing_classes_in_full():
+    # X classes on two ququarts that are not closed under negation or sums
+    spec = single_generator_spec(4, x_row=(0, 1), n=2)
+    for codes in ((1,), (1, 3), (0, 1), (2, 5, 7)):
+        proj = unclosed_projector(4, 2, codes, seed=len(codes))
+        checks = checks_against_dense(spec, proj)
+        assert not checks["ok"]
 
 
 def test_logical_action_agrees_with_dense_restriction_on_witnesses():
