@@ -7,10 +7,10 @@ deterministic: sorted keys, no timestamps.
 
 from __future__ import annotations
 
-import argparse
-import functools
+import collections
 import json
 import sys
+import types
 
 from . import documents, oracle
 from .complex2 import (
@@ -459,57 +459,128 @@ def cmd_verify(args) -> int:
     return EXIT_OK if t.ok else EXIT_VALIDATION
 
 
-def _add_input_flags(sub, check_matrix=False):
-    sub.add_argument("path", nargs="?", help="input JSON document")
-    sub.add_argument("--builtin", help="built-in complex: rp2, torus, torus-grid:KxL")
-    sub.add_argument("--modulus", type=int, help="qudit dimension D (overrides document)")
-    if check_matrix:
-        sub.add_argument("--check-matrix", help="read a stabilizer check-matrix file instead")
+# The CLI's one flag declaration; `_parse` and `build_parser` both read it.
+# A flag's kind is str, int, bool (store-true) or a tuple of choices, and its
+# dest is the option without "--", "-" read as "_".
+_Flag = collections.namedtuple("_Flag", "option kind default help", defaults=(None,))
+_Command = collections.namedtuple("_Command", "handler help path_required flags")
+
+_MODULUS = _Flag("--modulus", int, None, "qudit dimension D (overrides document)")
+_INPUT_FLAGS = (
+    _Flag("--builtin", str, None, "built-in complex: rp2, torus, torus-grid:KxL"),
+    _MODULUS,
+    _Flag("--check-matrix", str, None, "read a stabilizer check-matrix file instead"),
+)
+_BUDGET = _Flag("--budget", int, DEFAULT_BUDGET)
+
+COMMANDS = {
+    "validate": _Command(cmd_validate, "schema- and walk-validate a complex document", True, ()),
+    "params": _Command(cmd_params, "report code parameters", False, (
+        *_INPUT_FLAGS,
+        _Flag("--format", ("json", "text"), "json"),
+        _BUDGET,
+        _Flag("--verify", bool, False, "cross-check against oracle routes"),
+    )),
+    "distance": _Command(cmd_distance, "code distance via both routes", False, (
+        *_INPUT_FLAGS,
+        _Flag("--format", ("json", "text"), "json"),
+        _BUDGET,
+    )),
+    "convert": _Command(cmd_convert, "hypermap to equivalent 2-complex", True, (
+        _MODULUS,
+        _Flag("--output", str, None, "write the document here instead of stdout"),
+    )),
+    "verify": _Command(cmd_verify, "run the oracle suite on an input", False, (
+        *_INPUT_FLAGS,
+        _Flag("--level", ("quick", "full"), "quick"),
+        _Flag("--format", ("json", "text"), "text"),
+        _BUDGET,
+    )),
+}
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args leaves it unchanged."""
+def _dest(flag: _Flag) -> str:
+    return flag.option[2:].replace("-", "_")
+
+
+def _parse(argv: list[str]) -> types.SimpleNamespace | None:
+    """What `build_parser().parse_args(argv)` gives, for the plain calls.
+
+    One pass: a command name, exact flag tokens each with a value that
+    converts exactly, and at most one path.  Anything else returns None for
+    argparse to decide: help, `--flag=value`, abbreviations, values that
+    start with "-", `--`, non-decimal ints, bad choices, a missing or extra
+    path, unknown tokens.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    flags = {flag.option: flag for flag in command.flags}
+    values = {_dest(flag): flag.default for flag in command.flags}
+    paths = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            paths.append(token)
+            continue
+        flag = flags.get(token)
+        if flag is None:
+            return None
+        if flag.kind is bool:
+            values[_dest(flag)] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if flag.kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            value = int(value)
+        elif flag.kind is not str and value not in flag.kind:
+            return None
+        values[_dest(flag)] = value
+    if len(paths) > 1 or (command.path_required and not paths):
+        return None
+    return types.SimpleNamespace(
+        command=argv[0], path=paths[0] if paths else None, **values, func=command.handler
+    )
+
+
+def build_parser():
+    """The argparse parser of `COMMANDS`: help, usage errors and the rarer forms."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="quhom", description="Qudit homological quantum codes over Z_D"
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("validate", help="schema- and walk-validate a complex document")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
-
-    p = subs.add_parser("params", help="report code parameters")
-    _add_input_flags(p, check_matrix=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--verify", action="store_true", help="cross-check against oracle routes")
-    p.set_defaults(func=cmd_params)
-
-    p = subs.add_parser("distance", help="code distance via both routes")
-    _add_input_flags(p, check_matrix=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(func=cmd_distance)
-
-    p = subs.add_parser("convert", help="hypermap to equivalent 2-complex")
-    p.add_argument("path")
-    p.add_argument("--modulus", type=int, help="qudit dimension D (overrides document)")
-    p.add_argument("--output", help="write the document here instead of stdout")
-    p.set_defaults(func=cmd_convert)
-
-    p = subs.add_parser("verify", help="run the oracle suite on an input")
-    _add_input_flags(p, check_matrix=True)
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(func=cmd_verify)
-
+    for name, command in COMMANDS.items():
+        p = subs.add_parser(name, help=command.help)
+        if command.path_required:
+            p.add_argument("path")
+        else:
+            p.add_argument("path", nargs="?", help="input JSON document")
+        for flag in command.flags:
+            if flag.kind is bool:
+                p.add_argument(flag.option, action="store_true", help=flag.help)
+            elif flag.kind is int:
+                p.add_argument(flag.option, type=int, default=flag.default, help=flag.help)
+            elif flag.kind is str:
+                p.add_argument(flag.option, default=flag.default, help=flag.help)
+            else:
+                p.add_argument(flag.option, choices=flag.kind, default=flag.default, help=flag.help)
+        p.set_defaults(func=command.handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
+    if getattr(args, "budget", 0) < 0:
+        print(f"error: budget must be >= 0, got {args.budget}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         return args.func(args)
     except OSError as exc:

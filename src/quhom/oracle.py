@@ -290,8 +290,3 @@ def complement_duality_checks(span: SubmoduleSpan) -> dict:
         and size * exhaustive_perp == dim
         and char_residual < RESIDUAL_TOL,
     }
-
-
-def verify_complement_duality(span: SubmoduleSpan) -> bool:
-    """|E| |E-perp| = D^n with the complement counted two independent ways."""
-    return complement_duality_checks(span)["ok"]

@@ -425,17 +425,22 @@ def test_route_mismatch_exit_code(capsys, monkeypatch):
     assert "disagree" in err
 
 
-def test_console_entry_point():
+def run_python(*args):
     # the child imports quhom from wherever this process did, installed or not
     src = os.path.dirname(os.path.dirname(quhom.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "quhom.cli", "params", "--builtin", "rp2",
-         "--modulus", "4", "--format", "json"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_console_entry_point():
+    proc = run_python(
+        "-m", "quhom.cli", "params", "--builtin", "rp2", "--modulus", "4", "--format", "json"
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dimension"] == 2
@@ -443,25 +448,49 @@ def test_console_entry_point():
 
 def test_cli_loads_no_scipy():
     # the import alone and a full verify, which runs every oracle check
-    src = os.path.dirname(os.path.dirname(quhom.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     script = (
         "import sys\n"
         "import quhom.cli\n"
         "code = quhom.cli.main(['verify', '--builtin', 'rp2', '--modulus', '2', '--level', 'full'])\n"
         "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert "PASS projector_trace" in proc.stdout
     assert "PASS logical_action" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_valid_call_loads_no_argparse():
+    # a plain call is parsed in one pass; help still comes from argparse
+    script = (
+        "import sys\n"
+        "import quhom.cli\n"
+        "code = quhom.cli.main(['params', '--builtin', 'rp2', '--modulus', '3'])\n"
+        "print(code, sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    proc = run_python("-m", "quhom.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: quhom ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("params", "--builtin", "rp2", "--modulus", "3", "--budget", "-1"),
+        ("distance", "--builtin", "torus", "--modulus", "3", "--budget", "-1"),
+        ("verify", "--builtin", "rp2", "--modulus", "2", "--budget=-1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_budget_is_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: budget must be >= 0, got -1\n"
 
 
 def test_params_verify_builds_no_membership_solver(capsys, monkeypatch):

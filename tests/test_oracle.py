@@ -18,7 +18,6 @@ from quhom.oracle import (
     dense_projector,
     projector_checks,
     span_elements,
-    verify_complement_duality,
     verify_logical_action,
 )
 from quhom.pauli import PauliProduct, StabilizerSpec, code_dimension, enumerate_group
@@ -380,7 +379,7 @@ def test_complement_duality_examples():
 
 def test_complement_duality_on_corpus():
     for span, label in span_corpus(60):
-        assert verify_complement_duality(span), label
+        assert complement_duality_checks(span)["ok"], label
 
 
 def test_span_elements_closure():
