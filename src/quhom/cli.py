@@ -212,7 +212,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    complex2, _, spec = _spec_from_args(args)
+    _, chain, spec = _spec_from_args(args)
     modulus = spec.modulus
     witness = spec.scalar_witness()
     if witness is not None:
@@ -233,8 +233,8 @@ def cmd_distance(args) -> int:
         "css_witness_side": css.witness_side,
         "examined_css": css.examined,
     }
-    if complex2 is not None:
-        hom = distance_homological(complex2, modulus, args.budget)
+    if chain is not None:
+        hom = distance_homological(chain, args.budget)
         payload["homological_witness"] = list(hom.witness) if hom.witness else None
         payload["homological_witness_side"] = hom.witness_side
         payload["examined_homological"] = hom.examined
@@ -376,14 +376,15 @@ def _verify_group(t: _Transcript, spec: StabilizerSpec):
     return enum
 
 
-def _verify_distance(t: _Transcript, spec, complex2, modulus, budget, dense_cap, proj):
+def _verify_distance(t: _Transcript, spec, chain, budget, dense_cap, proj):
+    modulus = spec.modulus
     try:
         css = distance_css(spec, budget)
     except BudgetExceeded:
         t.skip("distance_routes", "budget exceeded")
         return
-    if complex2 is not None:
-        hom = distance_homological(complex2, modulus, budget)
+    if chain is not None:
+        hom = distance_homological(chain, budget)
         ok = css.distance == hom.distance
         t.record(
             "distance_routes",
@@ -451,7 +452,7 @@ def cmd_verify(args) -> int:
     proj = _verify_projector(t, spec, dense_cap, enum)
     _verify_complement_duality(t, spec, exhaustive_cap)
     if spec.scalar_witness() is None:
-        _verify_distance(t, spec, complex2, modulus, args.budget, dense_cap, proj)
+        _verify_distance(t, spec, chain, args.budget, dense_cap, proj)
     else:
         t.skip("distance_routes", "scalar violation: no stabilizer code")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .zmod import ZModMatrix, kernel_cardinality, row_span, span_cardinality
 
@@ -30,10 +30,6 @@ class SignedEdge:
         return SignedEdge(self.edge, -self.sign)
 
 
-def _rotation_key(steps: Sequence[SignedEdge]):
-    return tuple((s.edge, 0 if s.sign > 0 else 1) for s in steps)
-
-
 @dataclass(frozen=True)
 class ClosedWalk:
     """Cyclic sequence of signed edges, stored in canonical rotation.
@@ -49,8 +45,15 @@ class ClosedWalk:
     def __post_init__(self):
         steps = tuple(self.steps)
         if steps:
-            rotations = [steps[i:] + steps[:i] for i in range(len(steps))]
-            steps = min(rotations, key=_rotation_key)
+            # the first rotation with the minimal key starts at a minimal step key
+            keys = [(s.edge, s.sign < 0) for s in steps]
+            first = min(keys)
+            start = keys.index(first)
+            if keys.count(first) > 1:
+                doubled, n = keys * 2, len(keys)
+                starts = (i for i, key in enumerate(keys) if key == first)
+                start = min(starts, key=lambda i: doubled[i : i + n])
+            steps = steps[start:] + steps[:start]
         object.__setattr__(self, "steps", steps)
 
     @classmethod
@@ -212,7 +215,11 @@ def chain_complex(complex2: TwoComplex, modulus: int) -> ChainComplexData:
 
 
 def homology_cardinality(chain: ChainComplexData) -> int:
-    """|H_1| = |ker d1| / |im d2|; the division is exact since im is in ker."""
+    """|H_1| = |ker d1| / |im d2|; the division is exact since im is in ker.
+
+    Both counts come from the row spans of d1 and d2^T, the spans a spec
+    built from this chain reads K from, so each is counted once.
+    """
     cycles = kernel_cardinality(chain.d1)
     boundaries = span_cardinality(row_span(chain.d2.transpose()))
     if cycles % boundaries:

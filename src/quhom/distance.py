@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .complex2 import TwoComplex, chain_complex
+from .complex2 import ChainComplexData
 from .errors import BudgetExceeded, TheoremMismatch
 from .pauli import PauliProduct, StabilizerSpec, stabilizer_size, syndrome
 from .zmod import (
@@ -239,9 +239,7 @@ def distance_css(spec: StabilizerSpec, budget: int = DEFAULT_BUDGET) -> Distance
     return _weight_shell_search(spec.n, spec.modulus, sides, "css", budget)
 
 
-def distance_homological(
-    complex2: TwoComplex, modulus: int, budget: int = DEFAULT_BUDGET
-) -> DistanceReport:
+def distance_homological(chain: ChainComplexData, budget: int = DEFAULT_BUDGET) -> DistanceReport:
     """Shortest nontrivial cycle or cocycle of the boundary pair.
 
     Cycle side: ker d1 minus im d2; cocycle side: ker delta2 minus im
@@ -249,21 +247,23 @@ def distance_homological(
     prechecked through cardinalities: im is always inside ker, so a side is
     empty exactly when |ker| equals |im|.  As |ker d1| = D^E / |im delta1|
     and |ker delta2| = D^E / |im d2|, both sides are empty exactly when
-    |im d2| |im delta1| = D^E, that is when |H_1| = 1.
+    |im d2| |im delta1| = D^E, that is when |H_1| = 1.  The spans are the
+    matrices' own (`row_span`), so a spec built from the same chain shares
+    their counts and membership solvers.
     """
-    chain = chain_complex(complex2, modulus)
+    D = chain.modulus
     d1 = chain.d1
     delta2 = chain.d2.transpose()
-    boundaries = row_span(chain.d2.transpose())  # im d2, as row vectors
-    coboundaries = row_span(chain.d1)  # im delta1
+    boundaries = row_span(delta2)  # im d2, as row vectors
+    coboundaries = row_span(d1)  # im delta1
 
     sides = []
-    if span_cardinality(boundaries) * span_cardinality(coboundaries) != modulus**chain.num_edges:
+    if span_cardinality(boundaries) * span_cardinality(coboundaries) != D**chain.num_edges:
         sides = [
             (CYCLE, d1, boundaries.membership.contains),
             (COCYCLE, delta2, coboundaries.membership.contains),
         ]
-    return _weight_shell_search(chain.num_edges, modulus, sides, "homological", budget)
+    return _weight_shell_search(chain.num_edges, D, sides, "homological", budget)
 
 
 def witness_pauli(report: DistanceReport, modulus: int) -> PauliProduct | None:

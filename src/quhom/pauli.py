@@ -138,11 +138,11 @@ class StabilizerSpec:
             vertex_matrix=chain.d1,
         )
 
-    @cached_property
+    @property
     def face_span(self) -> SubmoduleSpan:
         return row_span(self.face_matrix)
 
-    @cached_property
+    @property
     def vertex_span(self) -> SubmoduleSpan:
         return row_span(self.vertex_matrix)
 

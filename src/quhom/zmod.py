@@ -87,7 +87,8 @@ class ZModMatrix:
     form is canonical, so equal matrices have equal arrays.  Entries are
     checked or reduced once, when the matrix is built; every operation
     below reads the arrays in O(nnz), apart from the dense views `entries`
-    and `array`.  Matrices are never changed after they are built.
+    and `array`.  Matrices are never changed after they are built; the
+    transpose and the row span (`row_span`) are built once and kept.
     """
 
     def __init__(self, nrows: int, ncols: int, modulus: int, entries: IntRows):
@@ -104,6 +105,7 @@ class ZModMatrix:
         self.nrows, self.ncols, self.modulus = nrows, ncols, modulus
         self.indptr, self.indices, self.data = indptr, indices, data
         self._transpose = None
+        self._span = None
 
     @classmethod
     def _csr(cls, nrows, ncols, modulus, indptr, indices, data) -> ZModMatrix:
@@ -409,23 +411,32 @@ def unit_pivot_cardinality(rows: ZModMatrix | Iterable[Sequence[int]], modulus: 
     for i, row in live.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
+    is_unit: dict[int, bool] = {}  # gcd(e, D) == 1, per distinct entry
     pivots = 0
     i = 0
     end = max(live, default=-1) + 1
     while i < end:
         row = live.get(i)
-        units = [j for j, e in row.items() if gcd(e, D) == 1] if row else ()
-        if not units:
+        c = None  # the first unit column with the fewest live rows
+        for j, e in row.items() if row else ():
+            unit = is_unit.get(e)
+            if unit is None:
+                unit = is_unit[e] = gcd(e, D) == 1
+            if unit and (c is None or len(cols[j]) < fewest):
+                c, fewest = j, len(cols[j])
+        if c is None:
             i += 1
             continue
-        c = min(units, key=lambda j: len(cols[j]))
         inv = pow(row[c], -1, D)
         del live[i]
         for j in row:
             cols[j].discard(i)
         rest = [(j, e) for j, e in row.items() if j != c]
         touched = cols.pop(c)
+        following = i + 1
         for r in touched:
+            if r < following:
+                following = r
             other = live[r]
             f = other.pop(c) * inv % D
             for j, e in rest:
@@ -440,8 +451,7 @@ def unit_pivot_cardinality(rows: ZModMatrix | Iterable[Sequence[int]], modulus: 
             if not other:
                 del live[r]
         pivots += 1
-        # a row skipped for having no unit may have gained one
-        i = min(i + 1, min(touched, default=end))
+        i = following  # a row skipped for having no unit may have gained one
     size = D**pivots
     if live:
         used = sorted({j for row in live.values() for j in row})
@@ -547,8 +557,7 @@ def kernel_cardinality(matrix: ZModMatrix) -> int:
 
     The image A Z_D^n has as many elements as the row span of A.
     """
-    D = matrix.modulus
-    return D**matrix.ncols // unit_pivot_cardinality(matrix, D)
+    return matrix.modulus**matrix.ncols // row_span(matrix).cardinality
 
 
 @lru_cache(maxsize=4096)
@@ -585,7 +594,10 @@ def contains(span: SubmoduleSpan, x: Sequence[int]) -> bool:
 
 
 def row_span(matrix: ZModMatrix) -> SubmoduleSpan:
-    return SubmoduleSpan.of(matrix)
+    """The row span of a matrix; built once, so its cardinality and membership are too."""
+    if matrix._span is None:
+        matrix._span = SubmoduleSpan.of(matrix)
+    return matrix._span
 
 
 def column_span(matrix: ZModMatrix) -> SubmoduleSpan:

@@ -187,7 +187,7 @@ def _distance_cache():
             for D in ACCEPTANCE_MODULI:
                 spec = _spec(complex2, D)
                 css = distance_css(spec)
-                hom = distance_homological(complex2, D)
+                hom = distance_homological(chain_complex(complex2, D))
                 reports[(label, D)] = (complex2, spec, css, hom)
         _distance_reports = reports
     return _distance_reports
@@ -206,10 +206,10 @@ def test_criterion_7_distance_route_agreement():
 
         grid_spec = _spec(torus_grid(2, 2), 2)
         assert distance_css(grid_spec).distance == 2
-        assert distance_homological(torus_grid(2, 2), 2).distance == 2
+        assert distance_homological(chain_complex(torus_grid(2, 2), 2)).distance == 2
         rp2_spec = _spec(rp2(), 3)
         assert distance_css(rp2_spec).no_logicals
-        assert distance_homological(rp2(), 3).no_logicals
+        assert distance_homological(chain_complex(rp2(), 3)).no_logicals
         return f"{len(reports)} instances, both routes equal; grid d=2; rp2(D=3) NoLogicals"
 
     _criterion(7, "distance route agreement", 300.0, run)

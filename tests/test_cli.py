@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -608,3 +609,72 @@ def test_params_verify_builds_no_dense_view(capsys, monkeypatch):
         assert code == 0
         report = json.loads(out)
         assert (report["distance_status"], report["verified"]) == ("budget_exceeded", True)
+
+
+def counted(monkeypatch, owner, name):
+    """Wrap owner.name so that each call's arguments are recorded; returns the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_params_verify_counts_each_span_once(capsys, monkeypatch):
+    # K, |S|, |ker d1| and |H_1| all read the row spans of F = d2^T and V = d1
+    from quhom import zmod
+
+    calls = counted(monkeypatch, zmod, "unit_pivot_cardinality")
+    code, out, _ = run_cli(
+        capsys, "params", "--verify", "--budget", "1", "--builtin", "torus-grid:10x10",
+        "--modulus", "3",
+    )
+    assert code == 0 and json.loads(out)["verified"] is True
+    assert len(calls) == 2
+
+
+def relabeled_grid_doc(k, l, D, seed=0):
+    """The k x l torus grid under new names, with some edges flipped and every list shuffled."""
+    rng = random.Random(seed)
+    doc = complex_to_dict(torus_grid(k, l), D)
+    names = [*doc["vertices"], *(e["name"] for e in doc["edges"])]
+    new = dict(zip(names, (f"n{i}" for i in rng.sample(range(10 * len(names)), len(names)))))
+    flipped = {e["name"] for e in doc["edges"] if rng.random() < 0.5}
+    for e in doc["edges"]:
+        if e["name"] in flipped:
+            e["source"], e["target"] = e["target"], e["source"]
+        e.update(name=new[e["name"]], source=new[e["source"]], target=new[e["target"]])
+    for face in doc["faces"]:
+        steps = [(s.rstrip("~"), s.endswith("~")) for s in face["walk"]]
+        face["walk"] = [new[e] + "~" * (inverse != (e in flipped)) for e, inverse in steps]
+    doc["vertices"] = [new[v] for v in doc["vertices"]]
+    for items in (doc["vertices"], doc["edges"], doc["faces"]):
+        rng.shuffle(items)
+    return doc
+
+
+@pytest.mark.parametrize("argv,expected", (
+    (("distance",), '"routes_agree": true'),
+    (("verify", "--level", "quick"), "PASS distance_routes (css=3 homological=3)"),
+))
+def test_one_chain_and_one_membership_solver_per_boundary_matrix(
+    tmp_path, capsys, monkeypatch, argv, expected
+):
+    # the css and homological searches share the command's chain complex,
+    # so they share the row spans of d1 and d2^T and their SNF solvers
+    from quhom import complex2, documents, zmod
+
+    doc = relabeled_grid_doc(3, 3, 2)
+    chain = chain_complex(documents.complex_from_dict(doc)[0], 2)
+    boundaries = (chain.d1, chain.d2.transpose())
+    builds = counted(monkeypatch, complex2.ChainComplexData, "__post_init__")
+    solvers = counted(monkeypatch, zmod.SpanMembership, "__init__")
+    code, out, _ = run_cli(capsys, *argv, write_json(tmp_path / "grid.json", doc))
+    assert code == 0 and expected in out
+    assert len(builds) == 1
+    spans = [span.matrix for _, span in solvers]
+    assert [spans.count(m) for m in boundaries] == [1, 1]

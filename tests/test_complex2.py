@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quhom.complex2 import (
     ClosedWalk,
@@ -123,6 +125,27 @@ def test_walk_canonical_rotation():
     b = ClosedWalk.of([SignedEdge("a", 1), SignedEdge("b", 1)])
     assert a == b
     assert a.steps[0].edge == "a"
+
+
+def reference_rotation(steps):
+    """The canonical rotation as the minimum over every rotation's key."""
+    rotations = [steps[i:] + steps[:i] for i in range(len(steps))]
+    return min(rotations, key=lambda r: tuple((s.edge, 0 if s.sign > 0 else 1) for s in r))
+
+
+def walk_steps(names):
+    step = st.builds(SignedEdge, st.sampled_from("abc"[:names]), st.sampled_from((1, -1)))
+    return st.lists(step, min_size=1, max_size=8).map(tuple)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(2, 3).flatmap(walk_steps))
+def test_walk_rotation_matches_min_over_rotations(steps):
+    # two or three edge names over up to 8 steps make repeated step keys, so ties, likely
+    walk = ClosedWalk.of(steps)
+    assert walk.steps == reference_rotation(steps)
+    for i in range(len(steps)):
+        assert ClosedWalk.of(steps[i:] + steps[:i]) == walk
 
 
 def test_boundary1_examples():

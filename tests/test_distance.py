@@ -62,20 +62,20 @@ def test_torus_distance_one():
     for D in (2, 3, 4, 5):
         spec = spec_for(torus(), D)
         css = distance_css(spec)
-        hom = distance_homological(torus(), D)
+        hom = distance_homological(chain_complex(torus(), D))
         assert css.distance == hom.distance == 1
 
 
 def test_rp2_distances():
     spec = spec_for(rp2(), 2)
     assert distance_css(spec).distance == 1
-    assert distance_homological(rp2(), 2).distance == 1
+    assert distance_homological(chain_complex(rp2(), 2)).distance == 1
 
     spec = spec_for(rp2(), 3)
     rep = distance_css(spec)
     assert rep.no_logicals
     assert rep.witness is None
-    rep = distance_homological(rp2(), 3)
+    rep = distance_homological(chain_complex(rp2(), 3))
     assert rep.no_logicals
 
     # even nonprime D: K = 2, a weight-1 logical still exists
@@ -87,7 +87,7 @@ def test_torus_grid_distance_two():
     grid = torus_grid(2, 2)
     spec = spec_for(grid, 2)
     css = distance_css(spec)
-    hom = distance_homological(grid, 2)
+    hom = distance_homological(chain_complex(grid, 2))
     assert css.distance == 2
     assert hom.distance == 2
     assert brute_distance(spec) == 2
@@ -98,7 +98,7 @@ def test_route_agreement_on_corpus():
         for D in (2, 3, 4):
             spec = spec_for(complex2, D)
             css = distance_css(spec)
-            hom = distance_homological(complex2, D)
+            hom = distance_homological(chain_complex(complex2, D))
             assert css.distance == hom.distance, (label, D)
             for rep in (css, hom):
                 pauli = witness_pauli(rep, D)
@@ -233,8 +233,9 @@ def scalar_shell_search(n, modulus, sides, method, budget):
 
 
 def both_routes(complex2, D, budget=distance.DEFAULT_BUDGET):
-    spec = spec_for(complex2, D)
-    return distance_css(spec, budget), distance_homological(complex2, D, budget)
+    chain = chain_complex(complex2, D)
+    spec = StabilizerSpec.from_chain(chain)
+    return distance_css(spec, budget), distance_homological(chain, budget)
 
 
 def reference_routes(monkeypatch, complex2, D, budget=distance.DEFAULT_BUDGET):
@@ -292,7 +293,8 @@ def test_budget_edges(k, l, D):
     report = distance_css(spec)
     n = spec.n
     assert distance_css(spec, budget=report.examined) == report
-    assert distance_homological(grid, D, budget=report.examined).examined == report.examined
+    hom = distance_homological(chain_complex(grid, D), budget=report.examined)
+    assert hom.examined == report.examined
     rng = random.Random(k * 100 + l * 10 + D)
     budgets = {0, 1, report.examined - 1, *rng.sample(range(report.examined), 20)}
     for budget in sorted(budgets):

@@ -1,6 +1,7 @@
 """Golden CLI outputs: the sha256 of each command's exit code and stdout.
 
-The fixture pins `params --verify --budget 1` and `distance` on the
+The fixture pins `params --verify --budget 1`, `distance` and
+`verify --level quick` (text format, residuals printed as %.3e) on the
 acceptance complexes at every acceptance modulus, and
 `params --verify --budget 1` on the torus grids 1x1..10x10 at D = 2, 3, 6.
 The oracle cross-checks of `params --verify` (group closure and sparse
@@ -8,7 +9,8 @@ projector) are turned off by setting their caps to 0: they add nothing to
 stdout (a mismatch would exit 5, and the printed K and |S| already pin
 the exact route), the oracle and acceptance tests cover them, and on
 these inputs they would take about a minute.  The exact route and the
-homology cross-check still run.  With the caps at their defaults the
+homology cross-check still run.  The caps leave `verify --level quick`
+as it is: it uses its own quick caps.  With the caps at their defaults the
 digests are the same (checked when the fixture was written).  Regenerate
 the fixture only for an intended output change, with
 
@@ -49,6 +51,7 @@ def golden_cases(workdir: pathlib.Path):
             path.write_text(json.dumps(complex_to_dict(complex2, D)), encoding="utf-8")
             yield f"params {label} D{D}", ("params", str(path), "--verify", "--budget", "1")
             yield f"distance {label} D{D}", ("distance", str(path))
+            yield f"verify {label} D{D}", ("verify", str(path), "--level", "quick")
     for k in GRID_SIDES:
         for l in GRID_SIDES:
             for D in GRID_MODULI:

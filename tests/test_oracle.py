@@ -294,7 +294,7 @@ def test_logical_action_agrees_with_dense_restriction_on_witnesses():
                 continue
             spec = spec_for(complex2, D)
             proj, basis = dense_projector(spec), None
-            for rep in (distance_css(spec), distance_homological(complex2, D)):
+            for rep in (distance_css(spec), distance_homological(chain_complex(complex2, D))):
                 pauli = witness_pauli(rep, D)
                 if pauli is None:
                     continue

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 from math import gcd, prod
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -467,6 +468,75 @@ def test_unit_pivot_cardinality_equals_snf_diagonal(case):
     )
     matrix = ZModMatrix(len(rows), n, D, tuple(map(tuple, rows)))
     assert kernel_cardinality(matrix) == reference_kernel_cardinality(rows, n, D)
+
+
+def previous_unit_pivot_cardinality(rows, D):
+    """unit_pivot_cardinality with its earlier pivot scan, the reference for its pivots.
+
+    Units are listed per row with a gcd each, the pivot column is
+    min(units, key=live rows), and the next row is min(i + 1, min(touched)).
+    """
+    rows = [{j: e for j, e in enumerate(row) if e} for row in rows]
+    live = {i: row for i, row in enumerate(rows) if row}
+    cols = {}
+    for i, row in live.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    pivots = 0
+    i = 0
+    end = max(live, default=-1) + 1
+    while i < end:
+        row = live.get(i)
+        units = [j for j, e in row.items() if gcd(e, D) == 1] if row else ()
+        if not units:
+            i += 1
+            continue
+        c = min(units, key=lambda j: len(cols[j]))
+        inv = pow(row[c], -1, D)
+        del live[i]
+        for j in row:
+            cols[j].discard(i)
+        rest = [(j, e) for j, e in row.items() if j != c]
+        touched = cols.pop(c)
+        for r in touched:
+            other = live[r]
+            f = other.pop(c) * inv % D
+            for j, e in rest:
+                v = (other.get(j, 0) - f * e) % D
+                if v:
+                    if j not in other:
+                        cols[j].add(r)
+                    other[j] = v
+                elif j in other:
+                    del other[j]
+                    cols[j].discard(r)
+            if not other:
+                del live[r]
+        pivots += 1
+        i = min(i + 1, min(touched, default=end))
+    size = D**pivots
+    if live:
+        used = sorted({j for row in live.values() for j in row})
+        block = [[row.get(j, 0) for j in used] for row in live.values()]
+        size *= prod(D // gcd(d, D) for d in zmod.smith_normal_form(block).diag)
+    return size
+
+
+def with_snf_blocks(count, rows, D):
+    """(count(rows, D), the blocks it left to the SNF): equal blocks mean equal pivots."""
+    with mock.patch.object(zmod, "smith_normal_form", wraps=smith_normal_form) as snf:
+        size = count(rows, D)
+    return size, [call.args for call in snf.call_args_list]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(reduced_matrices())
+def test_unit_pivot_cardinality_pivots_as_the_previous_scan(case):
+    rows, n, D = case
+    want = with_snf_blocks(previous_unit_pivot_cardinality, rows, D)
+    assert with_snf_blocks(unit_pivot_cardinality, rows, D) == want
+    matrix = ZModMatrix(len(rows), n, D, tuple(map(tuple, rows)))
+    assert with_snf_blocks(unit_pivot_cardinality, matrix, D) == want
 
 
 def refuse_snf(*args):
