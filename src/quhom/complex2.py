@@ -7,7 +7,6 @@ formal inverses.  Everything is immutable; matrices come out as ZModMatrix.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -73,13 +72,6 @@ class ClosedWalk:
     @property
     def is_degenerate(self) -> bool:
         return not self.steps
-
-    def edge_multiplicities(self) -> Counter:
-        """Signed occurrence count per edge, over the integers."""
-        counts: Counter = Counter()
-        for s in self.steps:
-            counts[s.edge] += s.sign
-        return counts
 
 
 def inverse_walk(walk: ClosedWalk) -> ClosedWalk:
@@ -239,11 +231,11 @@ def is_orientable(complex2: TwoComplex, modulus: int) -> bool:
 
 def is_orientable_integral(complex2: TwoComplex) -> bool:
     """The D-independent version: signed multiplicities sum to zero over Z."""
-    totals: Counter = Counter()
+    totals = dict.fromkeys(complex2.edges, 0)  # the integral row sums of d2
     for walk in complex2.walks:
-        for edge, mult in walk.edge_multiplicities().items():
-            totals[edge] += mult
-    return all(v == 0 for v in totals.values())
+        for step in walk.steps:
+            totals[step.edge] += step.sign
+    return not any(totals.values())
 
 
 def rp2() -> TwoComplex:

@@ -1,15 +1,18 @@
-"""Code distance by two independent routes, plus normalizer predicates.
+"""Code distance by one weight-shell search, plus normalizer predicates.
 
-The symplectic route searches W = r(B)-perp minus r(A) union r(A)-perp
-minus r(B); the homological route searches nontrivial cycles and cocycles
-of the boundary pair.  The two must agree on any chain-complex-derived
-spec; the CLI treats disagreement as a hard failure.
+The search covers W = r(B)-perp minus r(A) union r(A)-perp minus r(B).
+On a spec built from a chain complex these two sides are the nontrivial
+cocycles (ker delta2 minus im delta1) and the nontrivial cycles (ker d1
+minus im d2), so one search gives both reports: the symplectic (css)
+report prefers the cocycle side when the witness passes both, the
+homological report the cycle side.  The CLI keeps both sets of keys for
+output compatibility; the independent check of the distance is the
+brute-force scan of the tests.
 
 Search order is pinned for deterministic witnesses: weights increase,
 supports are enumerated lexicographically, nonzero value assignments in
-odometer order, and for each candidate the sides are tested in a fixed
-order (cocycle first for the symplectic route, cycle first for the
-homological one).
+odometer order.  The first candidate that passes a side is the witness,
+and every side it passes is recorded.
 
 Candidates are checked in blocks with numpy: the check columns of a block
 of supports times all their value rows, mod D.  A support is skipped
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Callable, Sequence
 
@@ -32,14 +35,7 @@ import numpy as np
 from .complex2 import ChainComplexData
 from .errors import BudgetExceeded, TheoremMismatch
 from .pauli import PauliProduct, StabilizerSpec, stabilizer_size, syndrome
-from .zmod import (
-    ZModMatrix,
-    contains,
-    orthogonal_complement,
-    product_dtype,
-    row_span,
-    span_cardinality,
-)
+from .zmod import ZModMatrix, contains, orthogonal_complement, product_dtype
 
 DEFAULT_BUDGET = 10**7
 CELL_CAP = 1 << 14  # entries in one block's products or candidate masks; bounds memory
@@ -54,7 +50,8 @@ class DistanceReport:
     """Minimum logical weight, or no_logicals when W is empty.
 
     A cycle-side witness lifts to a Z-type logical operator, a cocycle-side
-    witness to an X-type one.
+    witness to an X-type one.  `sides` lists every side the witness passes,
+    `witness_side` among them.
     """
 
     distance: int | None
@@ -62,10 +59,17 @@ class DistanceReport:
     witness_side: str | None
     method: str
     examined: int
+    sides: tuple[str, ...] = ()
 
     @property
     def no_logicals(self) -> bool:
         return self.distance is None
+
+    def read_as(self, method: str, side: str) -> DistanceReport:
+        """The same search under `method`, tagged `side` when the witness passes it."""
+        if side not in self.sides:
+            side = self.witness_side
+        return replace(self, method=method, witness_side=side)
 
 
 def is_in_normalizer(pauli: PauliProduct, spec: StabilizerSpec) -> bool:
@@ -139,10 +143,11 @@ def _kernel_mask(side, supports: np.ndarray, values: np.ndarray, modulus: int) -
 
 
 def _first_hit(sides, n: int, supports: np.ndarray, values: np.ndarray, modulus: int):
-    """(support index, value index, tag, vector) of the first witness in a block, or None.
+    """(support index, value index, passing tags, vector) of a block's first witness, or None.
 
-    Candidates with a zero syndrome go to the excluded-span test in the
-    pinned order, sides in their given order for each candidate.
+    Candidates with a zero syndrome on some side go to that side's
+    excluded-span test in the pinned order; the first candidate passing a
+    side is the witness, with every side it passes.
     """
     masks = [_kernel_mask(side, supports, values, modulus) for side in sides]
     for flat in np.flatnonzero(functools.reduce(np.logical_or, masks)).tolist():
@@ -151,9 +156,13 @@ def _first_hit(sides, n: int, supports: np.ndarray, values: np.ndarray, modulus:
         for pos, val in zip(supports[s].tolist(), values[j].tolist()):
             vec[pos] = val
         vec = tuple(vec)
-        for (tag, _, _, excluded), mask in zip(sides, masks):
-            if mask[s, j] and not excluded(vec):
-                return s, j, tag, vec
+        tags = tuple(
+            tag
+            for (tag, _, _, excluded), mask in zip(sides, masks)
+            if mask[s, j] and not excluded(vec)
+        )
+        if tags:
+            return s, j, tags, vec
     return None
 
 
@@ -164,16 +173,17 @@ def _weight_shell_search(
     method: str,
     budget: int,
 ) -> DistanceReport:
-    """Shared shell scan; each side is (tag, check matrix, excluded-span contains).
+    """The shell scan; each side is (tag, check matrix, excluded-span contains).
 
     A candidate passes a side when the check matrix annihilates it and the
-    excluded span does not contain it.  Candidates are checked in blocks of
-    the pinned order: whole supports with all (D-1)^w value rows each, or
-    one slice of a single support's value rows when a whole one does not
-    fit.  Blocks start at FIRST_BLOCK candidates, double up to CELL_CAP,
-    and never reach past the budget.  `examined` is the witness's 1-based
-    position in the pinned order, counting the candidates of skipped
-    supports.
+    excluded span does not contain it.  The report's `witness_side` is the
+    first passing side in the given order, and `sides` all of them.
+    Candidates are checked in blocks of the pinned order: whole supports
+    with all (D-1)^w value rows each, or one slice of a single support's
+    value rows when a whole one does not fit.  Blocks start at FIRST_BLOCK
+    candidates, double up to CELL_CAP, and never reach past the budget.
+    `examined` is the witness's 1-based position in the pinned order,
+    counting the candidates of skipped supports.
     """
     if not sides:
         return DistanceReport(None, None, None, method, 0)
@@ -208,8 +218,9 @@ def _weight_shell_search(
             values = _odometer(D, weight, start, stop, dtype)
             hit = _first_hit(sides, n, chunk, values, D)
             if hit is not None:
-                s, j, tag, vec = hit
-                return DistanceReport(weight, vec, tag, method, examined + s * len(values) + j + 1)
+                s, j, tags, vec = hit
+                position = examined + s * len(values) + j + 1
+                return DistanceReport(weight, vec, tags[0], method, position, tags)
             examined += len(chunk) * len(values)
             if stop == per_support:
                 left -= len(chunk)
@@ -228,7 +239,8 @@ def distance_css(spec: StabilizerSpec, budget: int = DEFAULT_BUDGET) -> Distance
     over Z_D, so each side is empty exactly when |r(A)| |r(B)| = D^n, that
     is K = 1.  Then the report is no_logicals without examining any
     candidate.  A membership solver is built only once a zero-syndrome
-    candidate reaches it.
+    candidate reaches it.  The witness side is the cocycle side when the
+    witness passes both.
     """
     sides = []
     if stabilizer_size(spec) != spec.modulus**spec.n:
@@ -242,28 +254,12 @@ def distance_css(spec: StabilizerSpec, budget: int = DEFAULT_BUDGET) -> Distance
 def distance_homological(chain: ChainComplexData, budget: int = DEFAULT_BUDGET) -> DistanceReport:
     """Shortest nontrivial cycle or cocycle of the boundary pair.
 
-    Cycle side: ker d1 minus im d2; cocycle side: ker delta2 minus im
-    delta1, with the coboundary maps realized as transposes.  Emptiness is
-    prechecked through cardinalities: im is always inside ker, so a side is
-    empty exactly when |ker| equals |im|.  As |ker d1| = D^E / |im delta1|
-    and |ker delta2| = D^E / |im d2|, both sides are empty exactly when
-    |im d2| |im delta1| = D^E, that is when |H_1| = 1.  The spans are the
-    matrices' own (`row_span`), so a spec built from the same chain shares
-    their counts and membership solvers.
+    The spec of the chain has face matrix delta2 = d2^T and vertex matrix
+    d1, so W's sides are ker delta2 minus im delta1 (cocycles) and ker d1
+    minus im d2 (cycles), and K = 1 exactly when |H_1| = 1.  This is the
+    css search read with the cycle side preferred.
     """
-    D = chain.modulus
-    d1 = chain.d1
-    delta2 = chain.d2.transpose()
-    boundaries = row_span(delta2)  # im d2, as row vectors
-    coboundaries = row_span(d1)  # im delta1
-
-    sides = []
-    if span_cardinality(boundaries) * span_cardinality(coboundaries) != D**chain.num_edges:
-        sides = [
-            (CYCLE, d1, boundaries.membership.contains),
-            (COCYCLE, delta2, coboundaries.membership.contains),
-        ]
-    return _weight_shell_search(chain.num_edges, D, sides, "homological", budget)
+    return distance_css(StabilizerSpec.from_chain(chain), budget).read_as("homological", CYCLE)
 
 
 def witness_pauli(report: DistanceReport, modulus: int) -> PauliProduct | None:

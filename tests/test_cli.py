@@ -412,18 +412,15 @@ def test_params_check_matrix(tmp_path, capsys):
 
 
 def test_route_mismatch_exit_code(capsys, monkeypatch):
-    # a route disagreement cannot be produced by valid inputs, so fake one
+    # a witness failing the logical check cannot come from valid inputs, so fake one
     import quhom.cli as cli
-    from quhom.distance import DistanceReport
 
-    monkeypatch.setattr(
-        cli, "distance_css", lambda spec, budget: DistanceReport(7, None, None, "css", 0)
-    )
+    monkeypatch.setattr(cli, "is_logical", lambda pauli, spec: False)
     code, _, err = run_cli(
         capsys, "distance", "--builtin", "torus", "--modulus", "2"
     )
     assert code == 5
-    assert "disagree" in err
+    assert "witness fails the logical check" in err
 
 
 def run_python(*args):
@@ -664,17 +661,19 @@ def relabeled_grid_doc(k, l, D, seed=0):
 def test_one_chain_and_one_membership_solver_per_boundary_matrix(
     tmp_path, capsys, monkeypatch, argv, expected
 ):
-    # the css and homological searches share the command's chain complex,
-    # so they share the row spans of d1 and d2^T and their SNF solvers
-    from quhom import complex2, documents, zmod
+    # one distance search gives the css and homological reports, and it reads
+    # the command's chain complex: the row spans of d1 and d2^T and their SNF solvers
+    from quhom import complex2, distance, documents, zmod
 
     doc = relabeled_grid_doc(3, 3, 2)
     chain = chain_complex(documents.complex_from_dict(doc)[0], 2)
     boundaries = (chain.d1, chain.d2.transpose())
     builds = counted(monkeypatch, complex2.ChainComplexData, "__post_init__")
     solvers = counted(monkeypatch, zmod.SpanMembership, "__init__")
+    searches = counted(monkeypatch, distance, "_weight_shell_search")
     code, out, _ = run_cli(capsys, *argv, write_json(tmp_path / "grid.json", doc))
     assert code == 0 and expected in out
     assert len(builds) == 1
+    assert len(searches) == 1
     spans = [span.matrix for _, span in solvers]
     assert [spans.count(m) for m in boundaries] == [1, 1]

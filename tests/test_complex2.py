@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -22,7 +23,7 @@ from quhom.complex2 import (
     validate,
 )
 
-from _corpus import two_complex_corpus
+from _corpus import acceptance_complexes, two_complex_corpus
 
 
 def brute_homology(complex2, D):
@@ -224,6 +225,28 @@ def test_orientability():
     assert not is_orientable(rp2(), 3)
     assert is_orientable_integral(torus())
     assert not is_orientable_integral(rp2())
+
+
+def counted_orientable_integral(complex2):
+    """Signed multiplicities per edge summed over all walks, over Z: the reference."""
+    totals = Counter()
+    for walk in complex2.walks:
+        for step in walk.steps:
+            totals[step.edge] += step.sign
+    return all(v == 0 for v in totals.values())
+
+
+def test_orientable_integral_matches_counted_multiplicities():
+    cases = [c for c, _ in [*acceptance_complexes(), *two_complex_corpus(200, seed=97)]]
+    degenerate = TwoComplex(("v",), (), (), (), ("f",), (ClosedWalk.degenerate(),))
+    cases += [rp2(), torus(), torus_grid(8, 8), degenerate]
+    results = [is_orientable_integral(c) for c in cases]
+    assert results == [counted_orientable_integral(c) for c in cases]
+    # and from the boundary: each integral row sum of d2 is below M = steps + 1
+    # in absolute value, so it is zero mod M exactly when it is zero over Z
+    by_boundary = [is_orientable(c, max(2, 1 + sum(map(len, c.walks)))) for c in cases]
+    assert results == by_boundary
+    assert 0 < results.count(False) < len(cases)
 
 
 def test_degenerate_walk():
