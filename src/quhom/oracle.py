@@ -22,7 +22,7 @@ from .pauli import (
     enumerate_group,
     enumerate_pauli_closure,
 )
-from .zmod import SubmoduleSpan, orthogonal_complement, span_cardinality
+from .zmod import SubmoduleSpan, span_cardinality
 
 DENSE_DIMENSION_CAP = 4096
 EXHAUSTIVE_CAP = 10**6
@@ -278,7 +278,7 @@ def complement_duality_checks(span: SubmoduleSpan) -> dict:
             np.abs(char_sums[~perp_mask]).max() if (~perp_mask).any() else 0.0,
         )
     )
-    complement_size = span_cardinality(orthogonal_complement(span))
+    complement_size = span_cardinality(span.complement)
     return {
         "span_size": size,
         "exhaustive_perp_size": exhaustive_perp,

@@ -1,21 +1,23 @@
 """Exact linear algebra over Z_D for arbitrary integer D >= 2.
 
-Z_D is not a PID when D is composite.  Cardinalities come from sparse
-elimination mod D on unit pivots, which needs no factorization of D
-(`unit_pivot_cardinality`).  Membership and orthogonal complements lift
-to the integers: Smith normal form, with its U and V, is computed with
-arbitrary-precision integer arithmetic and only the solve steps reduce
-mod D.  Matrices are compressed sparse rows in numpy arrays, and their
-products, transposes and row reads cost O(nnz); dense rows are built only
-on demand, for the SNF.  Values are treated as immutable; all operations
-are pure functions.
+Z_D is not a PID when D is composite.  Each span is eliminated once, on
+unit pivots mod D, which needs no factorization of D
+(`UnitPivotElimination`).  Its cardinality, membership and orthogonal
+complement all read that elimination: membership reduces a vector by the
+pivot rows, and a complement's generators are lifted through them by
+back-substitution.  The integer Smith normal form, exact over Python
+ints, runs only on the block of rows left with no unit entry, once per
+span; torus grids leave no such block.  Matrices are compressed sparse
+rows in numpy arrays, and their products, transposes and row reads cost
+O(nnz); dense rows are built only on demand.  Values are treated as
+immutable; all operations are pure functions.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, prod
 from typing import Iterable, Sequence
 
@@ -88,7 +90,8 @@ class ZModMatrix:
     checked or reduced once, when the matrix is built; every operation
     below reads the arrays in O(nnz), apart from the dense views `entries`
     and `array`.  Matrices are never changed after they are built; the
-    transpose and the row span (`row_span`) are built once and kept.
+    transpose, the row span (`row_span`) and the unit-pivot elimination of
+    the rows are built once and kept.
     """
 
     def __init__(self, nrows: int, ncols: int, modulus: int, entries: IntRows):
@@ -187,6 +190,11 @@ class ZModMatrix:
     def _row_ids(self) -> np.ndarray:
         """The row of each stored entry."""
         return np.arange(self.nrows).repeat(self.indptr[1:] - self.indptr[:-1])
+
+    @cached_property
+    def elimination(self) -> UnitPivotElimination:
+        """Unit-pivot elimination of the rows mod D."""
+        return UnitPivotElimination(self, self.modulus)
 
     @cached_property
     def entries(self) -> IntRows:
@@ -387,81 +395,115 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     )
 
 
+class UnitPivotElimination:
+    """Sparse elimination mod D on unit pivots, with what it leaves to the SNF.
+
+    Rows are held as {column: entry} dicts, nonzero entries only.  A pivot
+    is an entry e with gcd(e, D) = 1, in the first remaining row that has
+    one, on that row's sparsest column; row operations mod D clear its
+    column from every other row.  Each pivot is recorded, in order, as
+    (column, e^-1 mod D, the pivot row's other entries as (column, entry)
+    pairs at pivot time), and the pivot row is dropped.  A pivot row is
+    zero on every earlier pivot column and the rows left over are zero on
+    all of them, so the span is the direct sum of the pivot rows' span,
+    which has D^pivots elements, and the leftover rows' span.  The leftover
+    rows have no unit entry; densified on the columns they use
+    (`block_columns`), they form the block L whose integer SNF,
+    U L V = diag(d_i), gives the rest: D / gcd(d_i, D) elements per
+    column, with d_i = 0 past the rank.  A residual r on the block's
+    columns lies in the row span of L mod D iff (r V)_i is a multiple of
+    gcd(d_i, D) for every i, and L y = 0 mod D iff y = V w with
+    d_i w_i = 0 mod D.  No factorization of D is needed and all arithmetic
+    is on Python ints.
+    """
+
+    def __init__(self, rows: ZModMatrix | Iterable[Sequence[int]], modulus: int):
+        """`rows` is a matrix, whose stored rows are used as they are, or dense rows in [0, D)."""
+        D = self.modulus = modulus
+        if isinstance(rows, ZModMatrix):
+            rows = rows.sparse_rows()
+        else:
+            rows = [{j: row[j] for j in itertools.compress(range(len(row)), row)} for row in rows]
+        live = {i: row for i, row in enumerate(rows) if row}
+        cols: dict[int, set[int]] = {}  # column -> live rows with a nonzero entry there
+        for i, row in live.items():
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+        is_unit: dict[int, bool] = {}  # gcd(e, D) == 1, per distinct entry
+        self.pivots: list[tuple[int, int, list[tuple[int, int]]]] = []
+        i = 0
+        end = max(live, default=-1) + 1
+        while i < end:
+            row = live.get(i)
+            c = None  # the first unit column with the fewest live rows
+            for j, e in row.items() if row else ():
+                unit = is_unit.get(e)
+                if unit is None:
+                    unit = is_unit[e] = gcd(e, D) == 1
+                if unit and (c is None or len(cols[j]) < fewest):
+                    c, fewest = j, len(cols[j])
+            if c is None:
+                i += 1
+                continue
+            inv = pow(row[c], -1, D)
+            del live[i]
+            for j in row:
+                cols[j].discard(i)
+            rest = [(j, e) for j, e in row.items() if j != c]
+            self.pivots.append((c, inv, rest))
+            touched = cols.pop(c)
+            following = i + 1
+            for r in touched:
+                if r < following:
+                    following = r
+                other = live[r]
+                f = other.pop(c) * inv % D
+                for j, e in rest:
+                    v = (other.get(j, 0) - f * e) % D
+                    if v:
+                        if j not in other:
+                            cols[j].add(r)
+                        other[j] = v
+                    elif j in other:
+                        del other[j]
+                        cols[j].discard(r)
+                if not other:
+                    del live[r]
+            i = following  # a row skipped for having no unit may have gained one
+        self.block_columns = tuple(sorted({j for row in live.values() for j in row}))
+        self.factors = []  # (gcd(d_i, D), column i of V) of the block's SNF, d_i = 0 past the rank
+        if live:
+            block = [[row.get(j, 0) for j in self.block_columns] for row in live.values()]
+            dec = smith_normal_form(block)
+            diag = dec.diag + (0,) * (len(self.block_columns) - dec.rank)
+            self.factors = [(gcd(d, D), v) for d, v in zip(diag, zip(*dec.V))]
+        self.cardinality = D ** len(self.pivots) * prod(D // m for m, _ in self.factors)
+
+    def free_columns(self, ncols: int) -> list[int]:
+        """The columns below ncols that are neither a pivot's nor the block's."""
+        bound = {c for c, _, _ in self.pivots}.union(self.block_columns)
+        return [j for j in range(ncols) if j not in bound]
+
+
 def unit_pivot_cardinality(rows: ZModMatrix | Iterable[Sequence[int]], modulus: int) -> int:
     """Number of elements of the row span mod D, by sparse unit-pivot elimination.
 
     `rows` is a matrix, whose stored rows are used as they are, or dense
-    rows with entries reduced to [0, D).  Rows are held as {column: entry}
-    dicts, nonzero entries only.  A pivot is an entry e with gcd(e, D) = 1,
-    in the first remaining row that has one, on that row's sparsest
-    column; row operations mod D clear its column from every other row.
-    The pivot row then spans a copy of Z_D that meets the span of the
-    others only in 0, so it adds a factor D and is dropped.  When no unit
-    is left, the integer SNF diagonal of the remaining block gives the
-    rest, prod D / gcd(d_i, D).  No factorization of D is needed and all
-    arithmetic is on Python ints.
+    rows with entries reduced to [0, D); see `UnitPivotElimination`.  A
+    matrix over Z_D keeps its elimination for membership and complements.
     """
-    D = modulus
-    if isinstance(rows, ZModMatrix):
-        rows = rows.sparse_rows()
-    else:
-        rows = [{j: row[j] for j in itertools.compress(range(len(row)), row)} for row in rows]
-    live = {i: row for i, row in enumerate(rows) if row}
-    cols: dict[int, set[int]] = {}  # column -> live rows with a nonzero entry there
-    for i, row in live.items():
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-    is_unit: dict[int, bool] = {}  # gcd(e, D) == 1, per distinct entry
-    pivots = 0
-    i = 0
-    end = max(live, default=-1) + 1
-    while i < end:
-        row = live.get(i)
-        c = None  # the first unit column with the fewest live rows
-        for j, e in row.items() if row else ():
-            unit = is_unit.get(e)
-            if unit is None:
-                unit = is_unit[e] = gcd(e, D) == 1
-            if unit and (c is None or len(cols[j]) < fewest):
-                c, fewest = j, len(cols[j])
-        if c is None:
-            i += 1
-            continue
-        inv = pow(row[c], -1, D)
-        del live[i]
-        for j in row:
-            cols[j].discard(i)
-        rest = [(j, e) for j, e in row.items() if j != c]
-        touched = cols.pop(c)
-        following = i + 1
-        for r in touched:
-            if r < following:
-                following = r
-            other = live[r]
-            f = other.pop(c) * inv % D
-            for j, e in rest:
-                v = (other.get(j, 0) - f * e) % D
-                if v:
-                    if j not in other:
-                        cols[j].add(r)
-                    other[j] = v
-                elif j in other:
-                    del other[j]
-                    cols[j].discard(r)
-            if not other:
-                del live[r]
-        pivots += 1
-        i = following  # a row skipped for having no unit may have gained one
-    size = D**pivots
-    if live:
-        used = sorted({j for row in live.values() for j in row})
-        block = [[row.get(j, 0) for j in used] for row in live.values()]
-        size *= prod(D // gcd(d, D) for d in smith_normal_form(block).diag)
-    return size
+    if isinstance(rows, ZModMatrix) and rows.modulus == modulus:
+        return rows.elimination.cardinality
+    return UnitPivotElimination(rows, modulus).cardinality
 
 
 class SubmoduleSpan:
-    """Submodule of Z_D^n generated by the rows of a matrix over Z_D."""
+    """Submodule of Z_D^n generated by the rows of a matrix over Z_D.
+
+    Its cardinality, membership solver and orthogonal complement are each
+    built once, on first use, and kept; all three read the unit-pivot
+    elimination its matrix keeps.
+    """
 
     def __init__(self, ambient: int, modulus: int, generators: IntRows):
         """From dense generators, each of length `ambient` with entries in [0, D)."""
@@ -515,36 +557,43 @@ class SubmoduleSpan:
     def membership(self) -> SpanMembership:
         return SpanMembership(self)
 
+    @cached_property
+    def complement(self) -> SubmoduleSpan:
+        return orthogonal_complement(self)
+
 
 class SpanMembership:
-    """Precomputed SNF solver deciding membership in a span, exactly.
+    """Decides membership in a span by reduction against its unit pivots.
 
-    x lies in the row span of G over Z_D iff G^T c = x has a solution mod D;
-    with U (G^T) V = diag(d_i) that reduces to congruence conditions on U @ x.
+    x is reduced by the pivot rows of the span's elimination in pivot
+    order, each clearing its own column (which is then left as it is);
+    later pivot rows are zero there.  The residual r is the part of x that
+    the leftover rows must span: it must vanish mod D on every column that
+    is neither a pivot nor the block's, and on the block's columns pass
+    the SNF conditions (r V)_i = 0 mod gcd(d_i, D).
     """
 
     def __init__(self, span: SubmoduleSpan):
         self.span = span
-        dec = smith_normal_form(span.matrix.transpose().entries)
-        self._U = dec.U
-        self._moduli = []
-        D = span.modulus
-        for i in range(span.ambient):
-            if i < dec.rank:
-                self._moduli.append(gcd(dec.diag[i], D))
-            else:
-                self._moduli.append(D)
+        elimination = span.matrix.elimination
+        self._pivots = elimination.pivots
+        self._free = elimination.free_columns(span.ambient)
+        self._checks = [(m, list(zip(elimination.block_columns, v)))
+                        for m, v in elimination.factors if m > 1]
 
     def contains(self, x: Sequence[int]) -> bool:
         if len(x) != self.span.ambient:
             raise ValueError("vector length mismatch")
-        for u_row, md in zip(self._U, self._moduli):
-            w = sum(a * b for a, b in zip(u_row, x))
-            if md == 1:
-                continue
-            if w % md:
-                return False
-        return True
+        D = self.span.modulus
+        r = list(x)
+        for c, inv, rest in self._pivots:
+            f = r[c] * inv % D
+            if f:
+                for j, a in rest:
+                    r[j] -= f * a
+        if any(r[j] % D for j in self._free):
+            return False
+        return all(sum(r[j] * v for j, v in check) % m == 0 for m, check in self._checks)
 
 
 def span_cardinality(span: SubmoduleSpan) -> int:
@@ -560,32 +609,38 @@ def kernel_cardinality(matrix: ZModMatrix) -> int:
     return matrix.modulus**matrix.ncols // row_span(matrix).cardinality
 
 
-@lru_cache(maxsize=4096)
 def orthogonal_complement(span: SubmoduleSpan) -> SubmoduleSpan:
-    """Generators of {x : x . y = 0 mod D for all y in the span}.
+    """Generators of {x : x . y = 0 mod D for all y in the span}; `span.complement` keeps them.
 
-    Solves G x = 0 via the SNF of G: with U G V = diag(d_i), the solutions
-    are x = V w where w_i ranges over (D/gcd(d_i, D)) Z_D on the diagonal
-    part and is free beyond the rank.
+    With the span's elimination, x is orthogonal to the span iff L x = 0
+    for the leftover block L and P x = 0 for each pivot row P.  The first
+    fixes x on the block's columns to the kernel of L, x = V w with
+    w_i in (D / gcd(d_i, D)) Z_D (free past the rank); every column that
+    is neither a pivot nor the block's is free.  P x = 0 then fixes x on
+    P's pivot column, from entries on later pivot columns and non-pivot
+    columns only, so one back-substitution through the pivots in reverse
+    order lifts each generator: a kernel generator of the block, or a unit
+    vector on a free column.  The lift runs column by column, so its cost
+    follows the entries it fills in, not generators times pivots.
     """
     D = span.modulus
     n = span.ambient
-    if not span.matrix.nrows:
-        return SubmoduleSpan.of(ZModMatrix.identity(n, D))
-    dec = smith_normal_form(span.generators)
-    gens = []
-    for i in range(n):
-        col = tuple(dec.V[r][i] for r in range(n))
-        if i < dec.rank:
-            scale = D // gcd(dec.diag[i], D)
-            if scale == D:
-                continue  # the scaled column is zero mod D
-            gen = tuple(scale * c % D for c in col)
-        else:
-            gen = tuple(c % D for c in col)
-        if any(gen):
-            gens.append(gen)
-    return SubmoduleSpan.of(ZModMatrix.from_rows(gens, n, D))
+    elimination = span.matrix.elimination
+    gens = [{j: D // m * e % D for j, e in zip(elimination.block_columns, v)}
+            for m, v in elimination.factors if m > 1]
+    gens += [{j: 1} for j in elimination.free_columns(n)]
+    columns: dict[int, dict[int, int]] = {}  # column -> {generator: entry}
+    for g, gen in enumerate(gens):
+        for j, e in gen.items():
+            columns.setdefault(j, {})[g] = e
+    for c, inv, rest in reversed(elimination.pivots):
+        column = columns[c] = {}
+        for j, a in rest:
+            for g, e in columns.get(j, {}).items():
+                column[g] = (column.get(g, 0) - inv * a * e) % D
+    triples = [(g, j, e) for j, column in columns.items() for g, e in column.items()]
+    rows, cols, values = zip(*triples) if triples else ((), (), ())
+    return SubmoduleSpan.of(ZModMatrix.from_coo(len(gens), n, D, rows, cols, values))
 
 
 def contains(span: SubmoduleSpan, x: Sequence[int]) -> bool:

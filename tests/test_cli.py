@@ -677,3 +677,26 @@ def test_one_chain_and_one_membership_solver_per_boundary_matrix(
     assert len(searches) == 1
     spans = [span.matrix for _, span in solvers]
     assert [spans.count(m) for m in boundaries] == [1, 1]
+
+
+@pytest.mark.parametrize("k,l", ((3, 3), (2, 2)))
+def test_verify_builds_one_complement_per_span(tmp_path, capsys, monkeypatch, k, l):
+    # the witness check and, within the exhaustive cap (the 2x2 grid), the
+    # complement-duality check both read a span's complement; it is built once
+    from quhom import zmod
+
+    original = zmod.orthogonal_complement
+    built = []
+
+    def counting(span):
+        built.append(span.matrix)
+        return original(span)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quhom") and getattr(module, "orthogonal_complement", None) is original:
+            monkeypatch.setattr(module, "orthogonal_complement", counting)
+    doc = relabeled_grid_doc(k, l, 2)
+    code, out, _ = run_cli(capsys, "verify", "--level", "quick", write_json(tmp_path / "g.json", doc))
+    assert code == 0 and "PASS distance_witness" in out
+    assert (k, l) == (3, 3) or "PASS complement_duality_face_span" in out
+    assert len(built) == 2 and built[0] != built[1]  # the face span's and the vertex span's

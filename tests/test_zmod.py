@@ -582,3 +582,112 @@ def test_cardinalities_match_snf_on_acceptance_complexes():
             ), (label, D)
             homology = cycles // reference_span_cardinality(d2t.entries, D)
             assert homology_cardinality(chain) == homology, (label, D)
+
+
+def reference_membership(span):
+    """The earlier solver: membership from the SNF of G^T and its dense U, as a predicate.
+
+    x is in the row span of G iff G^T c = x has a solution mod D; with
+    U G^T V = diag(d_i), that holds iff (U x)_i = 0 mod gcd(d_i, D) within
+    the rank and mod D beyond it.
+    """
+    D = span.modulus
+    dec = reference_snf(span.matrix.transpose().entries)
+    moduli = [gcd(dec.diag[i], D) if i < dec.rank else D for i in range(span.ambient)]
+
+    def member(x):
+        return all(sum(a * b for a, b in zip(u, x)) % m == 0 for u, m in zip(dec.U, moduli))
+
+    return member
+
+
+def reference_complement(span):
+    """The earlier complement: x = V w from the SNF of G, w_i in (D / gcd(d_i, D)) Z_D."""
+    D, n = span.modulus, span.ambient
+    dec = reference_snf(span.generators) if span.matrix.nrows else SmithDecomposition((), (), ())
+    V = dec.V or tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    gens = []
+    for i in range(n):
+        scale = D // gcd(dec.diag[i], D) if i < dec.rank else 1
+        gen = tuple(scale * row[i] % D for row in V)
+        if scale < D and any(gen):
+            gens.append(gen)
+    return SubmoduleSpan.from_rows(gens, n, D)
+
+
+MEMBERSHIP_MODULI = (2, 3, 4, 6, 8, 9, 12, 3 * 2**62)
+
+
+@st.composite
+def spans_and_vectors(draw):
+    """(span, the vectors to test): every vector when D^n <= 4096, else a sample.
+
+    Entries 2, 3 and D/2 share a factor with most of the moduli, so blocks
+    with no unit entry are left to the SNF; a scale does the same to whole rows.
+    """
+    D = draw(st.sampled_from(MEMBERSHIP_MODULI))
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 6))
+    scale = draw(st.sampled_from((1, 1, 2, 3)))
+    entries = st.one_of(st.sampled_from((0, 0, 1, 2, 3, D // 2, D - 1)), st.integers(0, D - 1))
+    rows = [[scale * draw(entries) % D for _ in range(n)] for _ in range(m)]
+    span = SubmoduleSpan.from_rows(rows, n, D)
+    if D**n <= 4096:
+        return span, list(all_vectors(n, D))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    vectors = [tuple(rng.randrange(D) for _ in range(n)) for _ in range(40)]
+    for _ in range(40):  # members, and members off by one unit vector
+        x = [sum(rng.randrange(D) * row[j] for row in rows) % D for j in range(n)]
+        vectors.append(tuple(x))
+        x[rng.randrange(n)] += rng.choice((1, 2, D // 2))
+        vectors.append(tuple(e % D for e in x))
+    return span, vectors
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(spans_and_vectors())
+@example((SubmoduleSpan.from_rows([(2, 0, 2), (0, 2, 2), (2, 2, 0)], 3, 4), list(all_vectors(3, 4))))
+@example((SubmoduleSpan.from_rows([(3, 6, 0), (0, 3, 3), (6, 0, 3)], 3, 9), list(all_vectors(3, 9))))
+@example((SubmoduleSpan.from_rows([(1, 2, 0, 2), (0, 2, 2, 0), (0, 0, 4, 4)], 4, 8),
+          list(all_vectors(4, 8))))
+@example((SubmoduleSpan.from_rows([(2, 3), (1, 1)], 2, 6), list(all_vectors(2, 6))))
+@example((SubmoduleSpan.from_rows([], 3, 4), list(all_vectors(3, 4))))
+def test_membership_and_complement_equal_the_snf_references(case):
+    span, vectors = case
+    D = span.modulus
+    with mock.patch.object(zmod, "smith_normal_form", wraps=smith_normal_form) as snf:
+        solver, complement = span.membership, span.complement
+    # the SNF runs on the leftover block alone, once, and only when there is one
+    assert snf.call_count == bool(span.matrix.elimination.factors)
+    reference = reference_complement(span)
+    in_span, in_reference = reference_membership(span), reference_membership(reference)
+    assert span_cardinality(complement) == span_cardinality(reference)
+    assert span_cardinality(span) * span_cardinality(complement) == D**span.ambient
+    for g in complement.generators:
+        assert all(sum(a * b for a, b in zip(g, row)) % D == 0 for row in span.generators)
+    for x in vectors:
+        assert solver.contains(x) == in_span(x), x
+        assert contains(complement, x) == in_reference(x), x
+
+
+def test_solvers_and_complements_on_a_torus_grid_run_no_snf(monkeypatch):
+    # every boundary row keeps a unit pivot, so no block is left to the SNF
+    k, D = 16, 3
+    chain = chain_complex(torus_grid(k, k), D)
+    spans = (row_span(chain.d2.transpose()), row_span(chain.d1))  # faces, vertices
+    monkeypatch.setattr(zmod, "smith_normal_form", refuse_snf)
+    faces, vertices = spans
+    cycle = [0] * chain.d1.ncols
+    for j in range(k):
+        cycle[2 * j] = 1  # r0.j: the edges of row 0, once around the torus
+    cycle = tuple(cycle)
+    for span in spans:
+        assert span.membership and span.complement.membership
+    for i in range(faces.matrix.nrows):
+        boundary = faces.matrix.row(i)
+        assert contains(faces, boundary)
+        assert contains(vertices.complement, boundary)  # d1 d2 = 0
+    assert not contains(faces, cycle)
+    assert contains(vertices.complement, cycle)
+    assert not contains(vertices, cycle)
+    assert span_cardinality(faces.complement) == D ** chain.d1.ncols // span_cardinality(faces)
