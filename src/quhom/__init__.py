@@ -39,7 +39,6 @@ from .pauli import (
 )
 from .zmod import (
     SmithDecomposition,
-    SubmoduleSpan,
     ZModMatrix,
     contains,
     kernel_cardinality,

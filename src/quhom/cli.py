@@ -34,7 +34,7 @@ from .distance import (
     is_logical,
     witness_pauli,
 )
-from .errors import BudgetExceeded, ScalarViolation, SchemaError, TheoremMismatch
+from .errors import BudgetExceeded, ParseError, ScalarViolation, SchemaError, TheoremMismatch
 from .hypermap import to_two_complex, verify_equivalence
 from .pauli import (
     ENUMERATION_CAP,
@@ -131,8 +131,7 @@ def cmd_validate(args) -> int:
 def _spec_from_args(args) -> tuple[TwoComplex | None, ChainComplexData | None, StabilizerSpec]:
     """(complex, its chain complex, spec); the first two are None for a check matrix."""
     if getattr(args, "check_matrix", None):
-        with open(args.check_matrix, encoding="utf-8") as fh:
-            spec = parse_check_matrix(fh.read())
+        spec = parse_check_matrix(documents.read_text(args.check_matrix))
         if args.modulus is not None and args.modulus != spec.modulus:
             raise SchemaError("--modulus cannot override a check matrix")
         return None, None, spec
@@ -339,11 +338,11 @@ def _verify_projector(t: _Transcript, spec: StabilizerSpec, dense_cap: int, enum
 
 def _verify_complement_duality(t: _Transcript, spec: StabilizerSpec, exhaustive_cap: int):
     dim = spec.modulus**spec.n
-    for name, span in (("face_span", spec.face_span), ("vertex_span", spec.vertex_span)):
+    for name, matrix in (("face_span", spec.face_matrix), ("vertex_span", spec.vertex_matrix)):
         if dim > exhaustive_cap:
             t.skip(f"complement_duality_{name}", f"space {dim} over cap {exhaustive_cap}")
             continue
-        checks = oracle.complement_duality_checks(span)
+        checks = oracle.complement_duality_checks(matrix)
         t.record(
             f"complement_duality_{name}",
             checks["ok"],
@@ -420,10 +419,7 @@ def cmd_verify(args) -> int:
     if complex2 is not None:
         t.record("walk_validation", not validate(complex2), None, None)
         t.record("chain_composition", (chain.d1 @ chain.d2).is_zero(), None, None)
-        generators = spec.generators()
-        faces = generators[: spec.num_face_generators]
-        vertices = generators[spec.num_face_generators :]
-        bad_pairs = sum(1 for f in faces for v in vertices if f.commutation_phase(v))
+        bad_pairs = len(spec.pairings.data)
         t.record("generator_commutation", bad_pairs == 0, None, f"bad_pairs={bad_pairs}")
         k_span = code_dimension(spec)
         k_homology = homology_cardinality(chain)
@@ -584,6 +580,9 @@ def main(argv=None) -> int:
         return EXIT_UNREADABLE
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .zmod import ZModMatrix, kernel_cardinality, row_span, span_cardinality
+from .zmod import ZModMatrix, kernel_cardinality, span_cardinality
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ def homology_cardinality(chain: ChainComplexData) -> int:
     built from this chain reads K from, so each is counted once.
     """
     cycles = kernel_cardinality(chain.d1)
-    boundaries = span_cardinality(row_span(chain.d2.transpose()))
+    boundaries = span_cardinality(chain.d2.transpose())
     if cycles % boundaries:
         raise AssertionError("im d2 not contained in ker d1")
     return cycles // boundaries

@@ -35,7 +35,7 @@ import numpy as np
 from .complex2 import ChainComplexData
 from .errors import BudgetExceeded, TheoremMismatch
 from .pauli import PauliProduct, StabilizerSpec, stabilizer_size, syndrome
-from .zmod import ZModMatrix, contains, product_dtype
+from .zmod import ZModMatrix, contains, orthogonal_complement, product_dtype
 
 DEFAULT_BUDGET = 10**7
 CELL_CAP = 1 << 14  # entries in one block's products or candidate masks; bounds memory
@@ -77,12 +77,12 @@ def is_in_normalizer(pauli: PauliProduct, spec: StabilizerSpec) -> bool:
 
     Route one is the syndrome; route two asks x in r(B)-perp and z in
     r(A)-perp by reduction against the generators of the orthogonal
-    complements, which each span builds once.  They are proven equal, so
-    disagreement raises.
+    complements, which each check matrix builds once.  They are proven
+    equal, so disagreement raises.
     """
     by_syndrome = not any(syndrome(pauli, spec))
-    by_modules = contains(spec.face_span.complement, pauli.x) and contains(
-        spec.vertex_span.complement, pauli.z
+    by_modules = contains(orthogonal_complement(spec.face_matrix), pauli.x) and contains(
+        orthogonal_complement(spec.vertex_matrix), pauli.z
     )
     if by_syndrome != by_modules:
         raise TheoremMismatch(
@@ -95,7 +95,7 @@ def is_logical(pauli: PauliProduct, spec: StabilizerSpec) -> bool:
     """In the normalizer but outside the phase-extended stabilizer group."""
     if not is_in_normalizer(pauli, spec):
         return False
-    in_group = contains(spec.vertex_span, pauli.x) and contains(spec.face_span, pauli.z)
+    in_group = contains(spec.vertex_matrix, pauli.x) and contains(spec.face_matrix, pauli.z)
     return not in_group
 
 
@@ -246,8 +246,8 @@ def distance_css(spec: StabilizerSpec, budget: int = DEFAULT_BUDGET) -> Distance
     sides = []
     if stabilizer_size(spec) != spec.modulus**spec.n:
         sides = [
-            (COCYCLE, spec.face_matrix, functools.partial(contains, spec.vertex_span)),
-            (CYCLE, spec.vertex_matrix, functools.partial(contains, spec.face_span)),
+            (COCYCLE, spec.face_matrix, functools.partial(contains, spec.vertex_matrix)),
+            (CYCLE, spec.vertex_matrix, functools.partial(contains, spec.face_matrix)),
         ]
     return _weight_shell_search(spec.n, spec.modulus, sides, "css", budget)
 

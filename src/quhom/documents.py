@@ -12,7 +12,7 @@ import json
 from typing import Any
 
 from .complex2 import ClosedWalk, SignedEdge, TwoComplex
-from .errors import SchemaError
+from .errors import ParseError, SchemaError
 from .hypermap import Hypermap, SpecialDarts
 
 COMPLEX_FIELDS = {"modulus", "vertices", "edges", "faces"}
@@ -168,7 +168,22 @@ def hypermap_from_dict(doc: Any) -> tuple[Hypermap, SpecialDarts, int]:
     return hypermap, specials, modulus
 
 
+def read_text(path: str) -> str:
+    """The file's text, decoded as UTF-8; OSError propagates, bad bytes raise ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from None
+
+
 def load_json(path: str) -> Any:
-    """Read and decode a UTF-8 JSON document; OSError and JSONDecodeError propagate."""
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """Read and decode a UTF-8 JSON document; OSError and JSONDecodeError propagate.
+
+    Bytes that are not UTF-8, or nesting past Python's recursion limit, raise ParseError.
+    """
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ParseError("malformed JSON: arrays or objects nested too deep") from None

@@ -5,6 +5,10 @@ class QuhomError(Exception):
     """Base class for errors raised by this package."""
 
 
+class ParseError(QuhomError):
+    """An input file could not be decoded: bytes that are not UTF-8, or JSON nested too deep."""
+
+
 class SchemaError(QuhomError):
     """A document parsed as JSON but does not match the expected schema."""
 

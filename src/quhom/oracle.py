@@ -22,7 +22,7 @@ from .pauli import (
     enumerate_group,
     enumerate_pauli_closure,
 )
-from .zmod import SubmoduleSpan, span_cardinality
+from .zmod import ZModMatrix, orthogonal_complement, span_cardinality
 
 DENSE_DIMENSION_CAP = 4096
 EXHAUSTIVE_CAP = 10**6
@@ -240,31 +240,31 @@ def verify_logical_action(
     return bool(residual > RESIDUAL_TOL)
 
 
-def span_elements(span: SubmoduleSpan) -> set:
-    """Every element of the span, as the group closure of its X-type generators."""
-    if span.modulus**span.ambient > EXHAUSTIVE_CAP:
-        raise BudgetExceeded(
-            f"span ambient space {span.modulus}^{span.ambient} exceeds cap {EXHAUSTIVE_CAP}"
-        )
-    gens = [PauliProduct.x_type(span.modulus, g) for g in span.generators]
-    rows = enumerate_pauli_closure(gens, span.modulus, span.ambient, EXHAUSTIVE_CAP).rows
-    return set(map(tuple, rows[:, 1 : span.ambient + 1].tolist()))
+def span_elements(matrix: ZModMatrix) -> set:
+    """Every element of the row span, as the group closure of the rows as X-type generators."""
+    D, n = matrix.modulus, matrix.ncols
+    if D**n > EXHAUSTIVE_CAP:
+        raise BudgetExceeded(f"span ambient space {D}^{n} exceeds cap {EXHAUSTIVE_CAP}")
+    gens = [PauliProduct.x_type(D, g) for g in matrix.entries]
+    rows = enumerate_pauli_closure(gens, D, n, EXHAUSTIVE_CAP).rows
+    return set(map(tuple, rows[:, 1 : n + 1].tolist()))
 
 
-def complement_duality_checks(span: SubmoduleSpan) -> dict:
+def complement_duality_checks(matrix: ZModMatrix) -> dict:
     """Exhaustive complement count and the character-sum dichotomy.
 
-    For every eta in Z_D^n the sum of w^(eta.x) over x in the span is |E|
-    when eta is orthogonal to the whole span and zero otherwise.  `ok` is
-    the verdict: the two complement counts agree, |E| |E-perp| = D^n, and
-    the character sums are within RESIDUAL_TOL.
+    E is the row span of the matrix.  For every eta in Z_D^n the sum of
+    w^(eta.x) over x in E is |E| when eta is orthogonal to the whole span
+    and zero otherwise.  `ok` is the verdict: the two complement counts
+    agree, |E| |E-perp| = D^n, and the character sums are within
+    RESIDUAL_TOL.
     """
-    D = span.modulus
-    n = span.ambient
+    D = matrix.modulus
+    n = matrix.ncols
     dim = D**n
     if dim > EXHAUSTIVE_CAP:
         raise BudgetExceeded(f"exhaustive space {dim} exceeds cap {EXHAUSTIVE_CAP}")
-    members = sorted(span_elements(span))
+    members = sorted(span_elements(matrix))
     size = len(members)
     elements = np.array(members, dtype=np.int64).reshape(size, n)
     etas = _digit_table(D, n)
@@ -278,7 +278,7 @@ def complement_duality_checks(span: SubmoduleSpan) -> dict:
             np.abs(char_sums[~perp_mask]).max() if (~perp_mask).any() else 0.0,
         )
     )
-    complement_size = span_cardinality(span.complement)
+    complement_size = span_cardinality(orthogonal_complement(matrix))
     return {
         "span_size": size,
         "exhaustive_perp_size": exhaustive_perp,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .complex2 import ChainComplexData
 from .errors import BudgetExceeded, ScalarViolation, SchemaError
-from .zmod import SubmoduleSpan, ZModMatrix, product_dtype, row_span, span_cardinality
+from .zmod import ZModMatrix, product_dtype, span_cardinality
 
 ENUMERATION_CAP = 10**6
 CELL_CAP = 1 << 14  # entries in one block of closure products; bounds memory
@@ -139,14 +139,6 @@ class StabilizerSpec:
         )
 
     @property
-    def face_span(self) -> SubmoduleSpan:
-        return row_span(self.face_matrix)
-
-    @property
-    def vertex_span(self) -> SubmoduleSpan:
-        return row_span(self.vertex_matrix)
-
-    @property
     def num_face_generators(self) -> int:
         return self.face_matrix.nrows
 
@@ -171,23 +163,25 @@ class StabilizerSpec:
         return faces + vertices
 
     @cached_property
-    def _scalar_witness(self) -> PauliProduct | None:
-        pairings = self.face_matrix @ self.vertex_matrix.transpose()
-        if pairings.is_zero():
-            return None
-        return PauliProduct.scalar(self.modulus, int(pairings.data[0]), self.n)
+    def pairings(self) -> ZModMatrix:
+        """F V^T: entry (f, v) is the commutation phase of face f with vertex v; built once.
+
+        Z^v X^u and X^u Z^v differ by w^(v.u), so the commutator of a face
+        and a vertex generator is the scalar w^(v.u), and a face-vertex
+        pair fails to commute exactly where the product stores an entry.
+        """
+        return self.face_matrix @ self.vertex_matrix.transpose()
 
     def scalar_witness(self) -> PauliProduct | None:
         """A nontrivial scalar in the generated group, if one exists.
 
-        Z^v X^u and X^u Z^v differ by w^(v.u), so the commutator of a face
-        and a vertex generator is the scalar w^(v.u); the group is
-        scalar-free iff every such pairing vanishes mod D.  All pairings
-        come from one sparse product F V^T, computed once per spec; the
-        witness is the first nonzero one in face-major order, the first
-        stored entry of the product.
+        The group is scalar-free iff every face-vertex pairing vanishes
+        mod D; the witness is the first nonzero one in face-major order,
+        the first stored entry of `pairings`.
         """
-        return self._scalar_witness
+        if self.pairings.is_zero():
+            return None
+        return PauliProduct.scalar(self.modulus, int(self.pairings.data[0]), self.n)
 
 
 def face_operator(chain: ChainComplexData, f: int) -> PauliProduct:
@@ -201,10 +195,16 @@ def vertex_operator(chain: ChainComplexData, v: int) -> PauliProduct:
 
 
 def syndrome(error: PauliProduct, spec: StabilizerSpec) -> tuple[int, ...]:
-    """Commutation phase of the error against every generator, faces first."""
+    """Commutation phase of the error against every generator, faces first.
+
+    Against a face Z^f the phase is -f.x, against a vertex X^v it is v.z,
+    so the syndrome is (-F x, V z) mod D, read off the stored rows.
+    """
     if error.modulus != spec.modulus or error.num_qudits != spec.n:
         raise ValueError("error does not match the spec dimensions")
-    return tuple(error.commutation_phase(g) for g in spec.generators())
+    D = spec.modulus
+    faces = tuple(-e % D for e in spec.face_matrix.matvec(error.x))
+    return faces + spec.vertex_matrix.matvec(error.z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +299,7 @@ def enumerate_pauli_closure(
 
 def enumerate_group(spec: StabilizerSpec, cap: int = ENUMERATION_CAP) -> GroupEnumeration:
     """Closure of the spec's generators; refuses when the span-predicted size is over cap."""
-    predicted = span_cardinality(spec.face_span) * span_cardinality(spec.vertex_span)
+    predicted = span_cardinality(spec.face_matrix) * span_cardinality(spec.vertex_matrix)
     if predicted > cap:
         raise BudgetExceeded(
             f"predicted group size {predicted} exceeds cap {cap}", examined=0
@@ -314,7 +314,7 @@ def stabilizer_size(spec: StabilizerSpec) -> int:
         raise ScalarViolation(
             f"generated group contains the scalar w^{witness.phase} I", witness=witness
         )
-    return span_cardinality(spec.face_span) * span_cardinality(spec.vertex_span)
+    return span_cardinality(spec.face_matrix) * span_cardinality(spec.vertex_matrix)
 
 
 def code_dimension(spec: StabilizerSpec) -> int:

@@ -1,13 +1,14 @@
 """Exact linear algebra over Z_D for arbitrary integer D >= 2.
 
-Z_D is not a PID when D is composite.  Each span is eliminated once, on
+Z_D is not a PID when D is composite.  A submodule of Z_D^n is the row
+span of a matrix, and each matrix keeps one elimination of its rows on
 unit pivots mod D, which needs no factorization of D
-(`UnitPivotElimination`).  Its cardinality, membership and orthogonal
-complement all read that elimination: membership reduces a vector by the
-pivot rows, and a complement's generators are lifted through them by
-back-substitution.  The integer Smith normal form, exact over Python
-ints, runs only on the block of rows left with no unit entry, once per
-span; torus grids leave no such block.  Matrices are compressed sparse
+(`UnitPivotElimination`).  The span's cardinality, membership and
+orthogonal complement all read that elimination: membership reduces a
+vector by the pivot rows, and the complement's generators are lifted
+through them by back-substitution.  The integer Smith normal form, exact
+over Python ints, runs only on the block of rows left with no unit
+entry, once per span; torus grids leave no such block.  Matrices are compressed sparse
 rows in numpy arrays, and their products, transposes and row reads cost
 O(nnz); dense rows are built only on demand.  Values are treated as
 immutable; all operations are pure functions.
@@ -55,17 +56,6 @@ def _check_modulus(modulus: int):
         raise ValueError(f"modulus must be >= 2, got {modulus}")
 
 
-def _checked_dense(rows: Sequence[Sequence[int]], ncols: int, modulus: int, length_error: str,
-                   range_error: str) -> np.ndarray:
-    """Dense rows of length ncols, checked to lie in [0, D), as one array."""
-    if set(map(len, rows)) - {ncols}:
-        raise ValueError(length_error)
-    dense = _int_array(rows, (len(rows), ncols))
-    if dense.size and (dense.min() < 0 or dense.max() >= modulus):
-        raise ValueError(range_error)
-    return dense
-
-
 def _indptr(row_ids: np.ndarray, nrows: int) -> np.ndarray:
     """Row pointers for entries with these rows, listed by increasing row."""
     indptr = np.zeros(nrows + 1, dtype=np.int64)
@@ -90,8 +80,8 @@ class ZModMatrix:
     checked or reduced once, when the matrix is built; every operation
     below reads the arrays in O(nnz), apart from the dense views `entries`
     and `array`.  Matrices are never changed after they are built; the
-    transpose, the row span (`row_span`) and the unit-pivot elimination of
-    the rows are built once and kept.
+    transpose and the unit-pivot elimination of the rows, which answers
+    for the row span, are built once and kept.
     """
 
     def __init__(self, nrows: int, ncols: int, modulus: int, entries: IntRows):
@@ -99,16 +89,17 @@ class ZModMatrix:
         _check_modulus(modulus)
         if len(entries) != nrows:
             raise ValueError("row count mismatch")
-        dense = _checked_dense(
-            entries, ncols, modulus, "column count mismatch", "entries must be reduced to [0, D)"
-        )
+        if set(map(len, entries)) - {ncols}:
+            raise ValueError("column count mismatch")
+        dense = _int_array(entries, (nrows, ncols))
+        if dense.size and (dense.min() < 0 or dense.max() >= modulus):
+            raise ValueError("entries must be reduced to [0, D)")
         self._set(*_csr_of_dense(dense, modulus))
 
     def _set(self, nrows, ncols, modulus, indptr, indices, data):
         self.nrows, self.ncols, self.modulus = nrows, ncols, modulus
         self.indptr, self.indices, self.data = indptr, indices, data
         self._transpose = None
-        self._span = None
 
     @classmethod
     def _csr(cls, nrows, ncols, modulus, indptr, indices, data) -> ZModMatrix:
@@ -193,8 +184,8 @@ class ZModMatrix:
 
     @cached_property
     def elimination(self) -> UnitPivotElimination:
-        """Unit-pivot elimination of the rows mod D."""
-        return UnitPivotElimination(self, self.modulus)
+        """Unit-pivot elimination of the rows mod D; it answers for the row span."""
+        return UnitPivotElimination(self)
 
     @cached_property
     def entries(self) -> IntRows:
@@ -230,12 +221,15 @@ class ZModMatrix:
         """Number of nonzero entries in each row."""
         return (self.indptr[1:] - self.indptr[:-1]).tolist()
 
+    def _row_totals(self, values: np.ndarray) -> np.ndarray:
+        """Each row's sum of `values`, one per stored entry, mod D."""
+        totals = np.zeros(len(values) + 1, dtype=values.dtype)
+        totals[1:] = values.cumsum()
+        return (totals[self.indptr[1:]] - totals[self.indptr[:-1]]) % self.modulus
+
     def row_sums(self) -> np.ndarray:
         """Each row's sum mod D."""
-        dtype = product_dtype(len(self.data), self.modulus)
-        totals = np.zeros(len(self.data) + 1, dtype=dtype)
-        totals[1:] = self.data.astype(dtype).cumsum()
-        return (totals[self.indptr[1:]] - totals[self.indptr[:-1]]) % self.modulus
+        return self._row_totals(self.data.astype(product_dtype(len(self.data), self.modulus)))
 
     def transpose(self) -> ZModMatrix:
         """The transpose; built once, and its own transpose is this matrix."""
@@ -264,10 +258,13 @@ class ZModMatrix:
         return ZModMatrix._from_keys(self.nrows, other.ncols, self.modulus, keys, values)
 
     def matvec(self, x: Sequence[int]) -> Vector:
+        """A x mod D for a vector of any integers, from the stored entries."""
         if len(x) != self.ncols:
             raise ValueError("vector length mismatch")
         D = self.modulus
-        return tuple(sum(e * x[j] for j, e in row.items()) % D for row in self.sparse_rows())
+        dtype = product_dtype(len(self.data), D)  # bounds every partial sum over the entries
+        x = np.array([int(e) % D for e in x], dtype=dtype)
+        return tuple(self._row_totals(self.data.astype(dtype) * x[self.indices]).tolist())
 
     def is_zero(self) -> bool:
         return not len(self.data)
@@ -277,21 +274,18 @@ class ZModMatrix:
 class SmithDecomposition:
     """U @ A @ V = diag(d_1..d_r, 0..) with U, V unimodular over the integers.
 
-    ``diag`` lists only the nonzero invariant factors; consecutive entries
-    satisfy d_i | d_{i+1} and all are positive.
+    Only V is kept: cardinalities read the diagonal, membership and
+    complements read V, and nothing reads U.  ``diag`` lists only the
+    nonzero invariant factors; consecutive entries satisfy d_i | d_{i+1}
+    and all are positive.
     """
 
-    U: IntRows
     diag: tuple[int, ...]
     V: IntRows
 
     @property
     def rank(self) -> int:
         return len(self.diag)
-
-
-def _eye(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
@@ -302,29 +296,22 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     arithmetic is plain Python int so intermediate values may exceed
     machine words without error.  A unit pivot ends the pivot scan, as no
     entry is smaller, and divides everything, so the divisibility check is
-    skipped for it.
+    skipped for it.  Row operations act on the matrix alone, as U is not
+    kept.
     """
     M = [[int(e) for e in row] for row in matrix]
     m = len(M)
     n = len(M[0]) if m else 0
     if any(len(row) != n for row in M):
         raise ValueError("ragged matrix")
-    U = _eye(m)
-    V = _eye(n)
-
-    def swap_rows(a, b):
-        M[a], M[b] = M[b], M[a]
-        U[a], U[b] = U[b], U[a]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap_cols(a, b):
-        for row in M:
-            row[a], row[b] = row[b], row[a]
-        for row in V:
+        for row in itertools.chain(M, V):
             row[a], row[b] = row[b], row[a]
 
     def row_addmul(dst, src, c):
         M[dst] = [x + c * y for x, y in zip(M[dst], M[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
 
     def col_addmul(dst, src, c):
         for row in itertools.chain(M, V):
@@ -347,7 +334,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
         pos = find_pivot(t)
         if pos is None:
             break
-        swap_rows(t, pos[0])
+        M[t], M[pos[0]] = M[pos[0]], M[t]
         swap_cols(t, pos[1])
         while True:
             restart = False
@@ -356,7 +343,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
                     continue
                 row_addmul(i, t, -(M[i][t] // M[t][t]))
                 if M[i][t]:
-                    swap_rows(t, i)  # remainder is strictly smaller; new pivot
+                    M[t], M[i] = M[i], M[t]  # remainder is strictly smaller; new pivot
                     restart = True
                     break
             if restart:
@@ -384,19 +371,13 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
             continue
         if pivot < 0:
             M[t] = [-e for e in M[t]]
-            U[t] = [-e for e in U[t]]
         t += 1
 
-    diag = tuple(M[i][i] for i in range(t))
-    return SmithDecomposition(
-        U=tuple(tuple(row) for row in U),
-        diag=diag,
-        V=tuple(tuple(row) for row in V),
-    )
+    return SmithDecomposition(diag=tuple(M[i][i] for i in range(t)), V=tuple(map(tuple, V)))
 
 
 class UnitPivotElimination:
-    """Sparse elimination mod D on unit pivots, with what it leaves to the SNF.
+    """The row span of a matrix over Z_D: its sparse elimination on unit pivots.
 
     Rows are held as {column: entry} dicts, nonzero entries only.  A pivot
     is an entry e with gcd(e, D) = 1, in the first remaining row that has
@@ -415,16 +396,18 @@ class UnitPivotElimination:
     gcd(d_i, D) for every i, and L y = 0 mod D iff y = V w with
     d_i w_i = 0 mod D.  No factorization of D is needed and all arithmetic
     is on Python ints.
+
+    The elimination answers for the span: its `cardinality`, membership
+    (`contains`) and the generators of its orthogonal complement
+    (`complement`).  The last two read the free columns and the block's
+    checks, which are built on first use, as is the complement.
     """
 
-    def __init__(self, rows: ZModMatrix | Iterable[Sequence[int]], modulus: int):
-        """`rows` is a matrix, whose stored rows are used as they are, or dense rows in [0, D)."""
-        D = self.modulus = modulus
-        if isinstance(rows, ZModMatrix):
-            rows = rows.sparse_rows()
-        else:
-            rows = [{j: row[j] for j in itertools.compress(range(len(row)), row)} for row in rows]
-        live = {i: row for i, row in enumerate(rows) if row}
+    def __init__(self, matrix: ZModMatrix):
+        """Eliminates the matrix's stored rows, as they are."""
+        D = self.modulus = matrix.modulus
+        self.ncols = matrix.ncols
+        live = {i: row for i, row in enumerate(matrix.sparse_rows()) if row}
         cols: dict[int, set[int]] = {}  # column -> live rows with a nonzero entry there
         for i, row in live.items():
             for j in row:
@@ -479,126 +462,77 @@ class UnitPivotElimination:
             self.factors = [(gcd(d, D), v) for d, v in zip(diag, zip(*dec.V))]
         self.cardinality = D ** len(self.pivots) * prod(D // m for m, _ in self.factors)
 
-    def free_columns(self, ncols: int) -> list[int]:
-        """The columns below ncols that are neither a pivot's nor the block's."""
+    @cached_property
+    def _unpivoted(self) -> tuple[list[int], list[tuple[int, list[tuple[int, int]]]]]:
+        """(free columns, block checks): the conditions the pivots leave on a residual.
+
+        The free columns are neither a pivot's nor the block's.  A block
+        check is (gcd(d_i, D), column i of V as (column, entry) pairs), for
+        each d_i with gcd(d_i, D) > 1; the others constrain nothing.
+        """
         bound = {c for c, _, _ in self.pivots}.union(self.block_columns)
-        return [j for j in range(ncols) if j not in bound]
-
-
-def unit_pivot_cardinality(rows: ZModMatrix | Iterable[Sequence[int]], modulus: int) -> int:
-    """Number of elements of the row span mod D, by sparse unit-pivot elimination.
-
-    `rows` is a matrix, whose stored rows are used as they are, or dense
-    rows with entries reduced to [0, D); see `UnitPivotElimination`.  A
-    matrix over Z_D keeps its elimination for membership and complements.
-    """
-    if isinstance(rows, ZModMatrix) and rows.modulus == modulus:
-        return rows.elimination.cardinality
-    return UnitPivotElimination(rows, modulus).cardinality
-
-
-class SubmoduleSpan:
-    """Submodule of Z_D^n generated by the rows of a matrix over Z_D.
-
-    Its cardinality, membership solver and orthogonal complement are each
-    built once, on first use, and kept; all three read the unit-pivot
-    elimination its matrix keeps.
-    """
-
-    def __init__(self, ambient: int, modulus: int, generators: IntRows):
-        """From dense generators, each of length `ambient` with entries in [0, D)."""
-        _check_modulus(modulus)
-        dense = _checked_dense(
-            generators, ambient, modulus, "generator length mismatch",
-            "generators must be reduced to [0, D)",
-        )
-        self.matrix = ZModMatrix._csr(*_csr_of_dense(dense, modulus))
-
-    @classmethod
-    def of(cls, matrix: ZModMatrix) -> SubmoduleSpan:
-        """The row span of a matrix, whose entries are already checked."""
-        span = cls.__new__(cls)
-        span.matrix = matrix
-        return span
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], ambient: int, modulus: int) -> SubmoduleSpan:
-        return cls.of(ZModMatrix.from_rows(rows, ambient, modulus))
-
-    @property
-    def ambient(self) -> int:
-        return self.matrix.ncols
-
-    @property
-    def modulus(self) -> int:
-        return self.matrix.modulus
-
-    @property
-    def generators(self) -> IntRows:
-        """The generators as dense rows (the matrix's dense view)."""
-        return self.matrix.entries
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SubmoduleSpan):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
-
-    def __repr__(self) -> str:
-        return f"SubmoduleSpan({self.matrix!r})"
-
-    @cached_property
-    def cardinality(self) -> int:
-        return unit_pivot_cardinality(self.matrix, self.modulus)
-
-    @cached_property
-    def membership(self) -> SpanMembership:
-        return SpanMembership(self)
-
-    @cached_property
-    def complement(self) -> SubmoduleSpan:
-        return orthogonal_complement(self)
-
-
-class SpanMembership:
-    """Decides membership in a span by reduction against its unit pivots.
-
-    x is reduced by the pivot rows of the span's elimination in pivot
-    order, each clearing its own column (which is then left as it is);
-    later pivot rows are zero there.  The residual r is the part of x that
-    the leftover rows must span: it must vanish mod D on every column that
-    is neither a pivot nor the block's, and on the block's columns pass
-    the SNF conditions (r V)_i = 0 mod gcd(d_i, D).
-    """
-
-    def __init__(self, span: SubmoduleSpan):
-        self.span = span
-        elimination = span.matrix.elimination
-        self._pivots = elimination.pivots
-        self._free = elimination.free_columns(span.ambient)
-        self._checks = [(m, list(zip(elimination.block_columns, v)))
-                        for m, v in elimination.factors if m > 1]
+        free = [j for j in range(self.ncols) if j not in bound]
+        return free, [(m, list(zip(self.block_columns, v))) for m, v in self.factors if m > 1]
 
     def contains(self, x: Sequence[int]) -> bool:
-        if len(x) != self.span.ambient:
+        """True iff x, a vector of any integers, lies in the row span mod D.
+
+        x is reduced by the pivot rows in pivot order, each clearing its
+        own column (which is then left as it is); later pivot rows are zero
+        there.  The residual r is the part of x that the leftover rows must
+        span: it must vanish mod D on every free column and on the block's
+        columns pass the SNF checks (r V)_i = 0 mod gcd(d_i, D).
+        """
+        if len(x) != self.ncols:
             raise ValueError("vector length mismatch")
-        D = self.span.modulus
-        r = list(x)
-        for c, inv, rest in self._pivots:
+        D = self.modulus
+        r = [int(e) % D for e in x]
+        for c, inv, rest in self.pivots:
             f = r[c] * inv % D
             if f:
                 for j, a in rest:
                     r[j] -= f * a
-        if any(r[j] % D for j in self._free):
+        free, checks = self._unpivoted
+        if any(r[j] % D for j in free):
             return False
-        return all(sum(r[j] * v for j, v in check) % m == 0 for m, check in self._checks)
+        return all(sum(r[j] * v for j, v in check) % m == 0 for m, check in checks)
+
+    @cached_property
+    def complement(self) -> ZModMatrix:
+        """Generators of {x : x . y = 0 mod D for all y in the span}, as matrix rows.
+
+        x is orthogonal to the span iff L x = 0 for the leftover block L
+        and P x = 0 for each pivot row P.  The first fixes x on the block's
+        columns to the kernel of L, x = V w with w_i in (D / gcd(d_i, D)) Z_D
+        (free past the rank); a free column is free.  P x = 0 then
+        fixes x on P's pivot column, from entries on later pivot columns and
+        non-pivot columns only, so one back-substitution through the pivots
+        in reverse order lifts each generator: a kernel generator of the
+        block, or a unit vector on a free column.  The lift runs column by
+        column, so its cost follows the entries it fills in, not generators
+        times pivots.
+        """
+        D = self.modulus
+        free, checks = self._unpivoted
+        gens = [{j: D // m * e % D for j, e in check} for m, check in checks]
+        gens += [{j: 1} for j in free]
+        columns: dict[int, dict[int, int]] = {}  # column -> {generator: entry}
+        for g, gen in enumerate(gens):
+            for j, e in gen.items():
+                columns.setdefault(j, {})[g] = e
+        for c, inv, rest in reversed(self.pivots):
+            column = columns[c] = {}
+            for j, a in rest:
+                for g, e in columns.get(j, {}).items():
+                    column[g] = (column.get(g, 0) - inv * a * e) % D
+        triples = [(g, j, e) for j, column in columns.items() for g, e in column.items()]
+        rows, cols, values = zip(*triples) if triples else ((), (), ())
+        return ZModMatrix.from_coo(len(gens), self.ncols, D, rows, cols, values)
 
 
-def span_cardinality(span: SubmoduleSpan) -> int:
-    """Number of elements of the submodule generated by the span's rows."""
-    return span.cardinality
+def span_cardinality(matrix: ZModMatrix) -> int:
+    """Number of elements of the row span mod D."""
+    return matrix.elimination.cardinality
 
 
 def kernel_cardinality(matrix: ZModMatrix) -> int:
@@ -606,57 +540,17 @@ def kernel_cardinality(matrix: ZModMatrix) -> int:
 
     The image A Z_D^n has as many elements as the row span of A.
     """
-    return matrix.modulus**matrix.ncols // row_span(matrix).cardinality
+    return matrix.modulus**matrix.ncols // matrix.elimination.cardinality
 
 
-def orthogonal_complement(span: SubmoduleSpan) -> SubmoduleSpan:
-    """Generators of {x : x . y = 0 mod D for all y in the span}; `span.complement` keeps them.
-
-    With the span's elimination, x is orthogonal to the span iff L x = 0
-    for the leftover block L and P x = 0 for each pivot row P.  The first
-    fixes x on the block's columns to the kernel of L, x = V w with
-    w_i in (D / gcd(d_i, D)) Z_D (free past the rank); every column that
-    is neither a pivot nor the block's is free.  P x = 0 then fixes x on
-    P's pivot column, from entries on later pivot columns and non-pivot
-    columns only, so one back-substitution through the pivots in reverse
-    order lifts each generator: a kernel generator of the block, or a unit
-    vector on a free column.  The lift runs column by column, so its cost
-    follows the entries it fills in, not generators times pivots.
-    """
-    D = span.modulus
-    n = span.ambient
-    elimination = span.matrix.elimination
-    gens = [{j: D // m * e % D for j, e in zip(elimination.block_columns, v)}
-            for m, v in elimination.factors if m > 1]
-    gens += [{j: 1} for j in elimination.free_columns(n)]
-    columns: dict[int, dict[int, int]] = {}  # column -> {generator: entry}
-    for g, gen in enumerate(gens):
-        for j, e in gen.items():
-            columns.setdefault(j, {})[g] = e
-    for c, inv, rest in reversed(elimination.pivots):
-        column = columns[c] = {}
-        for j, a in rest:
-            for g, e in columns.get(j, {}).items():
-                column[g] = (column.get(g, 0) - inv * a * e) % D
-    triples = [(g, j, e) for j, column in columns.items() for g, e in column.items()]
-    rows, cols, values = zip(*triples) if triples else ((), (), ())
-    return SubmoduleSpan.of(ZModMatrix.from_coo(len(gens), n, D, rows, cols, values))
+def contains(matrix: ZModMatrix, x: Sequence[int]) -> bool:
+    """True iff x is a Z_D-combination of the matrix's rows."""
+    return matrix.elimination.contains(x)
 
 
-def contains(span: SubmoduleSpan, x: Sequence[int]) -> bool:
-    """True iff x is a Z_D-combination of the span's generators."""
-    return span.membership.contains(tuple(int(e) % span.modulus for e in x))
-
-
-def row_span(matrix: ZModMatrix) -> SubmoduleSpan:
-    """The row span of a matrix; built once, so its cardinality and membership are too."""
-    if matrix._span is None:
-        matrix._span = SubmoduleSpan.of(matrix)
-    return matrix._span
-
-
-def column_span(matrix: ZModMatrix) -> SubmoduleSpan:
-    return row_span(matrix.transpose())
+def orthogonal_complement(matrix: ZModMatrix) -> ZModMatrix:
+    """Generators of the orthogonal complement of the row span, as the rows of a matrix."""
+    return matrix.elimination.complement
 
 
 def all_vectors(n: int, modulus: int) -> Iterable[Vector]:

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 from quhom.complex2 import ClosedWalk, SignedEdge, TwoComplex
 from quhom.hypermap import Hypermap, SpecialDarts
-from quhom.zmod import SubmoduleSpan
+from quhom.zmod import ZModMatrix
 
 ACCEPTANCE_MODULI = (2, 3, 4, 6)
 
@@ -107,5 +107,5 @@ def span_corpus(count, seed=40951):
         D = rng.choice([2, 3, 4, 5, 6])
         k = rng.randint(0, n)
         gens = [tuple(rng.randrange(D) for _ in range(n)) for _ in range(k)]
-        out.append((SubmoduleSpan.from_rows(gens, n, D), f"s{i}"))
+        out.append((ZModMatrix.from_rows(gens, n, D), f"s{i}"))
     return tuple(out)

@@ -43,7 +43,7 @@ from quhom.pauli import (
     enumerate_group,
     syndrome,
 )
-from quhom.zmod import orthogonal_complement, span_cardinality
+from quhom.zmod import contains, orthogonal_complement
 
 from _corpus import (
     ACCEPTANCE_MODULI,
@@ -224,13 +224,13 @@ def test_criterion_8_normalizer_equals_centralizer():
                 continue
             for D in (2, 3):
                 spec = _spec(complex2, D)
-                face_perp = orthogonal_complement(spec.face_span).membership
-                vertex_perp = orthogonal_complement(spec.vertex_span).membership
+                face_perp = orthogonal_complement(spec.face_matrix)
+                vertex_perp = orthogonal_complement(spec.vertex_matrix)
                 for x in product(range(D), repeat=n):
                     for z in product(range(D), repeat=n):
                         p = PauliProduct(D, 0, x, z)
                         zero_syndrome = not any(syndrome(p, spec))
-                        characterized = face_perp.contains(x) and vertex_perp.contains(z)
+                        characterized = contains(face_perp, x) and contains(vertex_perp, z)
                         assert zero_syndrome == characterized, (label, D, x, z)
                 cases += 1
         assert cases > 0

@@ -54,6 +54,23 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert "malformed" in err
 
 
+def test_input_that_is_not_utf8_is_a_parse_failure(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff{}")
+    for argv in (("validate", str(path)), ("params", "--check-matrix", str(path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: input is not UTF-8: ") and err.count("\n") == 1, err
+
+
+def test_json_nested_too_deep_is_a_parse_failure(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "params", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: malformed JSON: arrays or objects nested too deep\n"
+
+
 def test_validate_schema_violation(tmp_path, capsys):
     doc = rp2_doc()
     doc["surprise"] = True
@@ -496,10 +513,7 @@ def test_params_verify_builds_no_membership_solver(capsys, monkeypatch):
     # before any zero-syndrome candidate reaches a membership test
     from quhom import zmod
 
-    def refuse(self, span):
-        raise AssertionError("params --verify --budget 1 built a SpanMembership")
-
-    monkeypatch.setattr(zmod.SpanMembership, "__init__", refuse)
+    setups = counted_property(monkeypatch, zmod.UnitPivotElimination, "_unpivoted")
     code, out, _ = run_cli(
         capsys, "params", "--verify", "--budget", "1", "--builtin", "torus-grid:10x10",
         "--modulus", "3",
@@ -508,6 +522,7 @@ def test_params_verify_builds_no_membership_solver(capsys, monkeypatch):
     report = json.loads(out)
     assert (report["dimension"], report["distance_status"]) == (9, "budget_exceeded")
     assert report["verified"] is True
+    assert setups == []
 
 
 def test_params_verify_calls_no_smith_normal_form(capsys, monkeypatch):
@@ -621,11 +636,26 @@ def counted(monkeypatch, owner, name):
     return calls
 
 
+def counted_property(monkeypatch, owner, name):
+    """Wrap owner.name, a cached_property, so that each build records its instance."""
+    built = []
+    original = vars(owner)[name].func
+
+    def wrapper(self):
+        built.append(self)
+        return original(self)
+
+    prop = functools.cached_property(wrapper)
+    prop.__set_name__(owner, name)
+    monkeypatch.setattr(owner, name, prop)
+    return built
+
+
 def test_params_verify_counts_each_span_once(capsys, monkeypatch):
-    # K, |S|, |ker d1| and |H_1| all read the row spans of F = d2^T and V = d1
+    # K, |S|, |ker d1| and |H_1| all read the eliminations of F = d2^T and V = d1
     from quhom import zmod
 
-    calls = counted(monkeypatch, zmod, "unit_pivot_cardinality")
+    calls = counted(monkeypatch, zmod.UnitPivotElimination, "__init__")
     code, out, _ = run_cli(
         capsys, "params", "--verify", "--budget", "1", "--builtin", "torus-grid:10x10",
         "--modulus", "3",
@@ -662,21 +692,26 @@ def test_one_chain_and_one_membership_solver_per_boundary_matrix(
     tmp_path, capsys, monkeypatch, argv, expected
 ):
     # one distance search gives the css and homological reports, and it reads
-    # the command's chain complex: the row spans of d1 and d2^T and their SNF solvers
+    # the command's chain complex: one elimination of d1 and of d2^T each, and
+    # one membership set-up of each
     from quhom import complex2, distance, documents, zmod
 
     doc = relabeled_grid_doc(3, 3, 2)
     chain = chain_complex(documents.complex_from_dict(doc)[0], 2)
     boundaries = (chain.d1, chain.d2.transpose())
     builds = counted(monkeypatch, complex2.ChainComplexData, "__post_init__")
-    solvers = counted(monkeypatch, zmod.SpanMembership, "__init__")
+    eliminations = counted(monkeypatch, zmod.UnitPivotElimination, "__init__")
+    setups = counted_property(monkeypatch, zmod.UnitPivotElimination, "_unpivoted")
     searches = counted(monkeypatch, distance, "_weight_shell_search")
     code, out, _ = run_cli(capsys, *argv, write_json(tmp_path / "grid.json", doc))
     assert code == 0 and expected in out
     assert len(builds) == 1
     assert len(searches) == 1
-    spans = [span.matrix for _, span in solvers]
-    assert [spans.count(m) for m in boundaries] == [1, 1]
+    matrix_of = {id(elimination): matrix for elimination, matrix in eliminations}
+    eliminated = [matrix for _, matrix in eliminations]
+    assert [eliminated.count(m) for m in boundaries] == [1, 1]
+    set_up = [matrix_of[id(elimination)] for elimination in setups]
+    assert [set_up.count(m) for m in boundaries] == [1, 1]
 
 
 @pytest.mark.parametrize("k,l", ((3, 3), (2, 2)))
@@ -685,18 +720,12 @@ def test_verify_builds_one_complement_per_span(tmp_path, capsys, monkeypatch, k,
     # complement-duality check both read a span's complement; it is built once
     from quhom import zmod
 
-    original = zmod.orthogonal_complement
-    built = []
-
-    def counting(span):
-        built.append(span.matrix)
-        return original(span)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("quhom") and getattr(module, "orthogonal_complement", None) is original:
-            monkeypatch.setattr(module, "orthogonal_complement", counting)
+    eliminations = counted(monkeypatch, zmod.UnitPivotElimination, "__init__")
+    complements = counted_property(monkeypatch, zmod.UnitPivotElimination, "complement")
     doc = relabeled_grid_doc(k, l, 2)
     code, out, _ = run_cli(capsys, "verify", "--level", "quick", write_json(tmp_path / "g.json", doc))
     assert code == 0 and "PASS distance_witness" in out
     assert (k, l) == (3, 3) or "PASS complement_duality_face_span" in out
+    matrix_of = {id(elimination): matrix for elimination, matrix in eliminations}
+    built = [matrix_of[id(elimination)] for elimination in complements]
     assert len(built) == 2 and built[0] != built[1]  # the face span's and the vertex span's

@@ -21,7 +21,7 @@ from quhom.oracle import (
     verify_logical_action,
 )
 from quhom.pauli import PauliProduct, StabilizerSpec, code_dimension, enumerate_group
-from quhom.zmod import SubmoduleSpan, ZModMatrix
+from quhom.zmod import ZModMatrix
 
 from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, span_corpus, two_complex_corpus
 
@@ -364,14 +364,14 @@ def test_stabilizer_element_acts_as_identity():
 
 
 def test_complement_duality_examples():
-    checks = complement_duality_checks(SubmoduleSpan.from_rows([(2,)], 1, 6))
+    checks = complement_duality_checks(ZModMatrix.from_rows([(2,)], 1, 6))
     assert checks["span_size"] == 3
     assert checks["exhaustive_perp_size"] == 2
     assert checks["product"] == 6
 
     assert checks["ok"]
 
-    checks = complement_duality_checks(SubmoduleSpan.from_rows([], 2, 3))
+    checks = complement_duality_checks(ZModMatrix.from_rows([], 2, 3))
     assert checks["span_size"] == 1
     assert checks["exhaustive_perp_size"] == 9
     assert checks["ok"]
@@ -383,7 +383,7 @@ def test_complement_duality_on_corpus():
 
 
 def test_span_elements_closure():
-    span = SubmoduleSpan.from_rows([(2, 0), (0, 3)], 2, 6)
+    span = ZModMatrix.from_rows([(2, 0), (0, 3)], 2, 6)
     elems = span_elements(span)
     assert len(elems) == 6
     assert (2, 3) in elems

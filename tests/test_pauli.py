@@ -237,6 +237,42 @@ def test_syndrome_is_coset_invariant():
                     assert syndrome(err * s, spec) == base
 
 
+def reference_syndrome(error, spec):
+    """The earlier syndrome: the commutation phase against each generator, faces first."""
+    return tuple(error.commutation_phase(g) for g in spec.generators())
+
+
+def reference_bad_pairs(spec):
+    """The earlier count of `verify`: face-vertex generator pairs that do not commute."""
+    gens = spec.generators()
+    faces, vertices = gens[: spec.num_face_generators], gens[spec.num_face_generators :]
+    return sum(1 for f in faces for v in vertices if f.commutation_phase(v))
+
+
+def random_check_matrix_spec(rng, D, n):
+    """Random face and vertex rows, which in general do not commute."""
+    def rows(k):
+        return [[rng.choice((0, 0, 1, D - 1, rng.randrange(D))) for _ in range(n)] for _ in range(k)]
+
+    return StabilizerSpec(D, n, ZModMatrix.from_rows(rows(rng.randint(0, 4)), n, D),
+                          ZModMatrix.from_rows(rows(rng.randint(0, 4)), n, D))
+
+
+def test_syndrome_and_bad_pairs_equal_the_per_generator_loop():
+    rng = random.Random(71)
+    specs = [spec_for(c, D) for c, _ in acceptance_complexes() for D in ACCEPTANCE_MODULI]
+    specs += [random_check_matrix_spec(rng, D, rng.randint(0, 6))
+              for D in (*ACCEPTANCE_MODULI, 12, 3 * 2**62) for _ in range(25)]
+    assert sum(1 for spec in specs if reference_bad_pairs(spec)) > 50  # non-commuting specs
+    for spec in specs:
+        assert len(spec.pairings.data) == reference_bad_pairs(spec), spec
+        for _ in range(3):
+            err = random_pauli(rng, spec.modulus, spec.n)
+            assert syndrome(err, spec) == reference_syndrome(err, spec), (spec, err)
+        for g in spec.generators():
+            assert syndrome(g, spec) == reference_syndrome(g, spec), (spec, g)
+
+
 def test_check_matrix_roundtrip():
     spec = spec_for(torus_grid(2, 2), 3)
     text = export_check_matrix(spec)

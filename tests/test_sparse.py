@@ -27,14 +27,7 @@ from quhom.complex2 import (
     torus_grid,
 )
 from quhom.pauli import PauliProduct, StabilizerSpec
-from quhom.zmod import (
-    ZModMatrix,
-    kernel_cardinality,
-    row_span,
-    smith_normal_form,
-    span_cardinality,
-    unit_pivot_cardinality,
-)
+from quhom.zmod import ZModMatrix, kernel_cardinality, smith_normal_form, span_cardinality
 
 from _corpus import two_complex_corpus
 
@@ -75,6 +68,8 @@ def check_against_dense(m: ZModMatrix, rows):
     assert m.is_zero() == (not any(map(any, rows)))
     assert m.row_weights() == [sum(1 for e in row if e) for row in rows]
     assert m.row_sums().tolist() == [sum(row) % D for row in rows]
+    x = [(3 * j + 1) % D for j in range(m.ncols)]
+    assert m.matvec(x) == tuple(sum(e * v for e, v in zip(row, x)) % D for row in rows)
     assert [m.row(i) for i in range(m.nrows)] == [tuple(row) for row in rows]
     cols = dense_transpose(rows, m.ncols)
     assert [m.column(j) for j in range(m.ncols)] == [tuple(col) for col in cols]
@@ -82,8 +77,7 @@ def check_against_dense(m: ZModMatrix, rows):
     assert m.transpose().transpose() == m
     assert m.sparse_rows() == [{j: e for j, e in enumerate(row) if e} for row in rows]
     span = snf_span_cardinality(rows, D)
-    assert unit_pivot_cardinality(m, D) == unit_pivot_cardinality(rows, D) == span
-    assert span_cardinality(row_span(m)) == span
+    assert span_cardinality(m) == span
     assert kernel_cardinality(m) == D**m.ncols // span
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import namedtuple
 from itertools import product
 from math import gcd, prod
 from unittest import mock
@@ -12,18 +13,14 @@ from quhom import zmod
 from quhom.complex2 import boundary1, boundary2, chain_complex, homology_cardinality, torus_grid
 from quhom.zmod import (
     SmithDecomposition,
-    SubmoduleSpan,
     ZModMatrix,
     all_vectors,
-    column_span,
     contains,
     kernel_cardinality,
     orthogonal_complement,
     product_dtype,
-    row_span,
     smith_normal_form,
     span_cardinality,
-    unit_pivot_cardinality,
 )
 
 from _corpus import ACCEPTANCE_MODULI, acceptance_complexes
@@ -72,10 +69,13 @@ def brute_span_elements(gens, n, D):
 
 
 def check_snf(matrix):
+    """The library's (diag, V) equal the reference's, and U A V = diag with the reference's U."""
     dec = smith_normal_form(matrix)
+    ref = reference_snf(matrix)
+    assert (dec.diag, dec.V) == (ref.diag, ref.V)
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    prodmat = mat_mul(mat_mul([list(r) for r in dec.U], [list(r) for r in matrix]), [list(r) for r in dec.V])
+    prodmat = mat_mul(mat_mul([list(r) for r in ref.U], [list(r) for r in matrix]), [list(r) for r in dec.V])
     for i in range(m):
         for j in range(n):
             want = dec.diag[i] if i == j and i < len(dec.diag) else 0
@@ -83,7 +83,7 @@ def check_snf(matrix):
     for a, b in zip(dec.diag, dec.diag[1:]):
         assert b % a == 0
     assert all(d > 0 for d in dec.diag)
-    assert abs(bareiss_det(dec.U)) == 1
+    assert abs(bareiss_det(ref.U)) == 1
     assert abs(bareiss_det(dec.V)) == 1
     return dec
 
@@ -125,9 +125,9 @@ def test_snf_entry_growth_stays_exact():
 
 
 def test_span_cardinality_examples():
-    assert span_cardinality(SubmoduleSpan.from_rows([(2,)], 1, 6)) == 3
-    assert span_cardinality(SubmoduleSpan.from_rows([(2, 0), (0, 3)], 2, 6)) == 6
-    assert span_cardinality(SubmoduleSpan.from_rows([], 3, 4)) == 1
+    assert span_cardinality(ZModMatrix.from_rows([(2,)], 1, 6)) == 3
+    assert span_cardinality(ZModMatrix.from_rows([(2, 0), (0, 3)], 2, 6)) == 6
+    assert span_cardinality(ZModMatrix.from_rows([], 3, 4)) == 1
 
 
 def test_span_cardinality_matches_bruteforce():
@@ -137,7 +137,7 @@ def test_span_cardinality_matches_bruteforce():
         D = rng.choice([2, 3, 4, 5, 6])
         k = rng.randint(0, n)
         gens = [tuple(rng.randrange(D) for _ in range(n)) for _ in range(k)]
-        span = SubmoduleSpan.from_rows(gens, n, D)
+        span = ZModMatrix.from_rows(gens, n, D)
         assert span_cardinality(span) == len(brute_span_elements(gens, n, D))
 
 
@@ -170,18 +170,18 @@ def test_rank_nullity_in_cardinality_form():
         mat = ZModMatrix.from_rows(
             [[rng.randrange(D) for _ in range(n)] for _ in range(m)], n, D
         )
-        assert kernel_cardinality(mat) * span_cardinality(column_span(mat)) == D**n
+        assert kernel_cardinality(mat) * span_cardinality(mat.transpose()) == D**n
 
 
 def test_orthogonal_complement_examples():
-    comp = orthogonal_complement(SubmoduleSpan.from_rows([(1, 1)], 2, 2))
+    comp = orthogonal_complement(ZModMatrix.from_rows([(1, 1)], 2, 2))
     assert span_cardinality(comp) == 2
     assert contains(comp, (1, 1))
 
-    full = SubmoduleSpan.from_rows([(1, 0), (0, 1)], 2, 5)
+    full = ZModMatrix.from_rows([(1, 0), (0, 1)], 2, 5)
     assert span_cardinality(orthogonal_complement(full)) == 1
 
-    zero = SubmoduleSpan.from_rows([], 2, 5)
+    zero = ZModMatrix.from_rows([], 2, 5)
     assert span_cardinality(orthogonal_complement(zero)) == 25
 
 
@@ -192,7 +192,7 @@ def test_complement_product_matches_exhaustive():
         D = rng.choice([2, 3, 4, 5, 6])
         k = rng.randint(0, n)
         gens = [tuple(rng.randrange(D) for _ in range(n)) for _ in range(k)]
-        span = SubmoduleSpan.from_rows(gens, n, D)
+        span = ZModMatrix.from_rows(gens, n, D)
         comp = orthogonal_complement(span)
         elements = brute_span_elements(gens, n, D)
         exhaustive = [
@@ -213,18 +213,18 @@ def test_double_complement_contains_original():
         n = rng.randint(1, 4)
         D = rng.choice([2, 3, 4, 5, 6])
         gens = [tuple(rng.randrange(D) for _ in range(n)) for _ in range(rng.randint(0, n))]
-        span = SubmoduleSpan.from_rows(gens, n, D)
+        span = ZModMatrix.from_rows(gens, n, D)
         double = orthogonal_complement(orthogonal_complement(span))
         for g in gens:
             assert contains(double, g)
 
 
 def test_contains_examples():
-    span = SubmoduleSpan.from_rows([(2,)], 1, 6)
+    span = ZModMatrix.from_rows([(2,)], 1, 6)
     assert contains(span, (4,))
     assert not contains(span, (1,))
     assert contains(span, (0,))
-    assert contains(SubmoduleSpan.from_rows([], 3, 4), (0, 0, 0))
+    assert contains(ZModMatrix.from_rows([], 3, 4), (0, 0, 0))
 
 
 def test_contains_matches_bruteforce():
@@ -233,7 +233,7 @@ def test_contains_matches_bruteforce():
         n = rng.randint(1, 3)
         D = rng.choice([2, 3, 4, 6])
         gens = [tuple(rng.randrange(D) for _ in range(n)) for _ in range(rng.randint(0, 2))]
-        span = SubmoduleSpan.from_rows(gens, n, D)
+        span = ZModMatrix.from_rows(gens, n, D)
         elements = brute_span_elements(gens, n, D)
         for v in all_vectors(n, D):
             assert contains(span, v) == (v in elements)
@@ -249,15 +249,11 @@ def test_matrix_validation():
     for bad in (-1, 3, 7):
         with pytest.raises(ValueError, match=r"entries must be reduced to \[0, D\)"):
             ZModMatrix(2, 2, 3, ((0, 1), (bad, 2)))
-        with pytest.raises(ValueError, match=r"generators must be reduced to \[0, D\)"):
-            SubmoduleSpan(2, 3, ((0, 1), (2, bad)))
     with pytest.raises(ValueError, match="column count mismatch"):
         ZModMatrix(2, 2, 3, ((0, 1), (2,)))
-    with pytest.raises(ValueError, match="generator length mismatch"):
-        SubmoduleSpan(2, 3, ((0, 1, 2),))
     # zero columns or no rows: nothing to range-check
     assert ZModMatrix(2, 0, 3, ((), ())).transpose().nrows == 0
-    assert SubmoduleSpan(0, 3, ((),)).cardinality == 1
+    assert span_cardinality(ZModMatrix(1, 0, 3, ((),))) == 1
 
 
 def test_matmul_and_transpose():
@@ -270,8 +266,11 @@ def test_matmul_and_transpose():
     assert empty.transpose().ncols == 0
 
 
+ReferenceSNF = namedtuple("ReferenceSNF", "U diag V")
+
+
 def reference_snf(matrix):
-    """Full-scan Smith normal form without early exits: the reference for the exact one."""
+    """Full-scan Smith normal form without early exits, with U: the reference for the exact one."""
     M = [[int(e) for e in row] for row in matrix]
     m = len(M)
     n = len(M[0]) if m else 0
@@ -340,9 +339,13 @@ def reference_snf(matrix):
             M[t] = [-e for e in M[t]]
             U[t] = [-e for e in U[t]]
         t += 1
-    return SmithDecomposition(
-        U=tuple(map(tuple, U)), diag=tuple(M[i][i] for i in range(t)), V=tuple(map(tuple, V))
-    )
+    return ReferenceSNF(tuple(map(tuple, U)), tuple(M[i][i] for i in range(t)), tuple(map(tuple, V)))
+
+
+def reference_decomposition(matrix):
+    """The reference's diagonal and V, as the library keeps them."""
+    ref = reference_snf(matrix)
+    return SmithDecomposition(ref.diag, ref.V)
 
 
 def reference_matmul(a, b):
@@ -373,20 +376,20 @@ def integer_matrices(draw, entries=ENTRIES):
 @example([[], []])
 @example([[0, 0], [0, 0]])
 def test_snf_equals_full_scan_reference(matrix):
-    assert smith_normal_form(matrix) == reference_snf(matrix)
+    assert smith_normal_form(matrix) == reference_decomposition(matrix)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(integer_matrices(st.integers(-2**70, 2**70)))
 def test_snf_equals_reference_on_large_entries(matrix):
-    assert smith_normal_form(matrix) == reference_snf(matrix)
+    assert smith_normal_form(matrix) == reference_decomposition(matrix)
 
 
 def test_snf_equals_reference_on_boundary_matrices():
     for D in (2, 6):
         grid = torus_grid(4, 5)
         for mat in (boundary1(grid, D), boundary2(grid, D), boundary2(grid, D).transpose()):
-            assert smith_normal_form(mat.entries) == reference_snf(mat.entries)
+            assert smith_normal_form(mat.entries) == reference_decomposition(mat.entries)
 
 
 @st.composite
@@ -462,16 +465,13 @@ def reduced_matrices(draw, moduli=st.sampled_from(CARDINALITY_MODULI)):
 @example(([[4, 3, 0], [0, 2, 0], [1, 0, 5]], 3, 6))
 def test_unit_pivot_cardinality_equals_snf_diagonal(case):
     rows, n, D = case
-    assert unit_pivot_cardinality(rows, D) == reference_span_cardinality(rows, D)
-    assert span_cardinality(SubmoduleSpan(n, D, tuple(map(tuple, rows)))) == (
-        reference_span_cardinality(rows, D)
-    )
     matrix = ZModMatrix(len(rows), n, D, tuple(map(tuple, rows)))
+    assert span_cardinality(matrix) == reference_span_cardinality(rows, D)
     assert kernel_cardinality(matrix) == reference_kernel_cardinality(rows, n, D)
 
 
 def previous_unit_pivot_cardinality(rows, D):
-    """unit_pivot_cardinality with its earlier pivot scan, the reference for its pivots.
+    """The elimination's count with its earlier pivot scan, the reference for its pivots.
 
     Units are listed per row with a gcd each, the pivot column is
     min(units, key=live rows), and the next row is min(i + 1, min(touched)).
@@ -522,10 +522,10 @@ def previous_unit_pivot_cardinality(rows, D):
     return size
 
 
-def with_snf_blocks(count, rows, D):
-    """(count(rows, D), the blocks it left to the SNF): equal blocks mean equal pivots."""
+def with_snf_blocks(count, *args):
+    """(count(*args), the blocks it left to the SNF): equal blocks mean equal pivots."""
     with mock.patch.object(zmod, "smith_normal_form", wraps=smith_normal_form) as snf:
-        size = count(rows, D)
+        size = count(*args)
     return size, [call.args for call in snf.call_args_list]
 
 
@@ -534,9 +534,8 @@ def with_snf_blocks(count, rows, D):
 def test_unit_pivot_cardinality_pivots_as_the_previous_scan(case):
     rows, n, D = case
     want = with_snf_blocks(previous_unit_pivot_cardinality, rows, D)
-    assert with_snf_blocks(unit_pivot_cardinality, rows, D) == want
     matrix = ZModMatrix(len(rows), n, D, tuple(map(tuple, rows)))
-    assert with_snf_blocks(unit_pivot_cardinality, matrix, D) == want
+    assert with_snf_blocks(span_cardinality, matrix) == want
 
 
 def refuse_snf(*args):
@@ -546,8 +545,8 @@ def refuse_snf(*args):
 def test_row_that_gains_a_unit_is_pivoted_not_left_to_the_snf(monkeypatch):
     # row 0 has no unit mod 6 (or 12) until row 1's pivot is cleared from it
     monkeypatch.setattr(zmod, "smith_normal_form", refuse_snf)
-    assert unit_pivot_cardinality([[2, 3], [1, 1]], 6) == 36
-    assert unit_pivot_cardinality([[3, 4], [1, 1]], 12) == 144
+    assert span_cardinality(ZModMatrix.from_rows([[2, 3], [1, 1]], 2, 6)) == 36
+    assert span_cardinality(ZModMatrix.from_rows([[3, 4], [1, 1]], 2, 12)) == 144
 
 
 def test_cardinalities_on_torus_grids_equal_snf_and_call_no_snf(monkeypatch):
@@ -560,7 +559,7 @@ def test_cardinalities_on_torus_grids_equal_snf_and_call_no_snf(monkeypatch):
             want_kernel = reference_kernel_cardinality(d1.entries, d1.ncols, D)
             with monkeypatch.context() as patch:
                 patch.setattr(zmod, "smith_normal_form", refuse_snf)
-                assert [span_cardinality(row_span(m)) for m in matrices] == want, (k, l, D)
+                assert [span_cardinality(m) for m in matrices] == want, (k, l, D)
                 assert kernel_cardinality(d1) == want_kernel
                 assert homology_cardinality(chain) == D**2
 
@@ -570,10 +569,9 @@ def test_cardinalities_match_snf_on_acceptance_complexes():
         for D in ACCEPTANCE_MODULI:
             chain = chain_complex(complex2, D)
             d1, d2t = chain.d1, chain.d2.transpose()
-            spans = (row_span(d1), row_span(d2t), row_span(chain.d2))
-            for span in spans:
+            for span in (d1, d2t, chain.d2):
                 assert span_cardinality(span) == reference_span_cardinality(
-                    span.generators, D
+                    span.entries, D
                 ), (label, D)
             cycles = reference_kernel_cardinality(d1.entries, d1.ncols, D)
             assert kernel_cardinality(d1) == cycles, (label, D)
@@ -592,8 +590,8 @@ def reference_membership(span):
     the rank and mod D beyond it.
     """
     D = span.modulus
-    dec = reference_snf(span.matrix.transpose().entries)
-    moduli = [gcd(dec.diag[i], D) if i < dec.rank else D for i in range(span.ambient)]
+    dec = reference_snf(span.transpose().entries)
+    moduli = [gcd(dec.diag[i], D) if i < len(dec.diag) else D for i in range(span.ncols)]
 
     def member(x):
         return all(sum(a * b for a, b in zip(u, x)) % m == 0 for u, m in zip(dec.U, moduli))
@@ -603,16 +601,16 @@ def reference_membership(span):
 
 def reference_complement(span):
     """The earlier complement: x = V w from the SNF of G, w_i in (D / gcd(d_i, D)) Z_D."""
-    D, n = span.modulus, span.ambient
-    dec = reference_snf(span.generators) if span.matrix.nrows else SmithDecomposition((), (), ())
+    D, n = span.modulus, span.ncols
+    dec = reference_snf(span.entries) if span.nrows else ReferenceSNF((), (), ())
     V = dec.V or tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     gens = []
     for i in range(n):
-        scale = D // gcd(dec.diag[i], D) if i < dec.rank else 1
+        scale = D // gcd(dec.diag[i], D) if i < len(dec.diag) else 1
         gen = tuple(scale * row[i] % D for row in V)
         if scale < D and any(gen):
             gens.append(gen)
-    return SubmoduleSpan.from_rows(gens, n, D)
+    return ZModMatrix.from_rows(gens, n, D)
 
 
 MEMBERSHIP_MODULI = (2, 3, 4, 6, 8, 9, 12, 3 * 2**62)
@@ -631,7 +629,7 @@ def spans_and_vectors(draw):
     scale = draw(st.sampled_from((1, 1, 2, 3)))
     entries = st.one_of(st.sampled_from((0, 0, 1, 2, 3, D // 2, D - 1)), st.integers(0, D - 1))
     rows = [[scale * draw(entries) % D for _ in range(n)] for _ in range(m)]
-    span = SubmoduleSpan.from_rows(rows, n, D)
+    span = ZModMatrix.from_rows(rows, n, D)
     if D**n <= 4096:
         return span, list(all_vectors(n, D))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -646,27 +644,28 @@ def spans_and_vectors(draw):
 
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(spans_and_vectors())
-@example((SubmoduleSpan.from_rows([(2, 0, 2), (0, 2, 2), (2, 2, 0)], 3, 4), list(all_vectors(3, 4))))
-@example((SubmoduleSpan.from_rows([(3, 6, 0), (0, 3, 3), (6, 0, 3)], 3, 9), list(all_vectors(3, 9))))
-@example((SubmoduleSpan.from_rows([(1, 2, 0, 2), (0, 2, 2, 0), (0, 0, 4, 4)], 4, 8),
+@example((ZModMatrix.from_rows([(2, 0, 2), (0, 2, 2), (2, 2, 0)], 3, 4), list(all_vectors(3, 4))))
+@example((ZModMatrix.from_rows([(3, 6, 0), (0, 3, 3), (6, 0, 3)], 3, 9), list(all_vectors(3, 9))))
+@example((ZModMatrix.from_rows([(1, 2, 0, 2), (0, 2, 2, 0), (0, 0, 4, 4)], 4, 8),
           list(all_vectors(4, 8))))
-@example((SubmoduleSpan.from_rows([(2, 3), (1, 1)], 2, 6), list(all_vectors(2, 6))))
-@example((SubmoduleSpan.from_rows([], 3, 4), list(all_vectors(3, 4))))
+@example((ZModMatrix.from_rows([(2, 3), (1, 1)], 2, 6), list(all_vectors(2, 6))))
+@example((ZModMatrix.from_rows([], 3, 4), list(all_vectors(3, 4))))
 def test_membership_and_complement_equal_the_snf_references(case):
     span, vectors = case
     D = span.modulus
     with mock.patch.object(zmod, "smith_normal_form", wraps=smith_normal_form) as snf:
-        solver, complement = span.membership, span.complement
+        contains(span, vectors[0])
+        complement = orthogonal_complement(span)
     # the SNF runs on the leftover block alone, once, and only when there is one
-    assert snf.call_count == bool(span.matrix.elimination.factors)
+    assert snf.call_count == bool(span.elimination.factors)
     reference = reference_complement(span)
     in_span, in_reference = reference_membership(span), reference_membership(reference)
     assert span_cardinality(complement) == span_cardinality(reference)
-    assert span_cardinality(span) * span_cardinality(complement) == D**span.ambient
-    for g in complement.generators:
-        assert all(sum(a * b for a, b in zip(g, row)) % D == 0 for row in span.generators)
+    assert span_cardinality(span) * span_cardinality(complement) == D**span.ncols
+    for g in complement.entries:
+        assert all(sum(a * b for a, b in zip(g, row)) % D == 0 for row in span.entries)
     for x in vectors:
-        assert solver.contains(x) == in_span(x), x
+        assert contains(span, x) == in_span(x), x
         assert contains(complement, x) == in_reference(x), x
 
 
@@ -674,20 +673,21 @@ def test_solvers_and_complements_on_a_torus_grid_run_no_snf(monkeypatch):
     # every boundary row keeps a unit pivot, so no block is left to the SNF
     k, D = 16, 3
     chain = chain_complex(torus_grid(k, k), D)
-    spans = (row_span(chain.d2.transpose()), row_span(chain.d1))  # faces, vertices
+    faces, vertices = spans = (chain.d2.transpose(), chain.d1)
     monkeypatch.setattr(zmod, "smith_normal_form", refuse_snf)
-    faces, vertices = spans
     cycle = [0] * chain.d1.ncols
     for j in range(k):
         cycle[2 * j] = 1  # r0.j: the edges of row 0, once around the torus
     cycle = tuple(cycle)
-    for span in spans:
-        assert span.membership and span.complement.membership
-    for i in range(faces.matrix.nrows):
-        boundary = faces.matrix.row(i)
+    for span in spans:  # each span's membership set-up and its complement's
+        assert span.elimination._unpivoted and orthogonal_complement(span).elimination._unpivoted
+    for i in range(faces.nrows):
+        boundary = faces.row(i)
         assert contains(faces, boundary)
-        assert contains(vertices.complement, boundary)  # d1 d2 = 0
+        assert contains(orthogonal_complement(vertices), boundary)  # d1 d2 = 0
     assert not contains(faces, cycle)
-    assert contains(vertices.complement, cycle)
+    assert contains(orthogonal_complement(vertices), cycle)
     assert not contains(vertices, cycle)
-    assert span_cardinality(faces.complement) == D ** chain.d1.ncols // span_cardinality(faces)
+    assert span_cardinality(orthogonal_complement(faces)) == (
+        D ** chain.d1.ncols // span_cardinality(faces)
+    )
