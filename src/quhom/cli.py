@@ -1,8 +1,8 @@
 """Command-line surface: validate, params, distance, convert, verify.
 
 Exit codes: 0 success, 2 validation failure, 3 parse failure, 4 budget
-exceeded, 5 internal theorem mismatch, 6 unreadable input.  JSON output is
-deterministic: sorted keys, no timestamps.
+exceeded, 5 internal theorem mismatch, 6 unreadable input or unwritable output
+file.  JSON output is deterministic: sorted keys, no timestamps.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .distance import (
 from .errors import BudgetExceeded, ParseError, ScalarViolation, SchemaError, TheoremMismatch
 from .hypermap import to_two_complex, verify_equivalence
 from .pauli import (
-    ENUMERATION_CAP,
     StabilizerSpec,
     code_dimension,
     enumerate_group,
@@ -90,7 +89,7 @@ def _builtin_complex(name: str) -> TwoComplex:
 
 
 def _load_complex(args) -> tuple[TwoComplex, int]:
-    if getattr(args, "builtin", None):
+    if args.builtin:
         if args.modulus is None:
             raise SchemaError("--modulus is required with --builtin")
         complex2 = _builtin_complex(args.builtin)
@@ -130,7 +129,11 @@ def cmd_validate(args) -> int:
 
 def _spec_from_args(args) -> tuple[TwoComplex | None, ChainComplexData | None, StabilizerSpec]:
     """(complex, its chain complex, spec); the first two are None for a check matrix."""
-    if getattr(args, "check_matrix", None):
+    inputs = {"a path": args.path, "--builtin": args.builtin, "--check-matrix": args.check_matrix}
+    given = [name for name, value in inputs.items() if value]
+    if len(given) > 1:
+        raise SchemaError(f"give one input, not {' and '.join(given)}")
+    if args.check_matrix:
         spec = parse_check_matrix(documents.read_text(args.check_matrix))
         if args.modulus is not None and args.modulus != spec.modulus:
             raise SchemaError("--modulus cannot override a check matrix")
@@ -187,23 +190,9 @@ def cmd_params(args) -> int:
             report["distance_status"] = "budget_exceeded"
 
     if args.verify and report["scalar_violation"] is None:
-        if chain is not None:
-            homology = homology_cardinality(chain)
-            if homology != report["dimension"]:
-                raise TheoremMismatch(
-                    f"span route K={report['dimension']} but homology gives {homology}"
-                )
-        enum = None
-        if report["stabilizer_size"] <= ENUMERATION_CAP:
-            enum = enumerate_group(spec)
-            if enum.size != report["stabilizer_size"]:
-                raise TheoremMismatch(
-                    f"enumerated group size {enum.size} != span product {report['stabilizer_size']}"
-                )
-        if modulus**spec.n <= oracle.DENSE_DIMENSION_CAP:
-            proj = oracle.dense_projector(spec, enumeration=enum)
-            if not oracle.projector_checks(spec, projector=proj)["ok"]:
-                raise TheoremMismatch("dense projector trace does not match K")
+        for check in _dimension_checks(spec, chain, oracle.DENSE_DIMENSION_CAP):
+            if check["status"] == "FAIL":
+                raise TheoremMismatch(f"check {check['name']} failed ({check['detail']})")
         report["verified"] = True
 
     _emit(report, args.format)
@@ -274,8 +263,12 @@ def cmd_convert(args) -> int:
     }
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_UNREADABLE
     else:
         print(text)
     if not equivalent:
@@ -284,171 +277,124 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-class _Transcript:
-    def __init__(self):
-        self.checks: list[dict] = []
+def _check(name: str, ok: bool, residual=None, detail=None) -> dict:
+    status = "PASS" if ok else "FAIL"
+    return {"name": name, "status": status, "residual": residual, "detail": detail}
 
-    def record(self, name: str, ok: bool, residual=None, detail=None):
-        self.checks.append(
-            {"name": name, "status": "PASS" if ok else "FAIL", "residual": residual, "detail": detail}
-        )
 
-    def skip(self, name: str, reason: str):
-        self.checks.append({"name": name, "status": "SKIP", "residual": None, "detail": reason})
+def _skip(name: str, reason: str) -> dict:
+    return {"name": name, "status": "SKIP", "residual": None, "detail": reason}
 
-    @property
-    def ok(self) -> bool:
-        return all(c["status"] != "FAIL" for c in self.checks)
 
-    def emit(self, fmt: str):
-        if fmt == "json":
-            print(json.dumps({"checks": self.checks, "ok": self.ok}, sort_keys=True, indent=2))
-            return
-        for c in self.checks:
+def _dimension_checks(spec: StabilizerSpec, chain: ChainComplexData | None, dense_cap: int):
+    """Yield the records that check K by homology, closure and tr P; return P, or None.
+
+    `verify` renders them with its other records; `params --verify` stops
+    at the first FAIL.  The group is enumerated once and P built from it.
+    """
+    dim = spec.modulus**spec.n
+    if chain is not None:
+        k_span = code_dimension(spec)
+        k_homology = homology_cardinality(chain)
+        detail = f"span={k_span} homology={k_homology}"
+        yield _check("dimension_vs_homology", k_span == k_homology, detail=detail)
+    try:
+        enum = enumerate_group(spec)
+    except BudgetExceeded as exc:
+        enum = None
+        if exc.examined:  # predicted size within the cap: scalars made the group larger
+            reason = f"closure over enumeration cap after {exc.examined} elements (scalars)"
+        else:
+            reason = "predicted size over enumeration cap"
+        yield _skip("group_enumeration", reason)
+    else:
+        if spec.scalar_witness() is None:
+            ok = enum.size == stabilizer_size(spec) and enum.scalar_violation is None
+            yield _check("group_enumeration", ok, detail=f"|S|={enum.size}")
+        else:
+            ok = enum.scalar_violation is not None
+            yield _check("group_enumeration", ok, detail="scalar violation detected as predicted")
+        if chain is not None:
+            product = k_span * enum.size
+            yield _check("dimension_size_product", product == dim, detail=f"K*|S|={product}")
+    if dim > dense_cap:
+        yield _skip("projector_trace", f"dimension {dim} over cap {dense_cap}")
+        return None
+    try:
+        proj = oracle.dense_projector(spec, enumeration=enum)
+    except BudgetExceeded:
+        yield _skip("projector_trace", "group too large to enumerate")
+        return None
+    checks = oracle.projector_checks(spec, projector=proj)
+    detail = f"trace={checks['rounded_trace']} expected={checks['expected_dimension']}"
+    if checks["expected_dimension"] == 0:
+        detail += " (zero code space)"
+    yield _check("projector_trace", checks["ok"], checks["residual"], detail)
+    return proj
+
+
+def _verify_checks(complex2, chain, spec: StabilizerSpec, level: str, budget: int):
+    """Yield every `verify` check record, in output order."""
+    modulus = spec.modulus
+    dim = modulus**spec.n
+    dense_cap = oracle.DENSE_DIMENSION_CAP if level == "full" else QUICK_DENSE_CAP
+    exhaustive_cap = oracle.EXHAUSTIVE_CAP if level == "full" else QUICK_EXHAUSTIVE_CAP
+    if complex2 is not None:
+        yield _check("walk_validation", not validate(complex2))
+        yield _check("chain_composition", (chain.d1 @ chain.d2).is_zero())
+        bad_pairs = len(spec.pairings.data)
+        yield _check("generator_commutation", bad_pairs == 0, detail=f"bad_pairs={bad_pairs}")
+    proj = yield from _dimension_checks(spec, chain, dense_cap)
+    for name, matrix in (("face_span", spec.face_matrix), ("vertex_span", spec.vertex_matrix)):
+        if dim > exhaustive_cap:
+            yield _skip(f"complement_duality_{name}", f"space {dim} over cap {exhaustive_cap}")
+            continue
+        checks = oracle.complement_duality_checks(matrix)
+        detail = f"|E|={checks['span_size']} |Eperp|={checks['exhaustive_perp_size']}"
+        yield _check(f"complement_duality_{name}", checks["ok"], checks["char_residual"], detail)
+    if spec.scalar_witness() is not None:
+        yield _skip("distance_routes", "scalar violation: no stabilizer code")
+        return
+    try:
+        css = distance_css(spec, budget)
+    except BudgetExceeded:
+        yield _skip("distance_routes", "budget exceeded")
+        return
+    if chain is not None:
+        hom = css.read_as("homological", CYCLE)
+        detail = f"css={_distance_value(css)} homological={_distance_value(hom)}"
+        yield _check("distance_routes", True, detail=detail)
+    else:
+        yield _check("distance_css", True, detail=f"d={_distance_value(css)}")
+    pauli = witness_pauli(css, modulus)
+    if pauli is None:
+        yield _skip("distance_witness", "no logical operators")
+        yield _skip("logical_action", "no logical operators")
+        return
+    ok = pauli.weight() == css.distance and is_logical(pauli, spec)
+    yield _check("distance_witness", ok, detail=f"weight={pauli.weight()}")
+    if dim > dense_cap:
+        yield _skip("logical_action", f"dimension over cap {dense_cap}")
+    else:
+        yield _check("logical_action", oracle.verify_logical_action(pauli, spec, projector=proj))
+
+
+def cmd_verify(args) -> int:
+    complex2, chain, spec = _spec_from_args(args)
+    checks = list(_verify_checks(complex2, chain, spec, args.level, args.budget))
+    ok = all(c["status"] != "FAIL" for c in checks)
+    if args.format == "json":
+        print(json.dumps({"checks": checks, "ok": ok}, sort_keys=True, indent=2))
+    else:
+        for c in checks:
             line = f"{c['status']:4s} {c['name']}"
             if c["residual"] is not None:
                 line += f" residual={c['residual']:.3e}"
             if c["detail"]:
                 line += f" ({c['detail']})"
             print(line)
-        print("ok" if self.ok else "FAILED")
-
-
-def _verify_projector(t: _Transcript, spec: StabilizerSpec, dense_cap: int, enum):
-    """Record the projector_trace check; return the projector, or None if skipped.
-
-    `enum` is the group enumeration _verify_group built, or None if it skipped.
-    """
-    dim = spec.modulus**spec.n
-    if dim > dense_cap:
-        t.skip("projector_trace", f"dimension {dim} over cap {dense_cap}")
-        return None
-    try:
-        proj = oracle.dense_projector(spec, enumeration=enum)
-    except BudgetExceeded:
-        t.skip("projector_trace", "group too large to enumerate")
-        return None
-    checks = oracle.projector_checks(spec, projector=proj)
-    detail = f"trace={checks['rounded_trace']} expected={checks['expected_dimension']}"
-    if checks["expected_dimension"] == 0:
-        detail += " (zero code space)"
-    t.record("projector_trace", checks["ok"], checks["residual"], detail)
-    return proj
-
-
-def _verify_complement_duality(t: _Transcript, spec: StabilizerSpec, exhaustive_cap: int):
-    dim = spec.modulus**spec.n
-    for name, matrix in (("face_span", spec.face_matrix), ("vertex_span", spec.vertex_matrix)):
-        if dim > exhaustive_cap:
-            t.skip(f"complement_duality_{name}", f"space {dim} over cap {exhaustive_cap}")
-            continue
-        checks = oracle.complement_duality_checks(matrix)
-        t.record(
-            f"complement_duality_{name}",
-            checks["ok"],
-            checks["char_residual"],
-            f"|E|={checks['span_size']} |Eperp|={checks['exhaustive_perp_size']}",
-        )
-
-
-def _verify_group(t: _Transcript, spec: StabilizerSpec):
-    witness = spec.scalar_witness()
-    try:
-        enum = enumerate_group(spec)
-    except BudgetExceeded as exc:
-        if exc.examined:  # predicted size within the cap: scalars made the group larger
-            detail = f"closure over enumeration cap after {exc.examined} elements (scalars)"
-        else:
-            detail = "predicted size over enumeration cap"
-        t.skip("group_enumeration", detail)
-        return None
-    if witness is None:
-        ok = enum.size == stabilizer_size(spec) and enum.scalar_violation is None
-        t.record("group_enumeration", ok, None, f"|S|={enum.size}")
-    else:
-        ok = enum.scalar_violation is not None
-        t.record("group_enumeration", ok, None, "scalar violation detected as predicted")
-    return enum
-
-
-def _verify_distance(t: _Transcript, spec, chain, budget, dense_cap, proj):
-    modulus = spec.modulus
-    try:
-        css = distance_css(spec, budget)
-    except BudgetExceeded:
-        t.skip("distance_routes", "budget exceeded")
-        return
-    if chain is not None:
-        hom = css.read_as("homological", CYCLE)
-        t.record(
-            "distance_routes",
-            True,
-            None,
-            f"css={_distance_value(css)} homological={_distance_value(hom)}",
-        )
-    else:
-        t.record("distance_css", True, None, f"d={_distance_value(css)}")
-    pauli = witness_pauli(css, modulus)
-    if pauli is None:
-        t.skip("distance_witness", "no logical operators")
-        t.skip("logical_action", "no logical operators")
-        return
-    t.record(
-        "distance_witness",
-        pauli.weight() == css.distance and is_logical(pauli, spec),
-        None,
-        f"weight={pauli.weight()}",
-    )
-    if modulus**spec.n > dense_cap:
-        t.skip("logical_action", f"dimension over cap {dense_cap}")
-        return
-    t.record(
-        "logical_action", oracle.verify_logical_action(pauli, spec, projector=proj), None, None
-    )
-
-
-def cmd_verify(args) -> int:
-    complex2, chain, spec = _spec_from_args(args)
-    modulus = spec.modulus
-    dense_cap = oracle.DENSE_DIMENSION_CAP if args.level == "full" else QUICK_DENSE_CAP
-    exhaustive_cap = (
-        oracle.EXHAUSTIVE_CAP if args.level == "full" else QUICK_EXHAUSTIVE_CAP
-    )
-    t = _Transcript()
-
-    if complex2 is not None:
-        t.record("walk_validation", not validate(complex2), None, None)
-        t.record("chain_composition", (chain.d1 @ chain.d2).is_zero(), None, None)
-        bad_pairs = len(spec.pairings.data)
-        t.record("generator_commutation", bad_pairs == 0, None, f"bad_pairs={bad_pairs}")
-        k_span = code_dimension(spec)
-        k_homology = homology_cardinality(chain)
-        t.record(
-            "dimension_vs_homology",
-            k_span == k_homology,
-            None,
-            f"span={k_span} homology={k_homology}",
-        )
-        enum = _verify_group(t, spec)
-        if enum is not None:
-            t.record(
-                "dimension_size_product",
-                k_span * enum.size == modulus**spec.n,
-                None,
-                f"K*|S|={k_span * enum.size}",
-            )
-    else:
-        enum = _verify_group(t, spec)
-
-    proj = _verify_projector(t, spec, dense_cap, enum)
-    _verify_complement_duality(t, spec, exhaustive_cap)
-    if spec.scalar_witness() is None:
-        _verify_distance(t, spec, chain, args.budget, dense_cap, proj)
-    else:
-        t.skip("distance_routes", "scalar violation: no stabilizer code")
-
-    t.emit(args.format)
-    return EXIT_OK if t.ok else EXIT_VALIDATION
+        print("ok" if ok else "FAILED")
+    return EXIT_OK if ok else EXIT_VALIDATION
 
 
 # The CLI's one flag declaration; `_parse` and `build_parser` both read it.

@@ -12,13 +12,14 @@ import json
 from typing import Any
 
 from .complex2 import ClosedWalk, SignedEdge, TwoComplex
-from .errors import ParseError, SchemaError
+from .errors import BudgetExceeded, ParseError, SchemaError
 from .hypermap import Hypermap, SpecialDarts
 
 COMPLEX_FIELDS = {"modulus", "vertices", "edges", "faces"}
 EDGE_FIELDS = {"name", "source", "target"}
 FACE_FIELDS = {"name", "walk"}
 HYPERMAP_FIELDS = {"modulus", "n", "alpha", "sigma", "special_darts"}
+HYPERMAP_DART_CAP = 4096  # largest n a hypermap document may declare; conversion is quadratic
 
 
 def _require_int(value: Any, what: str, minimum: int) -> int:
@@ -138,6 +139,8 @@ def hypermap_from_dict(doc: Any) -> tuple[Hypermap, SpecialDarts, int]:
         raise SchemaError(f"document missing fields: {sorted(missing)}")
     modulus = _require_int(doc["modulus"], "modulus", 2)
     n = _require_int(doc["n"], "n", 1)
+    if n > HYPERMAP_DART_CAP:
+        raise BudgetExceeded(f"hypermap has {n} darts, over the cap of {HYPERMAP_DART_CAP}")
 
     def cycles(field):
         raw = doc[field]

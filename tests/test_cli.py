@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -289,6 +290,27 @@ def test_convert_degenerate_face(tmp_path, capsys):
     assert payload["complex"]["faces"][0]["walk"] == []
 
 
+def test_convert_to_unwritable_output(tmp_path, capsys):
+    path = write_json(
+        tmp_path / "h.json",
+        {"modulus": 3, "n": 2, "alpha": [[1, 2]], "sigma": [[1, 2]]},
+    )
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "convert", path, "--output", str(target))
+    assert (code, out) == (6, "")
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+
+
+def test_convert_caps_the_declared_dart_count(tmp_path, capsys):
+    from quhom.documents import HYPERMAP_DART_CAP
+
+    n = HYPERMAP_DART_CAP + 1
+    path = write_json(tmp_path / "h.json", {"modulus": 2, "n": n, "alpha": [], "sigma": []})
+    code, out, err = run_cli(capsys, "convert", path)
+    assert (code, out) == (4, "")
+    assert err == f"error: hypermap has {n} darts, over the cap of {HYPERMAP_DART_CAP}\n"
+
+
 def test_convert_rejects_modulus_below_two(tmp_path, capsys):
     path = write_json(
         tmp_path / "h.json",
@@ -413,6 +435,74 @@ def test_verify_group_skip_says_why(tmp_path, capsys, monkeypatch, cap, detail):
     assert checks["group_enumeration"] == {
         "name": "group_enumeration", "status": "SKIP", "residual": None, "detail": detail
     }
+
+
+def _homology_one_too_many(monkeypatch):
+    from quhom import cli, complex2
+
+    monkeypatch.setattr(
+        cli, "homology_cardinality", lambda chain: complex2.homology_cardinality(chain) + 1
+    )
+
+
+def _group_one_too_large(monkeypatch):
+    from quhom import cli, pauli
+
+    def enumerate_group(spec, *args):
+        enum = pauli.enumerate_group(spec, *args)
+        return dataclasses.replace(enum, size=enum.size + 1)
+
+    monkeypatch.setattr(cli, "enumerate_group", enumerate_group)
+
+
+def _projector_not_ok(monkeypatch):
+    from quhom import oracle
+
+    checks = oracle.projector_checks
+    monkeypatch.setattr(
+        oracle, "projector_checks", lambda *args, **kwargs: {**checks(*args, **kwargs), "ok": False}
+    )
+
+
+BREAKS = {
+    "dimension_vs_homology": _homology_one_too_many,
+    "group_enumeration": _group_one_too_large,
+    "projector_trace": _projector_not_ok,
+}
+
+
+@pytest.mark.parametrize("name", BREAKS)
+def test_params_verify_and_verify_fail_on_the_same_check(capsys, monkeypatch, name):
+    # both commands read one check record: params stops on it, verify prints it
+    BREAKS[name](monkeypatch)
+    source = ("--builtin", "rp2", "--modulus", "2")
+    code, out, err = run_cli(capsys, "params", "--verify", *source)
+    assert (code, out) == (5, "")
+    assert err.startswith(f"error: check {name} failed (") and err.count("\n") == 1, err
+    code, out, _ = run_cli(capsys, "verify", *source)
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")]
+    assert code == 2
+    assert failed[0] == name and out.endswith("FAILED\n")
+
+
+@pytest.mark.parametrize("command", ["params", "distance", "verify"])
+@pytest.mark.parametrize(
+    "first,second",
+    [("a path", "--builtin"), ("a path", "--check-matrix"), ("--builtin", "--check-matrix")],
+    ids=["path-builtin", "path-check_matrix", "builtin-check_matrix"],
+)
+def test_two_inputs_are_rejected(tmp_path, capsys, command, first, second):
+    spec = StabilizerSpec.from_chain(chain_complex(rp2(), 2))
+    matrix = tmp_path / "rp2.txt"
+    matrix.write_text(export_check_matrix(spec), encoding="utf-8")
+    inputs = {
+        "a path": (write_json(tmp_path / "rp2.json", rp2_doc()),),
+        "--builtin": ("--builtin", "rp2", "--modulus", "2"),
+        "--check-matrix": ("--check-matrix", str(matrix)),
+    }
+    code, out, err = run_cli(capsys, command, *inputs[first], *inputs[second])
+    assert (code, out) == (2, "")
+    assert err == f"error: give one input, not {first} and {second}\n"
 
 
 def test_params_check_matrix(tmp_path, capsys):

@@ -5,12 +5,13 @@ The fixture pins `params --verify --budget 1`, `distance` and
 acceptance complexes at every acceptance modulus, and
 `params --verify --budget 1` on the torus grids 1x1..10x10 at D = 2, 3, 6.
 The oracle cross-checks of `params --verify` (group closure and sparse
-projector) are turned off by setting their caps to 0: they add nothing to
-stdout (a mismatch would exit 5, and the printed K and |S| already pin
-the exact route), the oracle and acceptance tests cover them, and on
-these inputs they would take about a minute.  The exact route and the
-homology cross-check still run.  The caps leave `verify --level quick`
-as it is: it uses its own quick caps.  With the caps at their defaults the
+projector) are turned off in the `params` cases, by giving `cli` an
+`enumerate_group` with cap 0 and setting the dense cap to 0: they add
+nothing to stdout (a mismatch would exit 5, and the printed K and |S|
+already pin the exact route), the oracle and acceptance tests cover them,
+and on these inputs they would take about a minute.  The exact route and
+the homology cross-check still run.  The `verify` cases run unpatched:
+they read their own quick caps.  With the caps at their defaults the
 digests are the same (checked when the fixture was written).  Regenerate
 the fixture only for an intended output change, with
 
@@ -18,6 +19,7 @@ the fixture only for an intended output change, with
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -25,7 +27,7 @@ import pathlib
 import sys
 from unittest import mock
 
-from quhom import cli, oracle
+from quhom import cli, oracle, pauli
 from quhom.cli import main
 from quhom.documents import complex_to_dict
 
@@ -61,11 +63,21 @@ def golden_cases(workdir: pathlib.Path):
                 )
 
 
+@contextlib.contextmanager
+def _without_oracle_checks():
+    with mock.patch.object(
+        cli, "enumerate_group", functools.partial(pauli.enumerate_group, cap=0)
+    ), mock.patch.object(oracle, "DENSE_DIMENSION_CAP", 0):
+        yield
+
+
 def compute(workdir: pathlib.Path) -> dict:
-    with mock.patch.object(cli, "ENUMERATION_CAP", 0), mock.patch.object(
-        oracle, "DENSE_DIMENSION_CAP", 0
-    ):
-        return {case: _digest(argv) for case, argv in golden_cases(workdir)}
+    digests = {}
+    for case, argv in golden_cases(workdir):
+        patches = _without_oracle_checks() if argv[0] == "params" else contextlib.nullcontext()
+        with patches:
+            digests[case] = _digest(argv)
+    return digests
 
 
 def test_cli_outputs_match_golden_digests(tmp_path):
