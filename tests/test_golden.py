@@ -3,7 +3,9 @@
 The fixture pins `params --verify --budget 1`, `distance` and
 `verify --level quick` (text format, residuals printed as %.3e) on the
 acceptance complexes at every acceptance modulus, and
-`params --verify --budget 1` on the torus grids 1x1..10x10 at D = 2, 3, 6.
+`params --verify --budget 1` on the torus grids 1x1..10x10 at D = 2, 3, 6,
+and `convert` on the hypermap corpus of acceptance criterion 10, with the
+default and with alternate special darts, at every acceptance modulus.
 The oracle cross-checks of `params --verify` (group closure and sparse
 projector) are turned off in the `params` cases, by giving `cli` an
 `enumerate_group` with cap 0 and setting the dense cap to 0: they add
@@ -24,14 +26,16 @@ import hashlib
 import io
 import json
 import pathlib
+import random
 import sys
 from unittest import mock
 
 from quhom import cli, oracle, pauli
 from quhom.cli import main
 from quhom.documents import complex_to_dict
+from quhom.hypermap import orbits
 
-from _corpus import ACCEPTANCE_MODULI, acceptance_complexes
+from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, hypermap_corpus, random_special_darts
 
 FIXTURE = pathlib.Path(__file__).with_name("golden_outputs.json")
 GRID_MODULI = (2, 3, 6)
@@ -45,8 +49,21 @@ def _digest(argv) -> str:
     return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
 
 
+def _hypermap_doc(hypermap, modulus: int, specials=None) -> dict:
+    """A hypermap document; without `specials` it takes the default special darts."""
+    doc = {
+        "modulus": modulus,
+        "n": hypermap.n,
+        "alpha": [list(cycle) for cycle in orbits(hypermap.alpha)],
+        "sigma": [list(cycle) for cycle in orbits(hypermap.sigma)],
+    }
+    if specials is not None:
+        doc["special_darts"] = list(specials.darts)
+    return doc
+
+
 def golden_cases(workdir: pathlib.Path):
-    """(case id, argv) pairs; complex documents are written into workdir."""
+    """(case id, argv) pairs; input documents are written into workdir."""
     for complex2, label in acceptance_complexes():
         for D in ACCEPTANCE_MODULI:
             path = workdir / f"{label}_d{D}.json"
@@ -61,6 +78,14 @@ def golden_cases(workdir: pathlib.Path):
                     "params", "--verify", "--budget", "1",
                     "--builtin", f"torus-grid:{k}x{l}", "--modulus", str(D),
                 )
+    rng = random.Random(5077)
+    for hypermap, label in hypermap_corpus(200):
+        choices = (("default", None), ("alternate", random_special_darts(rng, hypermap)))
+        for name, specials in choices:
+            for D in ACCEPTANCE_MODULI:
+                path = workdir / f"{label}_{name}_d{D}.json"
+                path.write_text(json.dumps(_hypermap_doc(hypermap, D, specials)), encoding="utf-8")
+                yield f"convert {label} {name} D{D}", ("convert", str(path))
 
 
 @contextlib.contextmanager
