@@ -21,7 +21,6 @@ from .distance import DistanceReport, distance_css, distance_homological, is_in_
 from .errors import BudgetExceeded, QuhomError, ScalarViolation, SchemaError, TheoremMismatch
 from .hypermap import (
     Hypermap,
-    HypermapChain,
     SpecialDarts,
     delta_matrices,
     to_two_complex,

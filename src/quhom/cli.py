@@ -250,7 +250,7 @@ def cmd_convert(args) -> int:
     if modulus < 2:
         raise SchemaError(f"modulus must be >= 2, got {modulus}")
     complex2 = to_two_complex(hypermap, specials)
-    equivalent = verify_equivalence(hypermap, specials, modulus)
+    equivalent = verify_equivalence(hypermap, specials, complex2, modulus)
     payload = {
         "complex": documents.complex_to_dict(complex2, modulus),
         "certificate": {
@@ -284,6 +284,11 @@ def _check(name: str, ok: bool, residual=None, detail=None) -> dict:
 
 def _skip(name: str, reason: str) -> dict:
     return {"name": name, "status": "SKIP", "residual": None, "detail": reason}
+
+
+# Why the dense and exhaustive stages skip a modulus of oracle.INT64_BOUND or more;
+# within their caps that happens only with no qudits.
+_WIDE_MODULUS = "modulus does not fit in int64"
 
 
 def _dimension_checks(spec: StabilizerSpec, chain: ChainComplexData | None, dense_cap: int):
@@ -320,6 +325,9 @@ def _dimension_checks(spec: StabilizerSpec, chain: ChainComplexData | None, dens
     if dim > dense_cap:
         yield _skip("projector_trace", f"dimension {dim} over cap {dense_cap}")
         return None
+    if spec.modulus >= oracle.INT64_BOUND:
+        yield _skip("projector_trace", _WIDE_MODULUS)
+        return None
     try:
         proj = oracle.dense_projector(spec, enumeration=enum)
     except BudgetExceeded:
@@ -348,6 +356,9 @@ def _verify_checks(complex2, chain, spec: StabilizerSpec, level: str, budget: in
     for name, matrix in (("face_span", spec.face_matrix), ("vertex_span", spec.vertex_matrix)):
         if dim > exhaustive_cap:
             yield _skip(f"complement_duality_{name}", f"space {dim} over cap {exhaustive_cap}")
+            continue
+        if modulus >= oracle.INT64_BOUND:
+            yield _skip(f"complement_duality_{name}", _WIDE_MODULUS)
             continue
         checks = oracle.complement_duality_checks(matrix)
         detail = f"|E|={checks['span_size']} |Eperp|={checks['exhaustive_perp_size']}"

@@ -19,7 +19,7 @@ COMPLEX_FIELDS = {"modulus", "vertices", "edges", "faces"}
 EDGE_FIELDS = {"name", "source", "target"}
 FACE_FIELDS = {"name", "walk"}
 HYPERMAP_FIELDS = {"modulus", "n", "alpha", "sigma", "special_darts"}
-HYPERMAP_DART_CAP = 4096  # largest n a hypermap document may declare; conversion is quadratic
+HYPERMAP_DART_CAP = 4096  # largest n a hypermap document may declare
 
 
 def _require_int(value: Any, what: str, minimum: int) -> int:

@@ -6,9 +6,11 @@ faces the orbits of the map i -> sigma(alpha^-1(i)) (the left-to-right
 composition convention; the face traversal is i_{s+1} = alpha^-1 sigma (i_s)).
 
 Choosing one special dart per hyperedge makes the dart quotient free with
-the non-special darts as basis, which yields the Delta matrices of the
-hypermap code and, independently, a 2-complex whose boundary matrices
-coincide with them.
+the non-special darts as basis.  The Delta matrices of the hypermap code
+are two sparse products with that quotient: Delta2 = Q d2, where Q maps a
+dart vector to its basis coordinates, and Delta1 = d1 J, where J includes
+the basis in the darts.  Independently, face walks build a 2-complex
+whose boundary matrices coincide with them.
 """
 
 from __future__ import annotations
@@ -199,61 +201,38 @@ def _indicator_columns(n: int, orbits, modulus: int) -> ZModMatrix:
     return ZModMatrix.from_coo(n, len(orbits), modulus, rows, cols, [1] * len(pairs))
 
 
-def reduce_to_basis(
-    vector: Sequence[int],
-    hypermap: Hypermap,
-    specials: SpecialDarts,
-    modulus: int,
-) -> tuple[int, ...]:
-    """Coordinates in the non-special-dart basis of the dart quotient.
+def quotient_matrix(hypermap: Hypermap, specials: SpecialDarts, modulus: int) -> ZModMatrix:
+    """Q, non-special darts x darts: coordinates in the basis of the dart quotient.
 
     Each special dart satisfies [s_e] = -sum of the other darts of its
-    hyperedge, so the coefficient landing on a non-special dart j is
-    vector[j] - vector[s_e(j)].
+    hyperedge, so the coefficient landing on the k-th non-special dart j is
+    v[j] - v[s_e(j)]: row k has +1 at j and -1 at s_e(j).
     """
-    if len(vector) != hypermap.n:
-        raise ValueError("vector length must equal the dart count")
     structure = hypermap.orbit_structure()
-    special_of = {
-        idx: dart for idx, dart in enumerate(specials.darts)
-    }
-    out = []
-    for j in specials.non_special(hypermap.n):
-        s = special_of[structure.hyperedge_of[j - 1]]
-        out.append((vector[j - 1] - vector[s - 1]) % modulus)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class HypermapChain:
-    """Delta matrices of the hypermap code in the non-special dart basis."""
-
-    modulus: int
-    delta1: ZModMatrix
-    delta2: ZModMatrix
-    basis: tuple[int, ...]
-
-    def as_chain(self) -> ChainComplexData:
-        return ChainComplexData(self.modulus, self.delta1, self.delta2)
-
-
-def delta_matrices(hypermap: Hypermap, specials: SpecialDarts, modulus: int) -> HypermapChain:
-    """Delta2 = reduce(d2 columns), Delta1 = d1 restricted to basis darts."""
     basis = specials.non_special(hypermap.n)
-    faces = d2_matrix(hypermap, modulus).transpose()  # row f: column f of d2
-    darts = d1_matrix(hypermap, modulus).transpose()  # row i - 1: column i of d1
-    delta2 = ZModMatrix.from_rows(
-        [reduce_to_basis(faces.row(f), hypermap, specials, modulus) for f in range(faces.nrows)],
-        len(basis),
+    k = len(basis)
+    partners = [specials.darts[structure.hyperedge_of[j - 1]] for j in basis]
+    return ZModMatrix.from_coo(
+        k, hypermap.n, modulus, [*range(k), *range(k)],
+        [j - 1 for j in (*basis, *partners)], [1] * k + [-1] * k,
+    )
+
+
+def delta_matrices(hypermap: Hypermap, specials: SpecialDarts, modulus: int) -> ChainComplexData:
+    """The hypermap code's chain: Delta2 = Q d2 and Delta1 = d1 J.
+
+    Q is `quotient_matrix` and J (darts x non-special darts) the inclusion
+    of the basis, so Delta1 is d1 on the non-special darts.
+    """
+    basis = specials.non_special(hypermap.n)
+    inclusion = ZModMatrix.from_coo(
+        hypermap.n, len(basis), modulus, [j - 1 for j in basis], range(len(basis)), [1] * len(basis)
+    )
+    return ChainComplexData(
         modulus,
-    ).transpose()
-    delta1 = ZModMatrix.from_rows(
-        [darts.row(i - 1) for i in basis], darts.ncols, modulus
-    ).transpose()
-    chain = HypermapChain(modulus, delta1, delta2, basis)
-    if not (delta1 @ delta2).is_zero():
-        raise AssertionError("Delta1 @ Delta2 != 0; quotient construction is broken")
-    return chain
+        d1_matrix(hypermap, modulus) @ inclusion,
+        quotient_matrix(hypermap, specials, modulus) @ d2_matrix(hypermap, modulus),
+    )
 
 
 def to_two_complex(hypermap: Hypermap, specials: SpecialDarts) -> TwoComplex:
@@ -298,14 +277,18 @@ def to_two_complex(hypermap: Hypermap, specials: SpecialDarts) -> TwoComplex:
     )
 
 
-def verify_equivalence(hypermap: Hypermap, specials: SpecialDarts, modulus: int) -> bool:
-    """Entrywise equality of (boundary1, boundary2) with (Delta1, Delta2).
+def verify_equivalence(
+    hypermap: Hypermap, specials: SpecialDarts, complex2: TwoComplex, modulus: int
+) -> bool:
+    """Entrywise equality of complex2's (boundary1, boundary2) with (Delta1, Delta2).
 
-    Both sides are expressed in the same bases: hypervertices, non-special
-    darts in increasing order, and face orbits.
+    complex2 is the output of to_two_complex(hypermap, specials), so the
+    check reads the complex that is emitted.  Both sides are expressed in
+    the same bases: hypervertices, non-special darts in increasing order,
+    and face orbits.  A Delta pair that is not a chain complex equals none.
     """
-    chain = delta_matrices(hypermap, specials, modulus)
-    complex2 = to_two_complex(hypermap, specials)
-    b1 = boundary1(complex2, modulus)
-    b2 = boundary2(complex2, modulus)
-    return b1 == chain.delta1 and b2 == chain.delta2
+    try:
+        chain = delta_matrices(hypermap, specials, modulus)
+    except ValueError:
+        return False
+    return boundary1(complex2, modulus) == chain.d1 and boundary2(complex2, modulus) == chain.d2

@@ -26,15 +26,23 @@ from .zmod import ZModMatrix, orthogonal_complement, span_cardinality
 
 DENSE_DIMENSION_CAP = 4096
 EXHAUSTIVE_CAP = 10**6
+INT64_BOUND = 2**63  # residues and base-D codes are int64 here, so D must stay below it
 RESIDUAL_TOL = 1e-9
 CELL_CAP = 1 << 14  # entries in one block of projector values; bounds memory
 
 
-def _dense_dimension(modulus: int, n: int, cap: int) -> int:
+def _checked_dimension(modulus: int, n: int, cap: int) -> int:
     dim = modulus**n
     if dim > cap:
-        raise BudgetExceeded(f"dense dimension {dim} exceeds cap {cap}")
+        raise BudgetExceeded(f"dimension {dim} exceeds cap {cap}")
+    if modulus >= INT64_BOUND:
+        raise BudgetExceeded(f"modulus {modulus} does not fit in int64")
     return dim
+
+
+def _place_values(modulus: int, n: int) -> np.ndarray:
+    """D^(n-1), ..., D, 1: base-D codes of digit rows, qudit 1 the most significant."""
+    return np.array([modulus**q for q in range(n - 1, -1, -1)], dtype=np.int64)
 
 
 def _digit_table(modulus: int, n: int) -> np.ndarray:
@@ -47,9 +55,12 @@ def _digit_table(modulus: int, n: int) -> np.ndarray:
     return table[:, :n]
 
 
-def _roots_of_unity(modulus: int) -> np.ndarray:
-    """w^k for k = 0..D-1; indexing it by exponents mod D gives the phases."""
-    return np.exp(2j * np.pi * np.arange(modulus) / modulus)
+def _roots_of_unity(modulus: int, dim: int) -> np.ndarray:
+    """w^k for k below min(D, D^n); indexing it by exponents mod D gives the phases.
+
+    With no qudits (D^n = 1) every exponent is 0, so one entry does, however large D is.
+    """
+    return np.exp(2j * np.pi * np.arange(min(modulus, dim)) / modulus)
 
 
 def _pauli_action(pauli: PauliProduct, digits: np.ndarray):
@@ -58,16 +69,14 @@ def _pauli_action(pauli: PauliProduct, digits: np.ndarray):
     n = pauli.num_qudits
     x = np.array(pauli.x, dtype=np.int64)
     z = np.array(pauli.z, dtype=np.int64)
-    shifted = (digits + x) % D
-    weights = D ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    rows = shifted @ weights
+    rows = ((digits + x) % D) @ _place_values(D, n)
     phases = (pauli.phase + digits @ z) % D
-    return rows, _roots_of_unity(D)[phases]
+    return rows, _roots_of_unity(D, len(digits))[phases]
 
 
 def dense_pauli(pauli: PauliProduct, cap: int = DENSE_DIMENSION_CAP) -> np.ndarray:
     """Dense matrix of w^l X^x Z^z on D^n dimensions."""
-    dim = _dense_dimension(pauli.modulus, pauli.num_qudits, cap)
+    dim = _checked_dimension(pauli.modulus, pauli.num_qudits, cap)
     digits = _digit_table(pauli.modulus, pauli.num_qudits)
     rows, values = _pauli_action(pauli, digits)
     mat = np.zeros((dim, dim), dtype=np.complex128)
@@ -105,10 +114,10 @@ def dense_projector(
     """
     D = spec.modulus
     n = spec.n
-    dim = _dense_dimension(D, n, cap)
+    dim = _checked_dimension(D, n, cap)
     enum = enumerate_group(spec) if enumeration is None else enumeration
     digits = _digit_table(D, n)
-    weights = D ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    weights = _place_values(D, n)
     elements = enum.rows.astype(np.int64)  # entries < D <= cap; the identity alone if n = 0
     elements = elements[np.lexsort(elements.T[::-1])]  # sorted (phase, x, z) order
     shifts = elements[:, 1 : n + 1] @ weights
@@ -116,7 +125,7 @@ def dense_projector(
     # classes first appear in the sort in ascending x; members keep sorted order.
     order = np.argsort(shifts, kind="stable")
     classes = np.split(order, np.flatnonzero(np.diff(shifts[order])) + 1)
-    roots = _roots_of_unity(D)
+    roots = _roots_of_unity(D, dim)
     step = max(1, CELL_CAP // dim)
     rows = np.empty((len(classes), dim), dtype=np.int64)
     values = np.empty((len(classes), dim), dtype=np.complex128)
@@ -166,9 +175,8 @@ def projector_checks(
     codes, rows, values = proj.codes, proj.rows, proj.values
     dim = rows.shape[1]
     slots = _slots(dim, codes)
-    weights = D ** np.arange(n - 1, -1, -1, dtype=np.int64)
     # P-dagger[r, c] = conj(P[c, r]): class x of P meets class -x read at its rows
-    partners = slots[(-_digit_table(D, n)[codes] % D) @ weights]
+    partners = slots[(-_digit_table(D, n)[codes] % D) @ _place_values(D, n)]
     herm_residual = 0.0
     for i, partner in enumerate(partners):
         diff = values[i] if partner < 0 else np.conj(np.take(values[partner], rows[i])) - values[i]
@@ -261,15 +269,13 @@ def complement_duality_checks(matrix: ZModMatrix) -> dict:
     """
     D = matrix.modulus
     n = matrix.ncols
-    dim = D**n
-    if dim > EXHAUSTIVE_CAP:
-        raise BudgetExceeded(f"exhaustive space {dim} exceeds cap {EXHAUSTIVE_CAP}")
+    dim = _checked_dimension(D, n, EXHAUSTIVE_CAP)
     members = sorted(span_elements(matrix))
     size = len(members)
     elements = np.array(members, dtype=np.int64).reshape(size, n)
     etas = _digit_table(D, n)
     dots = (etas @ elements.T) % D
-    char_sums = _roots_of_unity(D)[dots].sum(axis=1)
+    char_sums = _roots_of_unity(D, dim)[dots].sum(axis=1)
     perp_mask = (dots == 0).all(axis=1)
     exhaustive_perp = int(perp_mask.sum())
     char_residual = float(

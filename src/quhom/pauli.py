@@ -101,9 +101,6 @@ class PauliProduct:
         """Number of qudits acted on nontrivially."""
         return sum(1 for a, b in zip(self.x, self.z) if a or b)
 
-    def is_identity(self) -> bool:
-        return self.phase == 0 and self.is_scalar()
-
     def is_scalar(self) -> bool:
         return not any(self.x) and not any(self.z)
 

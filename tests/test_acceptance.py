@@ -271,12 +271,10 @@ def test_criterion_10_hypermap_equivalence():
                     assert (d1 @ d2_matrix(hypermap, D)).is_zero(), (label, D)
                     assert (d1 @ iota_matrix(hypermap, D)).is_zero(), (label, D)
                     chain = delta_matrices(hypermap, specials, D)
-                    assert (chain.delta1 @ chain.delta2).is_zero(), (label, D)
-                    assert verify_equivalence(hypermap, specials, D), (label, D, specials)
+                    assert (chain.d1 @ chain.d2).is_zero(), (label, D)
+                    assert verify_equivalence(hypermap, specials, complex2, D), (label, D, specials)
                     assert is_orientable(complex2, D), (label, D)
-                    k_hypermap = code_dimension(
-                        StabilizerSpec.from_chain(chain.as_chain())
-                    )
+                    k_hypermap = code_dimension(StabilizerSpec.from_chain(chain))
                     k_complex = homology_cardinality(chain_complex(complex2, D))
                     assert k_hypermap == k_complex, (label, D)
                     cases += 1

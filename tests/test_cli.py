@@ -335,6 +335,43 @@ def test_convert_writes_output_file(tmp_path, capsys):
     assert payload["certificate"]["equivalent"] is True
 
 
+def test_convert_builds_one_complex_and_a_fixed_number_of_bases(tmp_path, capsys, monkeypatch):
+    # the certificate reads the emitted complex, and the Delta matrices are
+    # two sparse products, so nothing is rebuilt per face: 2 and 32 faces
+    from quhom import cli, hypermap
+
+    counts = []
+    for n in (4, 64):
+        complexes = counted(monkeypatch, cli, "to_two_complex")
+        bases = counted(monkeypatch, hypermap.SpecialDarts, "non_special")
+        alpha = [[dart, dart + 1] for dart in range(1, n, 2)]
+        path = write_json(tmp_path / f"h{n}.json", {"modulus": 3, "n": n, "alpha": alpha, "sigma": []})
+        code, out, _ = run_cli(capsys, "convert", path)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["certificate"]["equivalent"] is True
+        assert len(payload["complex"]["faces"]) == n // 2
+        assert len(complexes) == 1
+        counts.append(len(bases))
+        monkeypatch.undo()
+    assert counts[0] == counts[1]
+
+
+def test_convert_reports_a_broken_delta_chain_as_a_mismatch(tmp_path, capsys, monkeypatch):
+    # a Delta pair that is no chain complex equals no emitted complex: exit 5
+    from quhom import hypermap
+    from quhom.zmod import ZModMatrix
+
+    monkeypatch.setattr(hypermap, "d2_matrix", lambda h, D: ZModMatrix.identity(h.n, D))
+    path = write_json(
+        tmp_path / "h.json", {"modulus": 3, "n": 4, "alpha": [[1, 2], [3, 4]], "sigma": [[1, 3]]}
+    )
+    code, out, err = run_cli(capsys, "convert", path)
+    assert code == 5
+    assert json.loads(out)["certificate"]["equivalent"] is False
+    assert err == "error: hypermap and 2-complex chains differ\n"
+
+
 def test_convert_six_darts(tmp_path, capsys):
     path = write_json(
         tmp_path / "h6.json",
@@ -819,3 +856,43 @@ def test_verify_builds_one_complement_per_span(tmp_path, capsys, monkeypatch, k,
     matrix_of = {id(elimination): matrix for elimination, matrix in eliminations}
     built = [matrix_of[id(elimination)] for elimination in complements]
     assert len(built) == 2 and built[0] != built[1]  # the face span's and the vertex span's
+
+
+WIDE_SKIPS = (
+    "SKIP projector_trace (modulus does not fit in int64)\n"
+    "SKIP complement_duality_face_span (modulus does not fit in int64)\n"
+    "SKIP complement_duality_vertex_span (modulus does not fit in int64)\n"
+)
+
+
+def test_zero_qudits_at_a_modulus_past_int64(tmp_path, capsys):
+    # within the caps, since D^0 = 1; the dense and exhaustive stages skip
+    doc = {"modulus": 2**63, "vertices": ["v0"], "edges": [], "faces": []}
+    path = write_json(tmp_path / "wide.json", doc)
+    code, out, err = run_cli(capsys, "verify", path)
+    assert (code, err) == (0, "")
+    assert WIDE_SKIPS in out and out.endswith("\nok\n")
+    code, out, err = run_cli(capsys, "params", path, "--verify")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["dimension"], report["verified"]) == (1, True)
+
+
+def test_zero_qudit_check_matrix_past_int64(tmp_path, capsys):
+    path = tmp_path / "wide.txt"
+    path.write_text("18446744073709551617 0 0 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--check-matrix", str(path))
+    assert (code, err) == (0, "")
+    assert WIDE_SKIPS in out and "PASS distance_css (d=NoLogicals)" in out
+    code, out, err = run_cli(capsys, "params", "--verify", "--check-matrix", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verified"] is True
+
+
+def test_zero_qudits_at_a_large_modulus_within_int64(tmp_path, capsys):
+    # the roots-of-unity table holds one entry when there are no qudits
+    doc = {"modulus": 2**62, "vertices": ["v0"], "edges": [], "faces": []}
+    code, out, err = run_cli(capsys, "verify", write_json(tmp_path / "big.json", doc))
+    assert (code, err) == (0, "")
+    assert "PASS projector_trace residual=0.000e+00 (trace=1 expected=1)" in out
+    assert "PASS complement_duality_face_span residual=0.000e+00 (|E|=1 |Eperp|=1)" in out

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -19,11 +20,12 @@ from quhom.hypermap import (
     iota_matrix,
     orbits,
     permutation_from_cycles,
-    reduce_to_basis,
+    quotient_matrix,
     to_two_complex,
     verify_equivalence,
 )
 from quhom.pauli import StabilizerSpec, code_dimension
+from quhom.zmod import ZModMatrix
 
 from _corpus import ACCEPTANCE_MODULI, hypermap_corpus, random_special_darts
 
@@ -95,46 +97,86 @@ def test_column_sum_identity():
         assert face_sum == edge_sum == (1,) * h.n
 
 
+def reference_reduce_to_basis(vector, hypermap, specials, modulus):
+    """Coordinates of one dart vector in the non-special basis, dart by dart.
+
+    [s_e] = -sum of the other darts of hyperedge e, so the coefficient on a
+    non-special dart j is vector[j] - vector[s_e(j)].  Independent of the
+    sparse products: one vector at a time, read from the hyperedge orbits.
+    """
+    assert len(vector) == hypermap.n
+    structure = hypermap.orbit_structure()
+    out = []
+    for j in range(1, hypermap.n + 1):
+        if j in specials.special_set:
+            continue
+        s = specials.darts[structure.hyperedge_of[j - 1]]
+        out.append((vector[j - 1] - vector[s - 1]) % modulus)
+    return tuple(out)
+
+
 def test_reduce_to_basis():
     h = Hypermap(2, (2, 1), (2, 1))
     specials = SpecialDarts.default(h)
     assert specials.darts == (1,)
+    quotient = quotient_matrix(h, specials, 5)
+    assert quotient.entries == ((4, 1),)
     # non-special support passes through
-    assert reduce_to_basis((0, 2), h, specials, 5) == (2,)
+    assert quotient.matvec((0, 2)) == (2,)
     # unit vector on the special dart becomes -1 on its partner
-    assert reduce_to_basis((1, 0), h, specials, 5) == (4,)
+    assert quotient.matvec((1, 0)) == (4,)
     # iota columns die in the quotient
     iota = iota_matrix(h, 5)
-    assert reduce_to_basis(iota.column(0), h, specials, 5) == (0,)
+    assert quotient.matvec(iota.column(0)) == (0,)
+    assert (quotient @ iota).is_zero()
 
 
 def test_reduce_kills_iota_columns_generally():
     for h, _ in hypermap_corpus(40, seed=883):
         for D in (2, 3, 5):
             specials = SpecialDarts.default(h)
+            quotient = quotient_matrix(h, specials, D)
             iota = iota_matrix(h, D)
             for e in range(iota.ncols):
-                reduced = reduce_to_basis(iota.column(e), h, specials, D)
-                assert not any(reduced)
+                assert not any(quotient.matvec(iota.column(e)))
+
+
+def test_delta_matrices_match_the_reduction_of_each_face():
+    rng = random.Random(431)
+    for h, label in hypermap_corpus(60, seed=891):
+        for specials in (SpecialDarts.default(h), random_special_darts(rng, h)):
+            basis = specials.non_special(h.n)
+            for D in (*ACCEPTANCE_MODULI, 3 * 2**62):
+                d1, d2 = d1_matrix(h, D), d2_matrix(h, D)
+                chain = delta_matrices(h, specials, D)
+                columns = [reference_reduce_to_basis(d2.column(f), h, specials, D)
+                           for f in range(d2.ncols)]
+                want = ZModMatrix.from_rows(columns, len(basis), D).transpose()
+                assert chain.d2 == want, (label, D, specials)
+                assert chain.d1.entries == tuple(
+                    tuple(row[j - 1] for j in basis) for row in d1.entries
+                ), (label, D, specials)
 
 
 def test_delta_matrices_single_dart():
     h = Hypermap(1, (1,), (1,))
-    chain = delta_matrices(h, SpecialDarts.default(h), 3)
-    assert chain.basis == ()
-    assert chain.delta1.nrows == 1 and chain.delta1.ncols == 0
-    assert chain.delta2.nrows == 0 and chain.delta2.ncols == 1
-    assert homology_cardinality(chain.as_chain()) == 1
+    specials = SpecialDarts.default(h)
+    chain = delta_matrices(h, specials, 3)
+    assert specials.non_special(h.n) == ()
+    assert chain.d1.nrows == 1 and chain.d1.ncols == 0
+    assert chain.d2.nrows == 0 and chain.d2.ncols == 1
+    assert homology_cardinality(chain) == 1
 
 
 def test_delta_matrices_two_darts():
     h = Hypermap(2, (2, 1), (2, 1))
+    specials = SpecialDarts.default(h)
+    assert specials.non_special(h.n) == (2,)
     for D in (2, 3, 4, 6):
-        chain = delta_matrices(h, SpecialDarts.default(h), D)
-        assert chain.basis == (2,)
+        chain = delta_matrices(h, specials, D)
         # face {1} reduces to -[2], face {2} to +[2]
-        assert chain.delta2.entries == (((D - 1) % D, 1),)
-        assert chain.delta1.is_zero()
+        assert chain.d2.entries == (((D - 1) % D, 1),)
+        assert chain.d1.is_zero()
 
 
 def test_to_two_complex_single_dart():
@@ -158,7 +200,17 @@ def test_to_two_complex_two_darts():
     signs = sorted(w.steps[0].sign for w in c.walks)
     assert signs == [-1, 1]
     assert validate(c) == []
-    assert verify_equivalence(h, SpecialDarts.default(h), 5)
+    assert verify_equivalence(h, SpecialDarts.default(h), c, 5)
+
+
+def test_equivalence_reads_the_given_complex():
+    # the certificate checks the complex it is handed, not a rebuilt one
+    h = Hypermap(2, (2, 1), (2, 1))
+    specials = SpecialDarts.default(h)
+    c = to_two_complex(h, specials)
+    swapped = dataclasses.replace(c, walks=c.walks[::-1])
+    assert verify_equivalence(h, specials, c, 5)
+    assert not verify_equivalence(h, specials, swapped, 5)
 
 
 def test_equivalence_on_corpus():
@@ -170,7 +222,7 @@ def test_equivalence_on_corpus():
             c = to_two_complex(h, specials)
             assert validate(c) == [], (label, specials)
             for D in ACCEPTANCE_MODULI:
-                assert verify_equivalence(h, specials, D), (label, D, specials)
+                assert verify_equivalence(h, specials, c, D), (label, D, specials)
 
 
 def test_constructed_complexes_are_orientable():
@@ -185,7 +237,7 @@ def test_end_to_end_dimension_agreement():
     for h, label in hypermap_corpus(40, seed=889):
         specials = SpecialDarts.default(h)
         for D in (2, 3, 4):
-            chain = delta_matrices(h, specials, D).as_chain()
+            chain = delta_matrices(h, specials, D)
             k_hypermap = code_dimension(StabilizerSpec.from_chain(chain))
             c = to_two_complex(h, specials)
             k_complex = homology_cardinality(chain_complex(c, D))
