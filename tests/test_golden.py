@@ -6,6 +6,10 @@ acceptance complexes at every acceptance modulus, and
 `params --verify --budget 1` on the torus grids 1x1..10x10 at D = 2, 3, 6,
 and `convert` on the hypermap corpus of acceptance criterion 10, with the
 default and with alternate special darts, at every acceptance modulus.
+The oracle-route grids, `verify --level full --format json` on 1x2 D=5,
+1x3 D=3, 1x5 D=2 and 1x3 D=4 and `verify --level quick --format json` on
+2x2 D=5, pin the residual floats of the dense projector, P squared, the
+logical action and the complement counts, printed in full by the JSON.
 The oracle cross-checks of `params --verify` (group closure and sparse
 projector) are turned off in the `params` cases, by giving `cli` an
 `enumerate_group` with cap 0 and setting the dense cap to 0: they add
@@ -40,6 +44,10 @@ from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, hypermap_corpus, ra
 FIXTURE = pathlib.Path(__file__).with_name("golden_outputs.json")
 GRID_MODULI = (2, 3, 6)
 GRID_SIDES = range(1, 11)
+ORACLE_GRIDS = (
+    ("full", (1, 2, 5)), ("full", (1, 3, 3)), ("full", (1, 5, 2)), ("full", (1, 3, 4)),
+    ("quick", (2, 2, 5)),
+)
 
 
 def _digest(argv) -> str:
@@ -78,6 +86,11 @@ def golden_cases(workdir: pathlib.Path):
                     "params", "--verify", "--budget", "1",
                     "--builtin", f"torus-grid:{k}x{l}", "--modulus", str(D),
                 )
+    for level, (k, l, D) in ORACLE_GRIDS:
+        yield f"verify {level} json grid {k}x{l} D{D}", (
+            "verify", "--level", level, "--format", "json",
+            "--builtin", f"torus-grid:{k}x{l}", "--modulus", str(D),
+        )
     rng = random.Random(5077)
     for hypermap, label in hypermap_corpus(200):
         choices = (("default", None), ("alternate", random_special_darts(rng, hypermap)))
