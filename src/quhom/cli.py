@@ -16,10 +16,10 @@ from . import documents, oracle
 from .complex2 import (
     ChainComplexData,
     TwoComplex,
+    boundary2,
     chain_complex,
     faces_sum_to_zero,
     homology_cardinality,
-    is_orientable,
     is_orientable_integral,
     rp2,
     torus,
@@ -250,12 +250,13 @@ def cmd_convert(args) -> int:
     if modulus < 2:
         raise SchemaError(f"modulus must be >= 2, got {modulus}")
     complex2 = to_two_complex(hypermap, specials)
-    equivalent = verify_equivalence(hypermap, specials, complex2, modulus)
+    d2 = boundary2(complex2, modulus)
+    equivalent = verify_equivalence(hypermap, specials, complex2, modulus, d2)
     payload = {
         "complex": documents.complex_to_dict(complex2, modulus),
         "certificate": {
             "equivalent": equivalent,
-            "orientable_mod_d": is_orientable(complex2, modulus),
+            "orientable_mod_d": faces_sum_to_zero(d2),
             "orientable_integral": is_orientable_integral(complex2),
             "valid": not validate(complex2),
             "special_darts": list(specials.darts),

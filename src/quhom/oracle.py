@@ -10,6 +10,7 @@ production path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,9 @@ from .errors import BudgetExceeded, ScalarViolation
 from .pauli import (
     PauliProduct,
     StabilizerSpec,
+    additive_closure,
     code_dimension,
     enumerate_group,
-    enumerate_pauli_closure,
 )
 from .zmod import ZModMatrix, orthogonal_complement, span_cardinality
 
@@ -29,6 +30,7 @@ EXHAUSTIVE_CAP = 10**6
 INT64_BOUND = 2**63  # residues and base-D codes are int64 here, so D must stay below it
 RESIDUAL_TOL = 1e-9
 CELL_CAP = 1 << 14  # entries in one block of projector values; bounds memory
+TABLE_CAP = 1 << 20  # entries of the projector's z . c table (8 MB as int64)
 
 
 def _checked_dimension(modulus: int, n: int, cap: int) -> int:
@@ -45,13 +47,19 @@ def _place_values(modulus: int, n: int) -> np.ndarray:
     return np.array([modulus**q for q in range(n - 1, -1, -1)], dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=1)
 def _digit_table(modulus: int, n: int) -> np.ndarray:
-    """(D^n, n) array of basis-state digits, qudit 0 slowest-varying."""
+    """(D^n, n) read-only array of basis-state digits, qudit 0 slowest-varying.
+
+    Built once for the (D, n) of a command and shared by its projector,
+    checks, logical action and complement counts.
+    """
     idx = np.arange(modulus**n)
     table = np.empty((modulus**n, max(n, 1)), dtype=np.int64)
     for q in range(n - 1, -1, -1):
         table[:, q] = idx % modulus
         idx = idx // modulus
+    table.setflags(write=False)
     return table[:, :n]
 
 
@@ -106,10 +114,14 @@ def dense_projector(
     """P = (1/|S|) sum of the group elements, one X class at a time.
 
     Every element is monomial, one entry per column in the row its X part
-    shifts to, so the elements of one X class add up entrywise.  A class's
-    phases are one product (phase + z . digits) mod D, its values a lookup
-    into the roots of unity, summed over the class in sorted (phase, x, z)
-    order in blocks of at most CELL_CAP entries.
+    shifts to, so the elements of one X class add up entrywise.  The
+    elements are ordered by X part, and within a class in sorted
+    (phase, x, z) order.  An element's phase in column c is
+    phase + z . c mod D: z . c mod D is one table row per distinct z part,
+    shared by every element with that z part, and a member's values are a
+    lookup of phase + z . c, below 2D, into the roots of unity.  Members
+    are summed in order in blocks of at most CELL_CAP entries.  When the
+    table would pass TABLE_CAP entries, each block computes its own rows.
     `enumeration` is the output of enumerate_group(spec), when already built.
     """
     D = spec.modulus
@@ -119,27 +131,37 @@ def dense_projector(
     digits = _digit_table(D, n)
     weights = _place_values(D, n)
     elements = enum.rows.astype(np.int64)  # entries < D <= cap; the identity alone if n = 0
-    elements = elements[np.lexsort(elements.T[::-1])]  # sorted (phase, x, z) order
-    shifts = elements[:, 1 : n + 1] @ weights
-    # Each class holds (0, x, 0), a product of X-type generators alone, so the
-    # classes first appear in the sort in ascending x; members keep sorted order.
-    order = np.argsort(shifts, kind="stable")
-    classes = np.split(order, np.flatnonzero(np.diff(shifts[order])) + 1)
+    shifts = elements[:, 1 : n + 1] @ weights  # codes: the digit table's row of each part
+    z_codes = elements[:, n + 1 :] @ weights
+    order = np.lexsort((z_codes, elements[:, 0], shifts))
+    shifts, z_codes, phases = shifts[order], z_codes[order], elements[order, :1]
+    bounds = [0, *(np.flatnonzero(np.diff(shifts)) + 1).tolist(), len(order)]  # the classes
+    z_slots = _slots(dim, z_codes)
+    distinct = np.flatnonzero(z_slots >= 0)
+    table = None
+    if len(distinct) * dim <= TABLE_CAP:
+        table, z_rows = (digits[distinct] @ digits.T) % D, z_slots[z_codes]
     roots = _roots_of_unity(D, dim)
+    roots = np.concatenate((roots, roots))  # w^k for k below 2D
     step = max(1, CELL_CAP // dim)
-    rows = np.empty((len(classes), dim), dtype=np.int64)
-    values = np.empty((len(classes), dim), dtype=np.complex128)
-    for i, members in enumerate(classes):
-        rows[i] = ((digits + elements[members[0], 1 : n + 1]) % D) @ weights
+    codes = shifts[bounds[:-1]]
+    rows = np.empty((len(codes), dim), dtype=np.int64)
+    values = np.empty((len(codes), dim), dtype=np.complex128)
+    for i, (first, end) in enumerate(zip(bounds, bounds[1:])):
+        rows[i] = ((digits + digits[codes[i]]) % D) @ weights
         total = None
-        for lo in range(0, len(members), step):
-            block = elements[members[lo : lo + step]]
-            block_values = roots[(block[:, :1] + block[:, n + 1 :] @ digits.T) % D]
+        for lo in range(first, end, step):
+            hi = min(lo + step, end)
+            if table is None:
+                block = (digits[z_codes[lo:hi]] @ digits.T) % D
+            else:
+                block = table[z_rows[lo:hi]]
+            block = roots[phases[lo:hi] + block]
             if total is not None:
-                block_values = np.concatenate((total[None], block_values))
-            total = block_values.sum(axis=0)
+                block = np.concatenate((total[None], block))
+            total = block.sum(axis=0)
         values[i] = total / enum.size
-    return ClassProjector(shifts[[members[0] for members in classes]], rows, values)
+    return ClassProjector(codes, rows, values)
 
 
 def _slots(dim: int, *codes: np.ndarray) -> np.ndarray:
@@ -249,13 +271,11 @@ def verify_logical_action(
 
 
 def span_elements(matrix: ZModMatrix) -> set:
-    """Every element of the row span, as the group closure of the rows as X-type generators."""
+    """Every element of the row span, as the additive closure of the rows."""
     D, n = matrix.modulus, matrix.ncols
     if D**n > EXHAUSTIVE_CAP:
         raise BudgetExceeded(f"span ambient space {D}^{n} exceeds cap {EXHAUSTIVE_CAP}")
-    gens = [PauliProduct.x_type(D, g) for g in matrix.entries]
-    rows = enumerate_pauli_closure(gens, D, n, EXHAUSTIVE_CAP).rows
-    return set(map(tuple, rows[:, 1 : n + 1].tolist()))
+    return set(map(tuple, additive_closure(matrix.array(np.int64), D, EXHAUSTIVE_CAP).tolist()))
 
 
 def complement_duality_checks(matrix: ZModMatrix) -> dict:
@@ -274,9 +294,14 @@ def complement_duality_checks(matrix: ZModMatrix) -> dict:
     size = len(members)
     elements = np.array(members, dtype=np.int64).reshape(size, n)
     etas = _digit_table(D, n)
-    dots = (etas @ elements.T) % D
-    char_sums = _roots_of_unity(D, dim)[dots].sum(axis=1)
-    perp_mask = (dots == 0).all(axis=1)
+    roots = _roots_of_unity(D, dim)
+    char_sums = np.empty(dim, dtype=np.complex128)
+    perp_mask = np.empty(dim, dtype=bool)
+    step = max(1, CELL_CAP // size)  # etas per block of at most CELL_CAP dot products
+    for lo in range(0, dim, step):
+        dots = (etas[lo : lo + step] @ elements.T) % D
+        char_sums[lo : lo + step] = roots[dots].sum(axis=1)
+        perp_mask[lo : lo + step] = (dots == 0).all(axis=1)
     exhaustive_perp = int(perp_mask.sum())
     char_residual = float(
         max(

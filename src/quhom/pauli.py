@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count, filterfalse
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ from .zmod import ZModMatrix, product_dtype, span_cardinality
 
 ENUMERATION_CAP = 10**6
 CELL_CAP = 1 << 14  # entries in one block of closure products; bounds memory
+SMALL_BLOCK = 64  # products in a frontier block small enough to form in Python, not numpy
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -225,6 +227,88 @@ class GroupEnumeration:
         )
 
 
+def _closure_keys(expand, num_generators: int, cap: int) -> list[int]:
+    """Breadth-first closure over integer keys from key 0, in FIFO discovery order.
+
+    `expand(frontier)` gives the list of the products' keys for a list of
+    keys, parent-major, `num_generators` per parent.  One bounded block of
+    the frontier at a time, a block's keys are filtered against those seen
+    and deduplicated keeping first occurrences (`dict.fromkeys`), both in
+    C.  Raises BudgetExceeded as soon as more than `cap` keys are found.
+    """
+    seen = {0}
+    order = [0]
+    frontier = order
+    step = max(1, CELL_CAP // max(num_generators, 1))  # frontier elements per block
+    level = 0
+    while frontier and num_generators:
+        level += 1
+        found = []
+        for lo in range(0, len(frontier), step):
+            keys = filterfalse(seen.__contains__, expand(frontier[lo : lo + step]))
+            fresh = list(dict.fromkeys(keys))
+            seen.update(fresh)
+            if len(seen) > cap:
+                raise BudgetExceeded(
+                    f"group closure exceeded cap {cap} at BFS level {level}"
+                    f" ({cap + 1} elements found)",
+                    examined=cap + 1,
+                )
+            found += fresh
+        order += found
+        frontier = found
+    return order
+
+
+def additive_closure(rows: np.ndarray, modulus: int, cap: int, table: bool = False):
+    """The subgroup of Z_D^n the rows generate, as an (elements, n) array, zero first.
+
+    The rows are taken one at a time: S + <g> is S and then its cosets
+    S + j g, for j = 1, 2, ... until j g falls in S.  S is a subgroup, so
+    each coset is new as a whole and no element is formed twice; all the
+    cosets of one row are one numpy sum.  An element's key is its digits
+    read in base D.  With `table`, also returns the addition table, an
+    (elements, rows) array: entry (i, g) is the index of element i plus
+    rows[g], mod D.  Raises BudgetExceeded before the set would outgrow
+    `cap`.
+    """
+    D = modulus
+    n = rows.shape[1]
+    place = [D**q for q in range(n - 1, -1, -1)]
+    key_dtype = np.int64 if D**n < 2**63 else object
+    weights = np.array(place, dtype=key_dtype)
+    elements = np.zeros((1, n), dtype=rows.dtype)
+    index = {0: 0}  # key -> position in elements
+    gens = list(map(tuple, rows.tolist()))
+    for g in dict.fromkeys(gens):
+        shifts = []  # g, 2g, ... while outside the subgroup so far
+        shift = g
+        while sum(a * w for a, w in zip(shift, place)) not in index:
+            if len(elements) * (len(shifts) + 2) > cap:
+                raise BudgetExceeded(
+                    f"additive closure exceeded cap {cap} ({cap + 1} elements found)",
+                    examined=cap + 1,
+                )
+            shifts.append(shift)
+            shift = tuple([(a + b) % D for a, b in zip(shift, g)])
+        if shifts:
+            cosets = (elements + np.array(shifts, dtype=rows.dtype)[:, None, :]) % D
+            cosets = cosets.reshape(-1, n)
+            keys = (cosets.astype(key_dtype, copy=False) @ weights).tolist()
+            index.update(zip(keys, count(len(elements))))
+            elements = np.concatenate((elements, cosets))
+    if not table:
+        return elements
+    if len(elements) == 1:  # every row is zero
+        return elements, np.zeros((1, len(gens)), dtype=np.intp)
+    step = max(1, CELL_CAP // (len(gens) * n))  # elements per block of CELL_CAP digits
+    targets = []
+    for lo in range(0, len(elements), step):
+        products = ((elements[lo : lo + step, None, :] + rows) % D).astype(key_dtype, copy=False)
+        targets += map(index.__getitem__, (products @ weights).ravel().tolist())
+    return elements, np.array(targets, dtype=np.intp).reshape(len(elements), len(gens))
+
+
 def enumerate_pauli_closure(
     generators: Iterable[PauliProduct],
     modulus: int,
@@ -233,13 +317,19 @@ def enumerate_pauli_closure(
 ) -> GroupEnumeration:
     """Breadth-first closure under multiplication, starting from the identity.
 
-    One BFS level at a time: each block of the frontier times every
-    generator is one numpy product, and new elements are kept in
-    (parent, generator) order, the discovery order of a FIFO queue.  An
-    element's key is its digits (phase, x, z) read in base D, exact in
-    int64 or in Python ints.  Raises BudgetExceeded as soon as the
-    discovered set outgrows the cap; the first element found with
-    x = z = 0 and nonzero phase is reported as the scalar violation.
+    The generators' x rows and z rows are closed first, each by addition
+    mod D, into part arrays X and Z with addition tables tx and tz.  The
+    group holds every x part and every z part, so either closure passing
+    the cap raises BudgetExceeded.  An element is then one key for
+    (phase, x index, z index), and its product with generator g is
+    ((phase + zdot[z][g]) mod D, tx[x][g], tz[z][g]), where zdot is
+    Z g_x + g_phase mod D: three lookups per product, in Python for a
+    small block of the frontier and as numpy gathers for a large one.
+    Products are kept in (parent, generator) order, the discovery order
+    of a FIFO queue; the identity and repeated generators add nothing new
+    there and are left out.  The rows (phase, X[x], Z[z]) are built once
+    at the end.  The first element found with x = z = 0 and nonzero phase
+    is reported as the scalar violation.
     """
     D = modulus
     n = num_qudits
@@ -249,48 +339,55 @@ def enumerate_pauli_closure(
         if g.modulus != D or g.num_qudits != n:
             raise ValueError("generator does not match the requested dimensions")
         gens.append((g.phase, *g.x, *g.z))
+    steps = [g for g in dict.fromkeys(gens) if any(g)]  # the identity or a repeat adds nothing
+    k = len(steps)
     dtype = product_dtype(n + 2, D)  # phase + g_phase + z . g_x
-    gens = np.array(gens, dtype=dtype).reshape(len(gens), width)
-    g_x = gens[:, 1 : n + 1]
-    key_dtype = np.int64 if D**width <= 2**63 else object
-    weights = np.array([D**p for p in range(width - 1, -1, -1)], dtype=key_dtype)
-    step = max(1, CELL_CAP // (max(len(gens), 1) * width))  # frontier rows per block
+    steps = np.array(steps, dtype=dtype).reshape(k, width)
+    g_x = steps[:, 1 : n + 1]
+    try:
+        x_parts, tx = additive_closure(g_x, D, cap, table=True)
+        z_parts, tz = additive_closure(steps[:, n + 1 :], D, cap, table=True)
+    except BudgetExceeded:
+        raise BudgetExceeded(
+            f"group closure exceeded cap {cap} at BFS level 0 ({cap + 1} elements found):"
+            " the group holds more x parts or z parts than that",
+            examined=cap + 1,
+        ) from None
+    nz = len(z_parts)
+    parts = len(x_parts) * nz  # keys are phase * parts + x index * nz + z index
+    key_dtype = np.int64 if D * parts < 2**63 else object
+    zdot = (z_parts @ g_x.T + steps[:, 0]) % D
+    tx = tx * nz  # the x index's share of a key
+    lists = zdot.tolist(), tx.tolist(), tz.tolist()  # for blocks formed in Python
 
-    frontier = np.zeros((1, width), dtype=dtype)
-    levels = [frontier]
-    seen = {0}  # the identity's key
+    def expand(frontier):
+        if len(frontier) * k <= SMALL_BLOCK:
+            zdot_rows, x_rows, z_rows = lists
+            products = []
+            for key in frontier:
+                phase, index = divmod(key, parts)
+                xi, zi = divmod(index, nz)
+                products += [
+                    (phase + d) % D * parts + a + b
+                    for d, a, b in zip(zdot_rows[zi], x_rows[xi], z_rows[zi])
+                ]
+            return products
+        keys = np.array(frontier, dtype=key_dtype)
+        index = keys % parts
+        xi, zi = (index // nz).astype(np.intp), (index % nz).astype(np.intp)
+        phases = (keys[:, None] // parts + zdot[zi]) % D
+        return (phases * parts + tx[xi] + tz[zi]).ravel().tolist()
+
+    keys = np.array(_closure_keys(expand, k, cap), dtype=key_dtype)
+    index = keys % parts
+    rows = np.empty((len(keys), width), dtype=dtype)
+    rows[:, 0] = keys // parts
+    rows[:, 1 : n + 1] = x_parts[(index // nz).astype(np.intp)]
+    rows[:, n + 1 :] = z_parts[(index % nz).astype(np.intp)]
+    scalars = np.flatnonzero(index == 0)  # x = z = 0; the identity is first
     violation = None
-    level = 0
-    while len(frontier) and len(gens):
-        level += 1
-        found = []
-        for lo in range(0, len(frontier), step):
-            block = frontier[lo : lo + step]
-            products = block[:, None, :] + gens
-            products[:, :, 0] += block[:, n + 1 :] @ g_x.T
-            products = products.reshape(-1, width) % D
-            keys = products.astype(key_dtype, copy=False) @ weights
-            fresh = []
-            for i, key in enumerate(keys.tolist()):
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(i)
-            if len(seen) > cap:
-                raise BudgetExceeded(
-                    f"group closure exceeded cap {cap} at BFS level {level}"
-                    f" ({cap + 1} elements found)",
-                    examined=cap + 1,
-                )
-            new = products[fresh]
-            if violation is None:
-                scalars = np.flatnonzero((new[:, 0] != 0) & ~(new[:, 1:] != 0).any(axis=1))
-                if len(scalars):
-                    row = new[scalars[0]].tolist()
-                    violation = PauliProduct(D, row[0], row[1 : n + 1], row[n + 1 :])
-            found.append(new)
-        frontier = np.concatenate(found)
-        levels.append(frontier)
-    rows = np.concatenate(levels)
+    if len(scalars) > 1:
+        violation = PauliProduct(D, rows[scalars[1], 0], (0,) * n, (0,) * n)
     return GroupEnumeration(len(rows), violation, rows)
 
 

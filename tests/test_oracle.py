@@ -403,3 +403,22 @@ def test_code_dimension_matches_trace_for_builders():
         spec = spec_for(builder(), D)
         checks = projector_checks(spec)
         assert checks["rounded_trace"] == code_dimension(spec)
+
+
+def test_complement_duality_memory_is_bounded():
+    # 5^8 = 390,625 etas against the 125 face-span elements: one unblocked
+    # dot table is 48.8 million entries (1.2 GB with its roots), so the etas
+    # go in blocks of at most CELL_CAP products.  What is left is about
+    # 40 MB: the shared digit table (390,625 x 8 int64, 25 MB) with the
+    # temporaries that build it, and one character sum per eta (6 MB).
+    spec = spec_for(torus_grid(2, 2), 5)
+    _digit_table.cache_clear()
+    tracemalloc.start()
+    try:
+        checks = complement_duality_checks(spec.face_matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checks["ok"]
+    assert (checks["span_size"], checks["exhaustive_perp_size"]) == (125, 5**5)
+    assert peak < 64 * 2**20

@@ -3,7 +3,7 @@ import tracemalloc
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quhom.complex2 import chain_complex, homology_cardinality, rp2, torus, torus_grid
@@ -326,13 +326,15 @@ def test_scalar_witness_equals_double_loop(D):
 def reference_closure(generators, modulus, num_qudits, cap):
     """Deque BFS over (phase, x, z) tuples: the reference for the level-wise closure.
 
-    Returns (size, scalar_violation, elements) like GroupEnumeration's fields.
+    Returns (size, scalar_violation, elements, order) like GroupEnumeration's
+    fields, order being the elements in the order the queue discovers them.
     """
     D = modulus
     n = num_qudits
     gens = [(g.phase, g.x, g.z) for g in generators]
     identity = (0, (0,) * n, (0,) * n)
     seen = {identity}
+    order = [identity]
     queue = deque([identity])
     violation = None
     while queue:
@@ -350,19 +352,25 @@ def reference_closure(generators, modulus, num_qudits, cap):
                 raise BudgetExceeded(f"group closure exceeded cap {cap}", examined=len(seen))
             if violation is None and nxt[0] and not any(nxt[1]) and not any(nxt[2]):
                 violation = PauliProduct(D, nxt[0], nxt[1], nxt[2])
+            order.append(nxt)
             queue.append(nxt)
-    return len(seen), violation, frozenset(seen)
+    return len(seen), violation, frozenset(seen), order
 
 
 def closure_outcome(generators, modulus, num_qudits, cap, reference=False):
-    """(size, scalar_violation, elements), or ("budget", examined) when over cap."""
+    """(size, scalar_violation, elements, order), or ("budget", examined) when over cap.
+
+    `order` lists the elements row by row as GroupEnumeration.rows holds them.
+    """
     try:
         if reference:
             return reference_closure(generators, modulus, num_qudits, cap)
         enum = enumerate_pauli_closure(generators, modulus, num_qudits, cap)
     except BudgetExceeded as exc:
         return "budget", exc.examined
-    return enum.size, enum.scalar_violation, enum.elements
+    n = num_qudits
+    order = [(row[0], tuple(row[1 : n + 1]), tuple(row[n + 1 :])) for row in enum.rows.tolist()]
+    return enum.size, enum.scalar_violation, enum.elements, order
 
 
 @st.composite
@@ -382,8 +390,17 @@ def generator_sets(draw):
     return D, n, draw(st.lists(pauli, max_size=5))
 
 
+def _wide_case(D=3 * 2**62, n=5):
+    """256 elements at a modulus past int64: frontier blocks go to numpy, on object keys."""
+    half = D // 2
+    xs = [PauliProduct.x_type(D, [half * (i == q) for i in range(n)]) for q in range(4)]
+    zs = [PauliProduct.z_type(D, [half * (i in (q, q + 1)) for i in range(n)]) for q in range(4)]
+    return D, n, xs + zs
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(generator_sets())
+@example(_wide_case())
 def test_closure_equals_deque_reference(case):
     D, n, gens = case
     assert closure_outcome(gens, D, n, 500) == closure_outcome(gens, D, n, 500, reference=True)
@@ -420,6 +437,26 @@ def test_closure_cap_edges(spec):
         "budget",
         size,
     )
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [PauliProduct.x_type(3, (1, 0, 0)), PauliProduct.x_type(3, (0, 1, 1))],
+        [PauliProduct.z_type(3, (1, 0, 0)), PauliProduct.z_type(3, (0, 1, 1))],
+        [PauliProduct.x_type(3, (1, 0, 2)), PauliProduct.z_type(3, (1, 0, 1))],
+    ],
+    ids=["x parts", "z parts", "x and z parts"],
+)
+def test_closure_over_cap_in_its_parts(gens):
+    # 9 x parts, 9 z parts, or 3 of each: the parts alone pass cap 2
+    for cap in (1, 2):
+        assert closure_outcome(gens, 3, 3, cap) == ("budget", cap + 1)
+        assert closure_outcome(gens, 3, 3, cap, reference=True) == ("budget", cap + 1)
+    with pytest.raises(BudgetExceeded, match=r"at BFS level \d+ \(3 elements found\)"):
+        enumerate_pauli_closure(gens, 3, 3, cap=2)
+    size = reference_closure(gens, 3, 3, 100)[0]
+    assert closure_outcome(gens, 3, 3, size) == closure_outcome(gens, 3, 3, size, reference=True)
 
 
 def test_closure_memory_is_bounded():
