@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .complex2 import ChainComplexData, ClosedWalk, SignedEdge, TwoComplex, boundary1, boundary2
+from .complex2 import ChainComplexData, ClosedWalk, SignedEdge, TwoComplex, boundary1
 from .zmod import ZModMatrix
 
 Permutation = tuple[int, ...]
@@ -278,7 +278,7 @@ def to_two_complex(hypermap: Hypermap, specials: SpecialDarts) -> TwoComplex:
 
 
 def verify_equivalence(
-    hypermap: Hypermap, specials: SpecialDarts, complex2: TwoComplex, modulus: int, d2=None
+    hypermap: Hypermap, specials: SpecialDarts, complex2: TwoComplex, modulus: int, d2: ZModMatrix
 ) -> bool:
     """Entrywise equality of complex2's (boundary1, boundary2) with (Delta1, Delta2).
 
@@ -286,12 +286,10 @@ def verify_equivalence(
     check reads the complex that is emitted.  Both sides are expressed in
     the same bases: hypervertices, non-special darts in increasing order,
     and face orbits.  A Delta pair that is not a chain complex equals none.
-    `d2` is boundary2(complex2, modulus), when already built.
+    `d2` is boundary2(complex2, modulus), which the caller builds once.
     """
     try:
         chain = delta_matrices(hypermap, specials, modulus)
     except ValueError:
         return False
-    if d2 is None:
-        d2 = boundary2(complex2, modulus)
     return boundary1(complex2, modulus) == chain.d1 and d2 == chain.d2

@@ -21,7 +21,6 @@ from .zmod import ZModMatrix, product_dtype, span_cardinality
 
 ENUMERATION_CAP = 10**6
 CELL_CAP = 1 << 14  # entries in one block of closure products; bounds memory
-SMALL_BLOCK = 64  # products in a frontier block small enough to form in Python, not numpy
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -264,13 +263,13 @@ def additive_closure(rows: np.ndarray, modulus: int, cap: int, table: bool = Fal
     """The subgroup of Z_D^n the rows generate, as an (elements, n) array, zero first.
 
     The rows are taken one at a time: S + <g> is S and then its cosets
-    S + j g, for j = 1, 2, ... until j g falls in S.  S is a subgroup, so
-    each coset is new as a whole and no element is formed twice; all the
-    cosets of one row are one numpy sum.  An element's key is its digits
-    read in base D.  With `table`, also returns the addition table, an
-    (elements, rows) array: entry (i, g) is the index of element i plus
-    rows[g], mod D.  Raises BudgetExceeded before the set would outgrow
-    `cap`.
+    S + j g, for j = 1, ..., t until (t + 1) g falls in S.  S is a
+    subgroup, so each coset is new as a whole and no element is formed
+    twice; all the cosets of one row are one numpy sum.  An element's key
+    is its digits read in base D.  With `table`, also returns the addition
+    table, an (elements, rows) array: entry (i, g) is the index of element
+    i plus rows[g], mod D.  Raises BudgetExceeded before the set would
+    outgrow `cap`.
     """
     D = modulus
     n = rows.shape[1]
@@ -280,6 +279,7 @@ def additive_closure(rows: np.ndarray, modulus: int, cap: int, table: bool = Fal
     elements = np.zeros((1, n), dtype=rows.dtype)
     index = {0: 0}  # key -> position in elements
     gens = list(map(tuple, rows.tolist()))
+    stages = {}  # row -> (|S| before it, cosets t it added, (t + 1) g)
     for g in dict.fromkeys(gens):
         shifts = []  # g, 2g, ... while outside the subgroup so far
         shift = g
@@ -291,6 +291,7 @@ def additive_closure(rows: np.ndarray, modulus: int, cap: int, table: bool = Fal
                 )
             shifts.append(shift)
             shift = tuple([(a + b) % D for a, b in zip(shift, g)])
+        stages[g] = len(elements), len(shifts), shift
         if shifts:
             cosets = (elements + np.array(shifts, dtype=rows.dtype)[:, None, :]) % D
             cosets = cosets.reshape(-1, n)
@@ -299,14 +300,25 @@ def additive_closure(rows: np.ndarray, modulus: int, cap: int, table: bool = Fal
             elements = np.concatenate((elements, cosets))
     if not table:
         return elements
-    if len(elements) == 1:  # every row is zero
-        return elements, np.zeros((1, len(gens)), dtype=np.intp)
-    step = max(1, CELL_CAP // (len(gens) * n))  # elements per block of CELL_CAP digits
-    targets = []
-    for lo in range(0, len(elements), step):
-        products = ((elements[lo : lo + step, None, :] + rows) % D).astype(key_dtype, copy=False)
-        targets += map(index.__getitem__, (products @ weights).ravel().tolist())
-    return elements, np.array(targets, dtype=np.intp).reshape(len(elements), len(gens))
+    # Row g added t cosets to the m elements before it, so element i is
+    # hi (t + 1) m + j m + lo with lo < m.  Plus g it is i + m while j < t;
+    # for j = t it is lo + (t + 1) g, which lies in the first m elements,
+    # moved by the same hi.  Only a nonzero (t + 1) g needs lookups, m of them.
+    before = np.array([m for m, _, _ in stages.values()], dtype=np.intp)
+    columns = np.arange(len(elements)) + before[:, None]
+    step = max(1, CELL_CAP // max(n, 1))  # elements per block of CELL_CAP digits
+    for column, (m, t, wrap) in zip(columns, stages.values()):
+        last = column.reshape(-1, t + 1, m)[:, t]
+        last -= (t + 1) * m  # hi (t + 1) m + lo
+        if any(wrap):
+            wrapped = []  # the index of element lo plus (t + 1) g, for lo < m
+            for lo in range(0, m, step):
+                sums = (elements[lo : min(m, lo + step)] + np.array(wrap, dtype=rows.dtype)) % D
+                keys = (sums.astype(key_dtype, copy=False) @ weights).tolist()
+                wrapped += map(index.__getitem__, keys)
+            last += np.array(wrapped, dtype=np.intp) - np.arange(m)
+    position = {g: c for c, g in enumerate(stages)}
+    return elements, np.ascontiguousarray(columns.T[:, [position[g] for g in gens]])
 
 
 def enumerate_pauli_closure(
@@ -323,8 +335,7 @@ def enumerate_pauli_closure(
     the cap raises BudgetExceeded.  An element is then one key for
     (phase, x index, z index), and its product with generator g is
     ((phase + zdot[z][g]) mod D, tx[x][g], tz[z][g]), where zdot is
-    Z g_x + g_phase mod D: three lookups per product, in Python for a
-    small block of the frontier and as numpy gathers for a large one.
+    Z g_x + g_phase mod D: three numpy gathers per block of the frontier.
     Products are kept in (parent, generator) order, the discovery order
     of a FIFO queue; the identity and repeated generators add nothing new
     there and are left out.  The rows (phase, X[x], Z[z]) are built once
@@ -358,20 +369,8 @@ def enumerate_pauli_closure(
     key_dtype = np.int64 if D * parts < 2**63 else object
     zdot = (z_parts @ g_x.T + steps[:, 0]) % D
     tx = tx * nz  # the x index's share of a key
-    lists = zdot.tolist(), tx.tolist(), tz.tolist()  # for blocks formed in Python
 
     def expand(frontier):
-        if len(frontier) * k <= SMALL_BLOCK:
-            zdot_rows, x_rows, z_rows = lists
-            products = []
-            for key in frontier:
-                phase, index = divmod(key, parts)
-                xi, zi = divmod(index, nz)
-                products += [
-                    (phase + d) % D * parts + a + b
-                    for d, a, b in zip(zdot_rows[zi], x_rows[xi], z_rows[zi])
-                ]
-            return products
         keys = np.array(frontier, dtype=key_dtype)
         index = keys % parts
         xi, zi = (index // nz).astype(np.intp), (index % nz).astype(np.intp)

@@ -13,6 +13,7 @@ from itertools import product
 
 from quhom.cli import main
 from quhom.complex2 import (
+    boundary2,
     chain_complex,
     homology_cardinality,
     is_orientable,
@@ -272,7 +273,9 @@ def test_criterion_10_hypermap_equivalence():
                     assert (d1 @ iota_matrix(hypermap, D)).is_zero(), (label, D)
                     chain = delta_matrices(hypermap, specials, D)
                     assert (chain.d1 @ chain.d2).is_zero(), (label, D)
-                    assert verify_equivalence(hypermap, specials, complex2, D), (label, D, specials)
+                    d2 = boundary2(complex2, D)
+                    equivalent = verify_equivalence(hypermap, specials, complex2, D, d2)
+                    assert equivalent, (label, D, specials)
                     assert is_orientable(complex2, D), (label, D)
                     k_hypermap = code_dimension(StabilizerSpec.from_chain(chain))
                     k_complex = homology_cardinality(chain_complex(complex2, D))

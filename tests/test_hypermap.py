@@ -200,7 +200,7 @@ def test_to_two_complex_two_darts():
     signs = sorted(w.steps[0].sign for w in c.walks)
     assert signs == [-1, 1]
     assert validate(c) == []
-    assert verify_equivalence(h, SpecialDarts.default(h), c, 5)
+    assert verify_equivalence(h, SpecialDarts.default(h), c, 5, boundary2(c, 5))
 
 
 def test_equivalence_reads_the_given_complex():
@@ -209,8 +209,8 @@ def test_equivalence_reads_the_given_complex():
     specials = SpecialDarts.default(h)
     c = to_two_complex(h, specials)
     swapped = dataclasses.replace(c, walks=c.walks[::-1])
-    assert verify_equivalence(h, specials, c, 5)
-    assert not verify_equivalence(h, specials, swapped, 5)
+    assert verify_equivalence(h, specials, c, 5, boundary2(c, 5))
+    assert not verify_equivalence(h, specials, swapped, 5, boundary2(swapped, 5))
 
 
 def test_equivalence_on_corpus():
@@ -222,7 +222,7 @@ def test_equivalence_on_corpus():
             c = to_two_complex(h, specials)
             assert validate(c) == [], (label, specials)
             for D in ACCEPTANCE_MODULI:
-                assert verify_equivalence(h, specials, c, D), (label, D, specials)
+                assert verify_equivalence(h, specials, c, D, boundary2(c, D)), (label, D, specials)
 
 
 def test_constructed_complexes_are_orientable():

@@ -250,6 +250,19 @@ def test_projector_bit_identical_to_reference_on_grids(k, l, D):
     assert_same_classes(dense_projector(spec), reference_projector(spec))
 
 
+# TABLE_CAP = 0: no shared z . c table, every block of members computes its own rows
+@pytest.mark.parametrize("label,spec", SMALL_SPECS, ids=[label for label, _ in SMALL_SPECS])
+def test_projector_bit_identical_to_reference_without_table(label, spec, monkeypatch):
+    monkeypatch.setattr("quhom.oracle.TABLE_CAP", 0)
+    test_projector_bit_identical_to_reference(label, spec)
+
+
+@pytest.mark.parametrize("k,l,D", ORACLE_GRIDS, ids=[f"{k}x{l} D={D}" for k, l, D in ORACLE_GRIDS])
+def test_projector_bit_identical_to_reference_on_grids_without_table(k, l, D, monkeypatch):
+    monkeypatch.setattr("quhom.oracle.TABLE_CAP", 0)
+    test_projector_bit_identical_to_reference_on_grids(k, l, D)
+
+
 def unclosed_projector(D, n, codes, seed):
     """A ClassProjector with random values on the given X classes, closed or not."""
     rng = np.random.default_rng(seed)

@@ -391,7 +391,7 @@ def generator_sets(draw):
 
 
 def _wide_case(D=3 * 2**62, n=5):
-    """256 elements at a modulus past int64: frontier blocks go to numpy, on object keys."""
+    """256 elements at a modulus past int64: part tables and BFS keys on object arrays."""
     half = D // 2
     xs = [PauliProduct.x_type(D, [half * (i == q) for i in range(n)]) for q in range(4)]
     zs = [PauliProduct.z_type(D, [half * (i in (q, q + 1)) for i in range(n)]) for q in range(4)]
