@@ -9,8 +9,6 @@ from .complex2 import (
     boundary2,
     chain_complex,
     homology_cardinality,
-    inverse_walk,
-    is_orientable,
     is_orientable_integral,
     rp2,
     torus,
@@ -31,10 +29,8 @@ from .pauli import (
     StabilizerSpec,
     code_dimension,
     enumerate_group,
-    face_operator,
     stabilizer_size,
     syndrome,
-    vertex_operator,
 )
 from .zmod import (
     SmithDecomposition,

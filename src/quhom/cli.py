@@ -296,7 +296,8 @@ def _dimension_checks(spec: StabilizerSpec, chain: ChainComplexData | None, dens
     """Yield the records that check K by homology, closure and tr P; return P, or None.
 
     `verify` renders them with its other records; `params --verify` stops
-    at the first FAIL.  The group is enumerated once and P built from it.
+    at the first FAIL.  The group is enumerated once and P built from it;
+    a group over the enumeration cap skips both.
     """
     dim = spec.modulus**spec.n
     if chain is not None:
@@ -329,12 +330,11 @@ def _dimension_checks(spec: StabilizerSpec, chain: ChainComplexData | None, dens
     if spec.modulus >= oracle.INT64_BOUND:
         yield _skip("projector_trace", _WIDE_MODULUS)
         return None
-    try:
-        proj = oracle.dense_projector(spec, enumeration=enum)
-    except BudgetExceeded:
+    if enum is None:
         yield _skip("projector_trace", "group too large to enumerate")
         return None
-    checks = oracle.projector_checks(spec, projector=proj)
+    proj = oracle.dense_projector(spec, enum)
+    checks = oracle.projector_checks(spec, proj)
     detail = f"trace={checks['rounded_trace']} expected={checks['expected_dimension']}"
     if checks["expected_dimension"] == 0:
         detail += " (zero code space)"
@@ -388,7 +388,7 @@ def _verify_checks(complex2, chain, spec: StabilizerSpec, level: str, budget: in
     if dim > dense_cap:
         yield _skip("logical_action", f"dimension over cap {dense_cap}")
     else:
-        yield _check("logical_action", oracle.verify_logical_action(pauli, spec, projector=proj))
+        yield _check("logical_action", oracle.verify_logical_action(pauli, spec, proj))
 
 
 def cmd_verify(args) -> int:
@@ -524,7 +524,16 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    """Run one command; counts are printed exactly, however many digits they have."""
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(sys.argv[1:] if argv is None else list(argv))
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
+def _run(argv: list[str]) -> int:
     args = _parse(argv)
     if args is None:
         args = build_parser().parse_args(argv)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .zmod import ZModMatrix, kernel_cardinality, span_cardinality
 
@@ -25,9 +24,6 @@ class SignedEdge:
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
-    def inverse(self) -> SignedEdge:
-        return SignedEdge(self.edge, -self.sign)
-
 
 @dataclass(frozen=True)
 class ClosedWalk:
@@ -36,7 +32,7 @@ class ClosedWalk:
     The canonical representative is the lexicographically minimal rotation
     of the (edge id, sign) sequence with + ordered before -.  An empty walk
     is the degenerate face produced by hypermap conversion (its boundary
-    column is zero); every other constructor path yields length >= 1.
+    column is zero).
     """
 
     steps: tuple[SignedEdge, ...]
@@ -55,28 +51,12 @@ class ClosedWalk:
             steps = steps[start:] + steps[:start]
         object.__setattr__(self, "steps", steps)
 
-    @classmethod
-    def of(cls, steps: Iterable[SignedEdge]) -> ClosedWalk:
-        steps = tuple(steps)
-        if not steps:
-            raise ValueError("closed walk must have length >= 1")
-        return cls(steps)
-
-    @classmethod
-    def degenerate(cls) -> ClosedWalk:
-        return cls(())
-
     def __len__(self) -> int:
         return len(self.steps)
 
     @property
     def is_degenerate(self) -> bool:
         return not self.steps
-
-
-def inverse_walk(walk: ClosedWalk) -> ClosedWalk:
-    """Reverse the walk and flip every sign; an involution on canonical forms."""
-    return ClosedWalk(tuple(s.inverse() for s in reversed(walk.steps)))
 
 
 @dataclass(frozen=True)
@@ -224,11 +204,6 @@ def faces_sum_to_zero(d2: ZModMatrix) -> bool:
     return not d2.row_sums().any()
 
 
-def is_orientable(complex2: TwoComplex, modulus: int) -> bool:
-    """True iff the face boundaries sum to zero mod D (a D-dependent test)."""
-    return faces_sum_to_zero(boundary2(complex2, modulus))
-
-
 def is_orientable_integral(complex2: TwoComplex) -> bool:
     """The D-independent version: signed multiplicities sum to zero over Z."""
     totals = dict.fromkeys(complex2.edges, 0)  # the integral row sums of d2
@@ -246,14 +221,14 @@ def rp2() -> TwoComplex:
         sources=("v",),
         targets=("v",),
         faces=("f",),
-        walks=(ClosedWalk.of([SignedEdge("e", 1), SignedEdge("e", 1)]),),
+        walks=(ClosedWalk((SignedEdge("e", 1), SignedEdge("e", 1))),),
     )
 
 
 def torus() -> TwoComplex:
     """Torus as a single cell: one vertex, two self-loops, B(f) = [e1, e2, e1~, e2~]."""
-    walk = ClosedWalk.of(
-        [SignedEdge("e1", 1), SignedEdge("e2", 1), SignedEdge("e1", -1), SignedEdge("e2", -1)]
+    walk = ClosedWalk(
+        (SignedEdge("e1", 1), SignedEdge("e2", 1), SignedEdge("e1", -1), SignedEdge("e2", -1))
     )
     return TwoComplex(
         vertices=("v",),
@@ -291,13 +266,13 @@ def torus_grid(k: int, l: int) -> TwoComplex:
         for j in range(l):
             faces.append(f"f{i}.{j}")
             walks.append(
-                ClosedWalk.of(
-                    [
+                ClosedWalk(
+                    (
                         SignedEdge(f"r{i}.{j}", 1),
                         SignedEdge(f"u{i}.{(j + 1) % l}", 1),
                         SignedEdge(f"r{(i + 1) % k}.{j}", -1),
                         SignedEdge(f"u{i}.{j}", -1),
-                    ]
+                    )
                 )
             )
     return TwoComplex(

@@ -97,7 +97,7 @@ def complex_from_dict(doc: Any) -> tuple[TwoComplex, int]:
                 steps.append(SignedEdge(item[:-1], -1))
             else:
                 steps.append(SignedEdge(item, 1))
-        walks.append(ClosedWalk.of(steps) if steps else ClosedWalk.degenerate())
+        walks.append(ClosedWalk(steps))
     _unique_names(faces, "face")
 
     complex2 = TwoComplex(

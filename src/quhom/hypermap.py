@@ -80,14 +80,13 @@ def _orbit_lookup(parts: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]
 
 @dataclass(frozen=True)
 class OrbitStructure:
-    """Hyperedges, hypervertices, faces, and dart -> orbit-index lookups."""
+    """Hyperedges, hypervertices, faces, and dart -> hyperedge and hypervertex lookups."""
 
     hyperedges: tuple[tuple[int, ...], ...]
     hypervertices: tuple[tuple[int, ...], ...]
     faces: tuple[tuple[int, ...], ...]
     hyperedge_of: tuple[int, ...]
     hypervertex_of: tuple[int, ...]
-    face_of: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,6 @@ class Hypermap:
             faces=faces,
             hyperedge_of=_orbit_lookup(hyperedges, self.n),
             hypervertex_of=_orbit_lookup(hypervertices, self.n),
-            face_of=_orbit_lookup(faces, self.n),
         )
 
 
@@ -175,7 +173,10 @@ class SpecialDarts:
 
 def d2_matrix(hypermap: Hypermap, modulus: int) -> ZModMatrix:
     """Darts x faces; column f is the indicator of the darts in face f."""
-    return _indicator_columns(hypermap.n, hypermap.orbit_structure().faces, modulus)
+    faces = hypermap.orbit_structure().faces
+    pairs = [(dart - 1, f) for f, orbit in enumerate(faces) for dart in orbit]
+    rows, cols = zip(*pairs)  # every dart lies in one face, and there is at least one dart
+    return ZModMatrix.from_coo(hypermap.n, len(faces), modulus, rows, cols, [1] * len(pairs))
 
 
 def d1_matrix(hypermap: Hypermap, modulus: int) -> ZModMatrix:
@@ -187,18 +188,6 @@ def d1_matrix(hypermap: Hypermap, modulus: int) -> ZModMatrix:
         len(structure.hypervertices), n, modulus, heads + list(structure.hypervertex_of),
         [*range(n), *range(n)], [1] * n + [-1] * n,
     )
-
-
-def iota_matrix(hypermap: Hypermap, modulus: int) -> ZModMatrix:
-    """Darts x hyperedges; column e is the indicator of the darts in hyperedge e."""
-    return _indicator_columns(hypermap.n, hypermap.orbit_structure().hyperedges, modulus)
-
-
-def _indicator_columns(n: int, orbits, modulus: int) -> ZModMatrix:
-    """n x len(orbits) matrix: column j is the indicator of the darts in orbit j."""
-    pairs = [(dart - 1, j) for j, orbit in enumerate(orbits) for dart in orbit]
-    rows, cols = zip(*pairs) if pairs else ((), ())
-    return ZModMatrix.from_coo(n, len(orbits), modulus, rows, cols, [1] * len(pairs))
 
 
 def quotient_matrix(hypermap: Hypermap, specials: SpecialDarts, modulus: int) -> ZModMatrix:
@@ -266,7 +255,7 @@ def to_two_complex(hypermap: Hypermap, specials: SpecialDarts) -> TwoComplex:
                 steps.append(SignedEdge(f"d{j}", -1))
                 j = hypermap.alpha[j - 1]
         faces.append(f"f{orbit[0]}")
-        walks.append(ClosedWalk.of(steps) if steps else ClosedWalk.degenerate())
+        walks.append(ClosedWalk(steps))
     return TwoComplex(
         vertices=vertices,
         edges=edges,

@@ -1,9 +1,10 @@
 """Brute-force verification at tiny scale: the slow, trusted path.
 
 Operators realize X as the cyclic shift and Z as the diagonal of D-th
-roots of unity, densely for single Pauli products and one X class at a
-time for the group projector; qudit 1 is the slowest-varying tensor index,
-matching position 1 (leftmost factor) of the symplectic representation.
+roots of unity, one entry per basis column: a single Pauli product as its
+action, the group projector one X class at a time.  Qudit 1 is the
+slowest-varying tensor index, matching position 1 (leftmost factor) of
+the symplectic representation.
 Everything here is deliberately independent of the exact-arithmetic
 production path.
 """
@@ -16,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, ScalarViolation
-from .pauli import (
-    PauliProduct,
-    StabilizerSpec,
-    additive_closure,
-    code_dimension,
-    enumerate_group,
-)
+from .pauli import GroupEnumeration, PauliProduct, StabilizerSpec, additive_closure, code_dimension
 from .zmod import ZModMatrix, orthogonal_complement, span_cardinality
 
 DENSE_DIMENSION_CAP = 4096
@@ -82,16 +77,6 @@ def _pauli_action(pauli: PauliProduct, digits: np.ndarray):
     return rows, _roots_of_unity(D, len(digits))[phases]
 
 
-def dense_pauli(pauli: PauliProduct, cap: int = DENSE_DIMENSION_CAP) -> np.ndarray:
-    """Dense matrix of w^l X^x Z^z on D^n dimensions."""
-    dim = _checked_dimension(pauli.modulus, pauli.num_qudits, cap)
-    digits = _digit_table(pauli.modulus, pauli.num_qudits)
-    rows, values = _pauli_action(pauli, digits)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[rows, np.arange(dim)] = values
-    return mat
-
-
 @dataclass(frozen=True)
 class ClassProjector:
     """P stored as its X classes, each one entry per basis column.
@@ -109,7 +94,7 @@ class ClassProjector:
 
 
 def dense_projector(
-    spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP, enumeration=None
+    spec: StabilizerSpec, enumeration: GroupEnumeration, cap: int = DENSE_DIMENSION_CAP
 ) -> ClassProjector:
     """P = (1/|S|) sum of the group elements, one X class at a time.
 
@@ -122,15 +107,14 @@ def dense_projector(
     lookup of phase + z . c, below 2D, into the roots of unity.  Members
     are summed in order in blocks of at most CELL_CAP entries.  When the
     table would pass TABLE_CAP entries, each block computes its own rows.
-    `enumeration` is the output of enumerate_group(spec), when already built.
+    `enumeration` is the output of enumerate_group(spec).
     """
     D = spec.modulus
     n = spec.n
     dim = _checked_dimension(D, n, cap)
-    enum = enumerate_group(spec) if enumeration is None else enumeration
     digits = _digit_table(D, n)
     weights = _place_values(D, n)
-    elements = enum.rows.astype(np.int64)  # entries < D <= cap; the identity alone if n = 0
+    elements = enumeration.rows.astype(np.int64)  # entries < D <= cap; the identity alone if n = 0
     shifts = elements[:, 1 : n + 1] @ weights  # codes: the digit table's row of each part
     z_codes = elements[:, n + 1 :] @ weights
     order = np.lexsort((z_codes, elements[:, 0], shifts))
@@ -160,7 +144,7 @@ def dense_projector(
             if total is not None:
                 block = np.concatenate((total[None], block))
             total = block.sum(axis=0)
-        values[i] = total / enum.size
+        values[i] = total / enumeration.size
     return ClassProjector(codes, rows, values)
 
 
@@ -180,19 +164,16 @@ def _trace(proj: ClassProjector, slots: np.ndarray) -> complex:
     return complex(proj.values[slots[0]].sum()) if slots[0] >= 0 else 0j
 
 
-def projector_checks(
-    spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP, projector=None
-) -> dict:
+def projector_checks(spec: StabilizerSpec, proj: ClassProjector) -> dict:
     """Residuals for P = P-dagger = P-squared and the trace-vs-K identity.
 
     Each residual is the largest entrywise difference.  An entry whose class
     is missing from the other side counts in full, so nothing assumes that
     the classes of P are closed under negation or sums.
     `residual` is the largest of the three, and `ok` the verdict: it is
-    under RESIDUAL_TOL and the rounded trace is K.
-    `projector` is the output of dense_projector(spec), when already built.
+    under RESIDUAL_TOL and the rounded trace is K.  `proj` is
+    dense_projector's output for the spec.
     """
-    proj = dense_projector(spec, cap) if projector is None else projector
     D, n = spec.modulus, spec.n
     codes, rows, values = proj.codes, proj.rows, proj.values
     dim = rows.shape[1]
@@ -240,19 +221,16 @@ def projector_checks(
     }
 
 
-def verify_logical_action(
-    pauli: PauliProduct, spec: StabilizerSpec, cap: int = DENSE_DIMENSION_CAP, projector=None
-) -> bool:
+def verify_logical_action(pauli: PauliProduct, spec: StabilizerSpec, proj: ClassProjector) -> bool:
     """True iff the operator restricted to the code space is not a scalar.
 
     Requires a normalizer element (is_logical holds for it).  With P = B B^dagger
     for an orthonormal basis B of the code space, R B = B M with M the
     restriction, so R P - c P = B (M - c I) B^dagger has the Frobenius norm of
     M - c I.  The candidate scalar is c = tr(M)/K = tr(R P)/tr(P), and M is a
-    scalar iff R P = c P, which needs no basis of the range.
-    `projector` is the output of dense_projector(spec), when already built.
+    scalar iff R P = c P, which needs no basis of the range.  `proj` is
+    dense_projector's output for the spec.
     """
-    proj = dense_projector(spec, cap) if projector is None else projector
     slots = _slots(proj.rows.shape[1], proj.codes)
     trace = _trace(proj, slots).real
     if round(trace) == 0:

@@ -21,10 +21,7 @@ from .zmod import ZModMatrix, product_dtype, span_cardinality
 
 ENUMERATION_CAP = 10**6
 CELL_CAP = 1 << 14  # entries in one block of closure products; bounds memory
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+CHECK_MATRIX_QUDIT_CAP = 2 * 10**4  # largest n of a check matrix: 2 per cell of the largest grid
 
 
 @dataclass(frozen=True)
@@ -47,10 +44,6 @@ class PauliProduct:
         object.__setattr__(self, "z", tuple(int(e) % D for e in self.z))
 
     @classmethod
-    def identity(cls, modulus: int, n: int) -> PauliProduct:
-        return cls(modulus, 0, (0,) * n, (0,) * n)
-
-    @classmethod
     def x_type(cls, modulus: int, x: Sequence[int]) -> PauliProduct:
         return cls(modulus, 0, tuple(x), (0,) * len(x))
 
@@ -66,44 +59,9 @@ class PauliProduct:
     def num_qudits(self) -> int:
         return len(self.x)
 
-    def _check_compatible(self, other: PauliProduct):
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        if self.num_qudits != other.num_qudits:
-            raise ValueError("qudit count mismatch")
-
-    def multiply(self, other: PauliProduct) -> PauliProduct:
-        """Product in X-before-Z normal form; reordering costs w^(z_P . x_Q)."""
-        self._check_compatible(other)
-        D = self.modulus
-        return PauliProduct(
-            D,
-            self.phase + other.phase + _dot(self.z, other.x),
-            tuple(a + b for a, b in zip(self.x, other.x)),
-            tuple(a + b for a, b in zip(self.z, other.z)),
-        )
-
-    __mul__ = multiply
-
-    def inverse(self) -> PauliProduct:
-        return PauliProduct(
-            self.modulus,
-            _dot(self.z, self.x) - self.phase,
-            tuple(-a for a in self.x),
-            tuple(-a for a in self.z),
-        )
-
-    def commutation_phase(self, other: PauliProduct) -> int:
-        """beta with P Q = w^beta Q P; zero iff the two commute."""
-        self._check_compatible(other)
-        return (_dot(self.z, other.x) - _dot(self.x, other.z)) % self.modulus
-
     def weight(self) -> int:
         """Number of qudits acted on nontrivially."""
         return sum(1 for a, b in zip(self.x, self.z) if a or b)
-
-    def is_scalar(self) -> bool:
-        return not any(self.x) and not any(self.z)
 
 
 @dataclass(frozen=True)
@@ -182,16 +140,6 @@ class StabilizerSpec:
         return PauliProduct.scalar(self.modulus, int(self.pairings.data[0]), self.n)
 
 
-def face_operator(chain: ChainComplexData, f: int) -> PauliProduct:
-    """Z-type product whose exponents are column f of the face boundary."""
-    return PauliProduct.z_type(chain.modulus, chain.d2.column(f))
-
-
-def vertex_operator(chain: ChainComplexData, v: int) -> PauliProduct:
-    """X-type product read off row v of the edge boundary; self-loops cancel."""
-    return PauliProduct.x_type(chain.modulus, chain.d1.row(v))
-
-
 def syndrome(error: PauliProduct, spec: StabilizerSpec) -> tuple[int, ...]:
     """Commutation phase of the error against every generator, faces first.
 
@@ -210,20 +158,12 @@ class GroupEnumeration:
     """Closure result: group order, first scalar found, and the elements.
 
     `rows` holds one element per row, (phase, x..., z...), in discovery
-    order; `elements` is the same set as raw (phase, x, z) triples, built
-    on first use.
+    order.
     """
 
     size: int
     scalar_violation: PauliProduct | None
     rows: np.ndarray = field(repr=False)
-
-    @cached_property
-    def elements(self) -> frozenset:
-        n = (self.rows.shape[1] - 1) // 2
-        return frozenset(
-            (row[0], tuple(row[1 : n + 1]), tuple(row[n + 1 :])) for row in self.rows.tolist()
-        )
 
 
 def _closure_keys(expand, num_generators: int, cap: int) -> list[int]:
@@ -444,6 +384,10 @@ def parse_check_matrix(text: str) -> StabilizerSpec:
         raise SchemaError(f"bad check matrix header: {exc}") from None
     if D < 2 or n < 0 or nf < 0 or nv < 0:
         raise SchemaError("check matrix header values out of range")
+    if n > CHECK_MATRIX_QUDIT_CAP:
+        raise BudgetExceeded(
+            f"check matrix has {n} qudits, over the cap of {CHECK_MATRIX_QUDIT_CAP}"
+        )
     body = lines[1:]
     if len(body) != nf + nv:
         raise SchemaError(f"expected {nf + nv} generator rows, found {len(body)}")

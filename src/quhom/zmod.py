@@ -77,35 +77,18 @@ class ZModMatrix:
     indptr[i + 1]]` in increasing order, with values `data[...]` in [1, D).
     Values are int64 when D fits in int64 and Python ints otherwise.  The
     form is canonical, so equal matrices have equal arrays.  Entries are
-    checked or reduced once, when the matrix is built; every operation
-    below reads the arrays in O(nnz), apart from the dense views `entries`
-    and `array`.  Matrices are never changed after they are built; the
-    transpose and the unit-pivot elimination of the rows, which answers
-    for the row span, are built once and kept.
+    reduced once, when `from_rows` or `from_coo` builds the matrix; every
+    operation below reads the arrays in O(nnz), apart from the dense views
+    `entries` and `array`.  Matrices are never changed after they are
+    built; the transpose and the unit-pivot elimination of the rows, which
+    answers for the row span, are built once and kept.
     """
 
-    def __init__(self, nrows: int, ncols: int, modulus: int, entries: IntRows):
-        """From dense rows, each of length ncols with entries already in [0, D)."""
-        _check_modulus(modulus)
-        if len(entries) != nrows:
-            raise ValueError("row count mismatch")
-        if set(map(len, entries)) - {ncols}:
-            raise ValueError("column count mismatch")
-        dense = _int_array(entries, (nrows, ncols))
-        if dense.size and (dense.min() < 0 or dense.max() >= modulus):
-            raise ValueError("entries must be reduced to [0, D)")
-        self._set(*_csr_of_dense(dense, modulus))
-
-    def _set(self, nrows, ncols, modulus, indptr, indices, data):
+    def __init__(self, nrows: int, ncols: int, modulus: int, indptr, indices, data):
+        """From the arrays of the canonical form, as the constructors below build them."""
         self.nrows, self.ncols, self.modulus = nrows, ncols, modulus
         self.indptr, self.indices, self.data = indptr, indices, data
         self._transpose = None
-
-    @classmethod
-    def _csr(cls, nrows, ncols, modulus, indptr, indices, data) -> ZModMatrix:
-        matrix = cls.__new__(cls)
-        matrix._set(nrows, ncols, modulus, indptr, indices, data)
-        return matrix
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], ncols: int, modulus: int) -> ZModMatrix:
@@ -117,7 +100,7 @@ class ZModMatrix:
         dense = _int_array(rows, (len(rows), ncols))
         if _value_dtype(modulus) is object:
             dense = dense.astype(object)
-        return cls._csr(*_csr_of_dense(dense % modulus, modulus))
+        return cls(*_csr_of_dense(dense % modulus, modulus))
 
     @classmethod
     def from_coo(cls, nrows: int, ncols: int, modulus: int, rows, cols, values) -> ZModMatrix:
@@ -148,16 +131,8 @@ class ZModMatrix:
         kept = sums.nonzero()[0]
         keys = keys[starts[kept]]
         rows = keys // ncols if ncols else keys
-        return cls._csr(nrows, ncols, modulus, _indptr(rows, nrows), keys - rows * ncols,
-                        sums[kept].astype(dtype, copy=False))
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int, modulus: int) -> ZModMatrix:
-        return cls.from_coo(nrows, ncols, modulus, (), (), ())
-
-    @classmethod
-    def identity(cls, n: int, modulus: int) -> ZModMatrix:
-        return cls.from_coo(n, n, modulus, range(n), range(n), [1] * n)
+        return cls(nrows, ncols, modulus, _indptr(rows, nrows), keys - rows * ncols,
+                   sums[kept].astype(dtype, copy=False))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZModMatrix):
@@ -168,10 +143,6 @@ class ZModMatrix:
             and np.array_equal(self.indices, other.indices)
             and np.array_equal(self.data, other.data)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self.modulus, self.indptr.tobytes(),
-                     self.indices.tobytes(), tuple(self.data.tolist())))
 
     def __repr__(self) -> str:
         return (f"ZModMatrix(nrows={self.nrows}, ncols={self.ncols}, modulus={self.modulus}, "
@@ -210,13 +181,6 @@ class ZModMatrix:
             out[j] = v
         return tuple(out)
 
-    def column(self, j: int) -> Vector:
-        out = [0] * self.nrows
-        hits = self.indices == j
-        for i, v in zip(self._row_ids[hits].tolist(), self.data[hits].tolist()):
-            out[i] = v
-        return tuple(out)
-
     def row_weights(self) -> list[int]:
         """Number of nonzero entries in each row."""
         return (self.indptr[1:] - self.indptr[:-1]).tolist()
@@ -235,7 +199,7 @@ class ZModMatrix:
         """The transpose; built once, and its own transpose is this matrix."""
         if self._transpose is None:
             order = self.indices.argsort(kind="stable")
-            self._transpose = ZModMatrix._csr(
+            self._transpose = ZModMatrix(
                 self.ncols, self.nrows, self.modulus, _indptr(self.indices, self.ncols),
                 self._row_ids[order], self.data[order],
             )
@@ -552,7 +516,3 @@ def orthogonal_complement(matrix: ZModMatrix) -> ZModMatrix:
     """Generators of the orthogonal complement of the row span, as the rows of a matrix."""
     return matrix.elimination.complement
 
-
-def all_vectors(n: int, modulus: int) -> Iterable[Vector]:
-    """Every vector of Z_D^n, in odometer order (for small exhaustive checks)."""
-    return itertools.product(range(modulus), repeat=n)

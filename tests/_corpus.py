@@ -32,7 +32,7 @@ def _random_closed_walk(rng, vertices, out_steps, max_walk):
             steps.append(signed)
             cur = nxt
         if not dead_end and cur == start:
-            return ClosedWalk.of(steps)
+            return ClosedWalk(steps)
     return None
 
 

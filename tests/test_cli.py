@@ -13,7 +13,7 @@ import quhom
 from quhom.cli import main
 from quhom.complex2 import chain_complex, rp2, torus_grid
 from quhom.documents import complex_to_dict
-from quhom.pauli import StabilizerSpec, export_check_matrix
+from quhom.pauli import ENUMERATION_CAP, StabilizerSpec, export_check_matrix
 
 
 def run_cli(capsys, *argv):
@@ -205,37 +205,86 @@ def test_torus_grid_size_capped_before_building(capsys):
     assert "100000x100000" in err and "10000" in err
 
 
+def counted_enumerations(monkeypatch, cap=ENUMERATION_CAP):
+    """Route cli.enumerate_group through a counter; returns the list of calls."""
+    from quhom import cli, pauli
+
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return pauli.enumerate_group(spec, cap)
+
+    monkeypatch.setattr(cli, "enumerate_group", counted)
+    return calls
+
+
 def test_verify_full_enumerates_group_once(capsys, monkeypatch):
-    from quhom import oracle
-
-    def refuse(spec):
-        raise AssertionError("the projector must reuse the verify enumeration")
-
-    monkeypatch.setattr(oracle, "enumerate_group", refuse)
+    calls = counted_enumerations(monkeypatch)
     code, out, _ = run_cli(
         capsys, "verify", "--builtin", "rp2", "--modulus", "2", "--level", "full"
     )
     assert code == 0
     assert "PASS projector_trace" in out
+    assert "PASS logical_action" in out
+    assert len(calls) == 1
 
 
 def test_params_verify_enumerates_group_once(capsys, monkeypatch):
-    from quhom import cli, oracle, pauli
-
-    calls = []
-
-    def counted(spec, *args):
-        calls.append(spec)
-        return pauli.enumerate_group(spec, *args)
-
-    monkeypatch.setattr(cli, "enumerate_group", counted)
-    monkeypatch.setattr(oracle, "enumerate_group", counted)
+    calls = counted_enumerations(monkeypatch)
     code, out, _ = run_cli(
         capsys, "params", "--verify", "--builtin", "rp2", "--modulus", "2", "--format", "json"
     )
     assert code == 0
     assert json.loads(out)["verified"] is True
     assert len(calls) == 1
+
+
+def test_counts_past_the_int_to_str_digit_limit_are_printed_exactly(tmp_path, capsys):
+    # K = 2^14400 and 2^20000 have 4,335 and 6,021 digits: past Python's default
+    # limit of 4,300, which stays in force outside the command
+    limit = sys.get_int_max_str_digits()
+    edges = [{"name": f"e{i}", "source": "v", "target": "v"} for i in range(14400)]
+    loops = write_json(
+        tmp_path / "loops.json", {"modulus": 2, "vertices": ["v"], "edges": edges, "faces": []}
+    )
+    qudits = tmp_path / "wide.txt"
+    qudits.write_text("2 20000 0 0\n", encoding="utf-8")  # n at the cap
+    outputs = []
+    for argv in (("params", loops), ("params", "--check-matrix", str(qudits)), ("verify", loops)):
+        code, out, err = run_cli(capsys, *argv, "--budget", "1")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        outputs.append(out)
+    sys.set_int_max_str_digits(0)
+    try:
+        for out, n in zip(outputs, (14400, 20000)):
+            report = json.loads(out)
+            assert (report["dimension"], report["stabilizer_size"]) == (2**n, 1)
+        assert f"PASS dimension_vs_homology (span={2**14400} homology={2**14400})" in outputs[2]
+        assert f"SKIP projector_trace (dimension {2**14400} over cap 256)" in outputs[2]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("command", ["params", "distance", "verify"])
+def test_check_matrix_qudits_capped_before_building(tmp_path, capsys, command):
+    from quhom.cli import GRID_CELL_CAP
+    from quhom.pauli import CHECK_MATRIX_QUDIT_CAP
+
+    assert CHECK_MATRIX_QUDIT_CAP == 2 * GRID_CELL_CAP  # the qudits of the largest grid
+    path = tmp_path / "huge.txt"
+    for n in (CHECK_MATRIX_QUDIT_CAP + 1, 10**8):
+        path.write_text(f"3 {n} 0 0\n", encoding="utf-8")
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, command, "--check-matrix", str(path))
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (4, "")
+        assert err == f"error: check matrix has {n} qudits, over the cap of 20000\n"
+    if command != "verify":  # verify reads the same parser, and takes seconds at the cap
+        path.write_text(f"3 {CHECK_MATRIX_QUDIT_CAP} 0 0\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, command, "--check-matrix", str(path), "--budget", "1")
+        assert (code, err) == (0, "")
 
 
 def test_distance_scalar_violation_matches_params(tmp_path, capsys):
@@ -362,7 +411,10 @@ def test_convert_reports_a_broken_delta_chain_as_a_mismatch(tmp_path, capsys, mo
     from quhom import hypermap
     from quhom.zmod import ZModMatrix
 
-    monkeypatch.setattr(hypermap, "d2_matrix", lambda h, D: ZModMatrix.identity(h.n, D))
+    def identity(h, D):
+        return ZModMatrix.from_coo(h.n, h.n, D, range(h.n), range(h.n), [1] * h.n)
+
+    monkeypatch.setattr(hypermap, "d2_matrix", identity)
     path = write_json(
         tmp_path / "h.json", {"modulus": 3, "n": 4, "alpha": [[1, 2], [3, 4]], "sigma": [[1, 3]]}
     )
@@ -458,19 +510,24 @@ def test_verify_adversarial_check_matrix(tmp_path, capsys):
     ],
 )
 def test_verify_group_skip_says_why(tmp_path, capsys, monkeypatch, cap, detail):
-    # X and Z on one qutrit: |r(B)| |r(A)| = 9 predicted, 27 elements with the scalars
-    from quhom import cli, pauli
+    # X and Z on one qutrit: |r(B)| |r(A)| = 9 predicted, 27 elements with the scalars;
+    # the projector is skipped too, without closing the group a second time
     from quhom.zmod import ZModMatrix
 
-    monkeypatch.setattr(cli, "enumerate_group", functools.partial(pauli.enumerate_group, cap=cap))
+    calls = counted_enumerations(monkeypatch, cap)
     row = ZModMatrix.from_rows([(1,)], 1, 3)
     path = tmp_path / "adv.txt"
     path.write_text(export_check_matrix(StabilizerSpec(3, 1, row, row)), encoding="utf-8")
     code, out, _ = run_cli(capsys, "verify", "--check-matrix", str(path), "--format", "json")
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert code == 0
+    assert len(calls) == 1
     assert checks["group_enumeration"] == {
         "name": "group_enumeration", "status": "SKIP", "residual": None, "detail": detail
+    }
+    assert checks["projector_trace"] == {
+        "name": "projector_trace", "status": "SKIP", "residual": None,
+        "detail": "group too large to enumerate",
     }
 
 

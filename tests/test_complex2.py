@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 from itertools import product
 
@@ -13,9 +12,8 @@ from quhom.complex2 import (
     boundary1,
     boundary2,
     chain_complex,
+    faces_sum_to_zero,
     homology_cardinality,
-    inverse_walk,
-    is_orientable,
     is_orientable_integral,
     rp2,
     torus,
@@ -64,7 +62,7 @@ def test_two_self_loop_walk_is_valid():
         sources=("v", "v"),
         targets=("v", "v"),
         faces=("f",),
-        walks=(ClosedWalk.of([SignedEdge("e1", 1), SignedEdge("e2", 1)]),),
+        walks=(ClosedWalk([SignedEdge("e1", 1), SignedEdge("e2", 1)]),),
     )
     assert validate(c) == []
 
@@ -77,7 +75,7 @@ def test_validate_reports_incidence_break():
         sources=("u", "w"),
         targets=("u", "u"),
         faces=("f",),
-        walks=(ClosedWalk.of([SignedEdge("e1", 1), SignedEdge("e2", 1)]),),
+        walks=(ClosedWalk([SignedEdge("e1", 1), SignedEdge("e2", 1)]),),
     )
     problems = validate(c)
     assert len(problems) == 1
@@ -91,39 +89,16 @@ def test_validate_reports_dangling_references():
         sources=("v",),
         targets=("ghost",),
         faces=("f",),
-        walks=(ClosedWalk.of([SignedEdge("missing", 1)]),),
+        walks=(ClosedWalk([SignedEdge("missing", 1)]),),
     )
     problems = validate(c)
     assert any("unknown target vertex" in p for p in problems)
     assert any("unknown edge" in p for p in problems)
 
 
-def test_inverse_walk_examples():
-    w = ClosedWalk.of([SignedEdge("e", 1), SignedEdge("e", 1)])
-    assert inverse_walk(w) == ClosedWalk.of([SignedEdge("e", -1), SignedEdge("e", -1)])
-
-    w = ClosedWalk.of(
-        [SignedEdge("e1", 1), SignedEdge("e2", 1), SignedEdge("e1", -1), SignedEdge("e2", -1)]
-    )
-    expected = ClosedWalk.of(
-        [SignedEdge("e2", 1), SignedEdge("e1", 1), SignedEdge("e2", -1), SignedEdge("e1", -1)]
-    )
-    assert inverse_walk(w) == expected
-
-
-def test_inverse_walk_is_involution():
-    rng = random.Random(3)
-    for complex2, _ in two_complex_corpus(30, seed=99):
-        for walk in complex2.walks:
-            if walk.is_degenerate:
-                continue
-            assert inverse_walk(inverse_walk(walk)) == walk
-        _ = rng  # corpus already random; rng kept for symmetry
-
-
 def test_walk_canonical_rotation():
-    a = ClosedWalk.of([SignedEdge("b", 1), SignedEdge("a", 1)])
-    b = ClosedWalk.of([SignedEdge("a", 1), SignedEdge("b", 1)])
+    a = ClosedWalk((SignedEdge("b", 1), SignedEdge("a", 1)))
+    b = ClosedWalk((SignedEdge("a", 1), SignedEdge("b", 1)))
     assert a == b
     assert a.steps[0].edge == "a"
 
@@ -143,10 +118,10 @@ def walk_steps(names):
 @given(st.integers(2, 3).flatmap(walk_steps))
 def test_walk_rotation_matches_min_over_rotations(steps):
     # two or three edge names over up to 8 steps make repeated step keys, so ties, likely
-    walk = ClosedWalk.of(steps)
+    walk = ClosedWalk(steps)
     assert walk.steps == reference_rotation(steps)
     for i in range(len(steps)):
-        assert ClosedWalk.of(steps[i:] + steps[:i]) == walk
+        assert ClosedWalk(steps[i:] + steps[:i]) == walk
 
 
 def test_boundary1_examples():
@@ -154,7 +129,7 @@ def test_boundary1_examples():
     assert boundary1(torus(), 5).entries == ((0, 0),)
     c = TwoComplex(("u", "w"), ("e",), ("u",), ("w",), (), ())
     mat = boundary1(c, 7)
-    assert mat.column(0) == (6, 1)  # -1 at source, +1 at target
+    assert mat.transpose().row(0) == (6, 1)  # -1 at source, +1 at target
 
 
 def test_boundary2_examples():
@@ -162,7 +137,7 @@ def test_boundary2_examples():
         assert boundary2(rp2(), D).entries == ((2 % D,),)
     assert boundary2(torus(), 4).is_zero()
     c = TwoComplex(
-        ("v",), ("e",), ("v",), ("v",), ("f",), (ClosedWalk.of([SignedEdge("e", 1)]),)
+        ("v",), ("e",), ("v",), ("v",), ("f",), (ClosedWalk((SignedEdge("e", 1),)),)
     )
     assert boundary2(c, 5).entries == ((1,),)
 
@@ -215,6 +190,10 @@ def test_inconsistent_chain_rejected():
         ChainComplexData(3, d1, d2)
 
 
+def is_orientable(complex2, D):
+    return faces_sum_to_zero(boundary2(complex2, D))
+
+
 def test_orientability():
     for D in (2, 3, 4, 5):
         assert is_orientable(torus(), D)
@@ -238,7 +217,7 @@ def counted_orientable_integral(complex2):
 
 def test_orientable_integral_matches_counted_multiplicities():
     cases = [c for c, _ in [*acceptance_complexes(), *two_complex_corpus(200, seed=97)]]
-    degenerate = TwoComplex(("v",), (), (), (), ("f",), (ClosedWalk.degenerate(),))
+    degenerate = TwoComplex(("v",), (), (), (), ("f",), (ClosedWalk(()),))
     cases += [rp2(), torus(), torus_grid(8, 8), degenerate]
     results = [is_orientable_integral(c) for c in cases]
     assert results == [counted_orientable_integral(c) for c in cases]
@@ -250,11 +229,8 @@ def test_orientable_integral_matches_counted_multiplicities():
 
 
 def test_degenerate_walk():
-    w = ClosedWalk.degenerate()
+    w = ClosedWalk(())
     assert w.is_degenerate
-    assert inverse_walk(w) == w
-    with pytest.raises(ValueError):
-        ClosedWalk.of([])
     c = TwoComplex(("v",), (), (), (), ("f",), (w,))
     assert validate(c) == []
     assert boundary2(c, 3).nrows == 0

@@ -24,6 +24,7 @@ from quhom.pauli import PauliProduct, StabilizerSpec, code_dimension, syndrome
 from quhom.zmod import ZModMatrix, contains, orthogonal_complement
 
 from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, two_complex_corpus
+from _reference import identity
 
 # torus grids on which the scalar reference search stays cheap
 REFERENCE_GRIDS = ((3, 3, 2), (3, 3, 3), (3, 3, 6), (3, 4, 3), (4, 4, 2))
@@ -153,7 +154,7 @@ def test_is_in_normalizer_examples():
 
 def test_is_logical_examples():
     spec = spec_for(torus(), 3)
-    assert not is_logical(PauliProduct.identity(3, 2), spec)
+    assert not is_logical(identity(3, 2), spec)
     assert is_logical(PauliProduct.x_type(3, (1, 0)), spec)
 
     spec3 = spec_for(rp2(), 3)
@@ -184,7 +185,7 @@ def test_syndrome_coset_soundness():
     d = distance_css(spec).distance
     assert d == 2
     n = spec.n
-    low_weight = [PauliProduct.identity(2, n)] + [
+    low_weight = [identity(2, n)] + [
         PauliProduct(2, 0, tuple(a if i == pos else 0 for i in range(n)),
                      tuple(b if i == pos else 0 for i in range(n)))
         for pos in range(n)

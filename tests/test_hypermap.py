@@ -6,8 +6,8 @@ import pytest
 from quhom.complex2 import (
     boundary2,
     chain_complex,
+    faces_sum_to_zero,
     homology_cardinality,
-    is_orientable,
     is_orientable_integral,
     validate,
 )
@@ -17,7 +17,6 @@ from quhom.hypermap import (
     d1_matrix,
     d2_matrix,
     delta_matrices,
-    iota_matrix,
     orbits,
     permutation_from_cycles,
     quotient_matrix,
@@ -28,6 +27,7 @@ from quhom.pauli import StabilizerSpec, code_dimension
 from quhom.zmod import ZModMatrix
 
 from _corpus import ACCEPTANCE_MODULI, hypermap_corpus, random_special_darts
+from _reference import iota_matrix
 
 
 def test_permutation_from_cycles():
@@ -127,7 +127,7 @@ def test_reduce_to_basis():
     assert quotient.matvec((1, 0)) == (4,)
     # iota columns die in the quotient
     iota = iota_matrix(h, 5)
-    assert quotient.matvec(iota.column(0)) == (0,)
+    assert quotient.matvec(iota.transpose().row(0)) == (0,)
     assert (quotient @ iota).is_zero()
 
 
@@ -138,7 +138,7 @@ def test_reduce_kills_iota_columns_generally():
             quotient = quotient_matrix(h, specials, D)
             iota = iota_matrix(h, D)
             for e in range(iota.ncols):
-                assert not any(quotient.matvec(iota.column(e)))
+                assert not any(quotient.matvec(iota.transpose().row(e)))
 
 
 def test_delta_matrices_match_the_reduction_of_each_face():
@@ -149,7 +149,7 @@ def test_delta_matrices_match_the_reduction_of_each_face():
             for D in (*ACCEPTANCE_MODULI, 3 * 2**62):
                 d1, d2 = d1_matrix(h, D), d2_matrix(h, D)
                 chain = delta_matrices(h, specials, D)
-                columns = [reference_reduce_to_basis(d2.column(f), h, specials, D)
+                columns = [reference_reduce_to_basis(d2.transpose().row(f), h, specials, D)
                            for f in range(d2.ncols)]
                 want = ZModMatrix.from_rows(columns, len(basis), D).transpose()
                 assert chain.d2 == want, (label, D, specials)
@@ -187,7 +187,7 @@ def test_to_two_complex_single_dart():
     assert len(c.faces) == 1
     assert c.walks[0].is_degenerate
     assert validate(c) == []
-    assert boundary2(c, 4).column(0) == ()
+    assert boundary2(c, 4).transpose().row(0) == ()
 
 
 def test_to_two_complex_two_darts():
@@ -230,7 +230,7 @@ def test_constructed_complexes_are_orientable():
         c = to_two_complex(h, SpecialDarts.default(h))
         assert is_orientable_integral(c), label
         for D in ACCEPTANCE_MODULI:
-            assert is_orientable(c, D), (label, D)
+            assert faces_sum_to_zero(boundary2(c, D)), (label, D)
 
 
 def test_end_to_end_dimension_agreement():

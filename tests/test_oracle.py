@@ -14,7 +14,6 @@ from quhom.oracle import (
     _digit_table,
     _pauli_action,
     complement_duality_checks,
-    dense_pauli,
     dense_projector,
     projector_checks,
     span_elements,
@@ -24,6 +23,7 @@ from quhom.pauli import PauliProduct, StabilizerSpec, code_dimension, enumerate_
 from quhom.zmod import ZModMatrix
 
 from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, span_corpus, two_complex_corpus
+from _reference import commutation_phase, dense_pauli, elements, identity, multiply, projector
 
 
 def spec_for(complex2, D):
@@ -31,8 +31,8 @@ def spec_for(complex2, D):
 
 
 def single_generator_spec(D, z_row=None, x_row=None, n=1):
-    face = ZModMatrix.from_rows([z_row], n, D) if z_row else ZModMatrix.zero(0, n, D)
-    vertex = ZModMatrix.from_rows([x_row], n, D) if x_row else ZModMatrix.zero(0, n, D)
+    face = ZModMatrix.from_rows([z_row] if z_row else [], n, D)
+    vertex = ZModMatrix.from_rows([x_row] if x_row else [], n, D)
     return StabilizerSpec(modulus=D, n=n, face_matrix=face, vertex_matrix=vertex)
 
 
@@ -46,7 +46,7 @@ def random_pauli(rng, D, n):
 
 
 def test_dense_identity():
-    ident = dense_pauli(PauliProduct.identity(3, 2))
+    ident = dense_pauli(identity(3, 2))
     assert np.abs(ident - np.eye(9)).max() < 1e-12
 
 
@@ -86,7 +86,7 @@ def test_multiplication_homomorphism():
         n = rng.randint(1, 3)
         p = random_pauli(rng, D, n)
         q = random_pauli(rng, D, n)
-        lhs = dense_pauli(p * q)
+        lhs = dense_pauli(multiply(p, q))
         rhs = dense_pauli(p) @ dense_pauli(q)
         assert np.abs(lhs - rhs).max() < 1e-9
 
@@ -98,7 +98,7 @@ def test_commutation_phase_matches_dense():
         n = rng.randint(1, 3)
         p = random_pauli(rng, D, n)
         q = random_pauli(rng, D, n)
-        beta = p.commutation_phase(q)
+        beta = commutation_phase(p, q)
         omega = np.exp(2j * np.pi / D)
         lhs = dense_pauli(p) @ dense_pauli(q)
         rhs = omega**beta * (dense_pauli(q) @ dense_pauli(p))
@@ -115,32 +115,32 @@ def densify(proj):
 
 
 def test_projector_single_z():
-    proj = densify(dense_projector(single_generator_spec(2, z_row=(1,))))
+    proj = densify(projector(single_generator_spec(2, z_row=(1,))))
     assert np.abs(proj - np.diag([1.0, 0.0])).max() < 1e-12
 
 
 def test_projector_single_x_qutrit():
     spec = single_generator_spec(3, x_row=(1,))
-    proj = densify(dense_projector(spec))
+    proj = densify(projector(spec))
     assert abs(np.trace(proj) - 1) < 1e-9
-    assert projector_checks(spec)["ok"]
+    assert projector_checks(spec, projector(spec))["ok"]
 
 
 def test_projector_rp2_and_torus():
-    checks = projector_checks(spec_for(rp2(), 2))
-    assert checks["rounded_trace"] == 2
-    checks = projector_checks(spec_for(torus(), 2))
-    assert checks["rounded_trace"] == 4
-    assert np.abs(densify(dense_projector(spec_for(torus(), 2))) - np.eye(4)).max() < 1e-12
+    spec = spec_for(rp2(), 2)
+    assert projector_checks(spec, projector(spec))["rounded_trace"] == 2
+    spec = spec_for(torus(), 2)
+    assert projector_checks(spec, projector(spec))["rounded_trace"] == 4
+    assert np.abs(densify(projector(spec)) - np.eye(4)).max() < 1e-12
 
 
 def test_projector_checks_verdict():
     spec = spec_for(torus(), 3)
-    proj = dense_projector(spec)
-    checks = projector_checks(spec, projector=proj)
+    proj = projector(spec)
+    checks = projector_checks(spec, proj)
     assert checks["ok"] and checks["residual"] < 1e-9
     doubled = dataclasses.replace(proj, values=2 * proj.values)
-    checks = projector_checks(spec, projector=doubled)  # 4P != 2P, trace 18 != 9
+    checks = projector_checks(spec, doubled)  # 4P != 2P, trace 18 != 9
     assert not checks["ok"]
     assert checks["residual"] == checks["idempotent_residual"] > 1
 
@@ -148,7 +148,7 @@ def test_projector_checks_verdict():
 def test_projector_scalar_spec_traces_to_zero():
     # noncommuting pure-type generators force a nontrivial scalar
     spec = single_generator_spec(2, z_row=(1,), x_row=(1,))
-    checks = projector_checks(spec)
+    checks = projector_checks(spec, projector(spec))
     assert checks["expected_dimension"] == 0
     assert checks["rounded_trace"] == 0
     assert checks["idempotent_residual"] < 1e-9
@@ -160,14 +160,15 @@ def test_projector_dimension_on_corpus_samples():
         for D in (2, 3):
             if D ** len(complex2.edges) > 4096:
                 continue
-            assert projector_checks(spec_for(complex2, D))["ok"], (label, D)
+            spec = spec_for(complex2, D)
+            assert projector_checks(spec, projector(spec))["ok"], (label, D)
 
 
 def explicit_projector(spec):
     """(1/|S|) times the sum of the dense matrices of every enumerated element."""
     enum = enumerate_group(spec)
     total = sum(
-        dense_pauli(PauliProduct(spec.modulus, phase, x, z)) for phase, x, z in enum.elements
+        dense_pauli(PauliProduct(spec.modulus, phase, x, z)) for phase, x, z in elements(enum)
     )
     return total / enum.size
 
@@ -199,7 +200,7 @@ SMALL_SPECS = (
 
 @pytest.mark.parametrize("label,spec", SMALL_SPECS, ids=[label for label, _ in SMALL_SPECS])
 def test_sparse_projector_equals_explicit_sum(label, spec):
-    proj = dense_projector(spec)
+    proj = projector(spec)
     assert isinstance(proj, ClassProjector)
     assert np.abs(densify(proj) - explicit_projector(spec)).max() < 1e-12
 
@@ -211,7 +212,7 @@ def reference_projector(spec):
     digits = _digit_table(D, n)
     enum = enumerate_group(spec)
     by_shift = {}
-    for phase, x, z in sorted(enum.elements):
+    for phase, x, z in sorted(elements(enum)):
         rows, values = _pauli_action(PauliProduct(spec.modulus, phase, x, z), digits)
         if x in by_shift:
             by_shift[x][1] += values
@@ -237,7 +238,7 @@ ORACLE_GRIDS = ((1, 2, 5), (1, 3, 3), (1, 5, 2), (2, 2, 5), (1, 3, 4))
 
 @pytest.mark.parametrize("label,spec", SMALL_SPECS, ids=[label for label, _ in SMALL_SPECS])
 def test_projector_bit_identical_to_reference(label, spec):
-    assert_same_classes(dense_projector(spec), reference_projector(spec))
+    assert_same_classes(projector(spec), reference_projector(spec))
 
 
 @pytest.mark.parametrize("k,l,D", ORACLE_GRIDS, ids=[f"{k}x{l} D={D}" for k, l, D in ORACLE_GRIDS])
@@ -245,9 +246,9 @@ def test_projector_bit_identical_to_reference_on_grids(k, l, D):
     spec = spec_for(torus_grid(k, l), D)
     if D**spec.n > DENSE_DIMENSION_CAP:
         with pytest.raises(BudgetExceeded):
-            dense_projector(spec)
+            projector(spec)
         return
-    assert_same_classes(dense_projector(spec), reference_projector(spec))
+    assert_same_classes(projector(spec), reference_projector(spec))
 
 
 # TABLE_CAP = 0: no shared z . c table, every block of members computes its own rows
@@ -275,7 +276,7 @@ def unclosed_projector(D, n, codes, seed):
 
 
 def checks_against_dense(spec, proj):
-    checks = projector_checks(spec, projector=proj)
+    checks = projector_checks(spec, proj)
     dense = densify(proj)
     assert abs(checks["hermitian_residual"] - np.abs(dense.conj().T - dense).max()) < 1e-12
     assert abs(checks["idempotent_residual"] - np.abs(dense @ dense - dense).max()) < 1e-12
@@ -285,7 +286,7 @@ def checks_against_dense(spec, proj):
 
 @pytest.mark.parametrize("label,spec", SMALL_SPECS, ids=[label for label, _ in SMALL_SPECS])
 def test_projector_checks_match_dense_residuals(label, spec):
-    proj = dense_projector(spec)
+    proj = projector(spec)
     checks_against_dense(spec, proj)
     checks_against_dense(spec, dataclasses.replace(proj, values=2 * proj.values))
 
@@ -306,14 +307,14 @@ def test_logical_action_agrees_with_dense_restriction_on_witnesses():
             if D ** len(complex2.edges) > 256:
                 continue
             spec = spec_for(complex2, D)
-            proj, basis = dense_projector(spec), None
+            proj, basis = projector(spec), None
             for rep in (distance_css(spec), distance_homological(chain_complex(complex2, D))):
                 pauli = witness_pauli(rep, D)
                 if pauli is None:
                     continue
                 basis = code_space_basis(spec) if basis is None else basis
                 expected = not dense_restriction_is_scalar(pauli, basis)
-                assert verify_logical_action(pauli, spec, projector=proj) == expected, (label, D)
+                assert verify_logical_action(pauli, spec, proj) == expected, (label, D)
                 assert expected, (label, D)
                 checked += 1
     assert checked > 0
@@ -324,30 +325,31 @@ def test_logical_action_agrees_with_dense_restriction_on_stabilizers():
         if spec.scalar_witness() is not None:
             continue
         basis = code_space_basis(spec)
-        for stab in (*spec.generators(), PauliProduct.identity(spec.modulus, spec.n)):
+        for stab in (*spec.generators(), identity(spec.modulus, spec.n)):
             assert dense_restriction_is_scalar(stab, basis), label
-            assert not verify_logical_action(stab, spec), label
+            assert not verify_logical_action(stab, spec, projector(spec)), label
 
 
 def test_logical_action_zero_code_space():
     # P = 0, so nothing acts beyond a scalar on the code space
     spec = single_generator_spec(3, z_row=(1, 0), x_row=(1, 0), n=2)
     assert np.abs(explicit_projector(spec)).max() < 1e-12
-    assert not verify_logical_action(PauliProduct.x_type(3, (0, 1)), spec)
+    assert not verify_logical_action(PauliProduct.x_type(3, (0, 1)), spec, projector(spec))
 
 
 def test_projector_checks_stay_sparse_at_the_dense_cap():
     # 4^6 = 4096 dimensions: one dense complex D^n x D^n array alone is 268 MB
     grid = spec_for(torus_grid(1, 3), 4)
     # full-rank Z rows, no X rows: one X class of 4096 members
-    one_class = StabilizerSpec(4, 6, ZModMatrix.identity(6, 4), ZModMatrix.zero(0, 6, 4))
+    z_rows = ZModMatrix.from_coo(6, 6, 4, range(6), range(6), [1] * 6)
+    one_class = StabilizerSpec(4, 6, z_rows, ZModMatrix.from_rows([], 6, 4))
     for spec, dimension in ((grid, 16), (one_class, 1)):
         witness = witness_pauli(distance_css(spec), 4)
         tracemalloc.start()
         try:
-            proj = dense_projector(spec)
-            checks = projector_checks(spec, projector=proj)
-            acts = witness is None or verify_logical_action(witness, spec, projector=proj)
+            proj = projector(spec)
+            checks = projector_checks(spec, proj)
+            acts = witness is None or verify_logical_action(witness, spec, proj)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -358,7 +360,7 @@ def test_projector_checks_stay_sparse_at_the_dense_cap():
 
 def test_logical_action_torus():
     spec = spec_for(torus(), 2)
-    assert verify_logical_action(PauliProduct.x_type(2, (1, 0)), spec)
+    assert verify_logical_action(PauliProduct.x_type(2, (1, 0)), spec, projector(spec))
 
 
 def test_logical_action_rp2_witness():
@@ -366,14 +368,14 @@ def test_logical_action_rp2_witness():
     rep = distance_css(spec)
     witness = witness_pauli(rep, 2)
     assert witness is not None
-    assert verify_logical_action(witness, spec)
+    assert verify_logical_action(witness, spec, projector(spec))
 
 
 def test_stabilizer_element_acts_as_identity():
     # restriction of a stabilizer element to its own code space is a scalar
     z_spec = single_generator_spec(2, z_row=(1,))
     stab = PauliProduct.z_type(2, (1,))
-    assert not verify_logical_action(stab, z_spec)
+    assert not verify_logical_action(stab, z_spec, projector(z_spec))
 
 
 def test_complement_duality_examples():
@@ -404,17 +406,17 @@ def test_span_elements_closure():
 
 def test_dense_cap():
     with pytest.raises(BudgetExceeded):
-        dense_pauli(PauliProduct.identity(2, 13))
+        dense_pauli(identity(2, 13))
     chain = chain_complex(torus(), 2)
     spec = StabilizerSpec.from_chain(chain)
     with pytest.raises(BudgetExceeded):
-        dense_projector(spec, cap=2)
+        dense_projector(spec, enumerate_group(spec), cap=2)
 
 
 def test_code_dimension_matches_trace_for_builders():
     for builder, D in ((rp2, 2), (rp2, 3), (torus, 2), (torus, 3)):
         spec = spec_for(builder(), D)
-        checks = projector_checks(spec)
+        checks = projector_checks(spec, projector(spec))
         assert checks["rounded_trace"] == code_dimension(spec)
 
 

@@ -72,7 +72,6 @@ def check_against_dense(m: ZModMatrix, rows):
     assert m.matvec(x) == tuple(sum(e * v for e, v in zip(row, x)) % D for row in rows)
     assert [m.row(i) for i in range(m.nrows)] == [tuple(row) for row in rows]
     cols = dense_transpose(rows, m.ncols)
-    assert [m.column(j) for j in range(m.ncols)] == [tuple(col) for col in cols]
     assert m.transpose().entries == tuple(map(tuple, cols))
     assert m.transpose().transpose() == m
     assert m.sparse_rows() == [{j: e for j, e in enumerate(row) if e} for row in rows]
@@ -104,7 +103,8 @@ def test_from_rows_and_reads_equal_dense_reference(case):
     reduced = [[e % D for e in row] for row in rows]
     m = ZModMatrix.from_rows(rows, n, D)
     check_against_dense(m, reduced)
-    assert ZModMatrix(len(reduced), n, D, tuple(map(tuple, reduced))) == m
+    triples = [(i, j, e) for i, row in enumerate(reduced) for j, e in enumerate(row) if e]
+    assert ZModMatrix.from_coo(len(rows), n, D, *(zip(*triples) if triples else ((), (), ()))) == m
 
 
 @st.composite
@@ -188,18 +188,18 @@ def step(edge, sign=1):
 
 def special_complexes():
     no_edges = TwoComplex(("a", "b"), (), (), (), (), ())
-    degenerate_face = TwoComplex(("v",), (), (), (), ("f",), (ClosedWalk.degenerate(),))
+    degenerate_face = TwoComplex(("v",), (), (), (), ("f",), (ClosedWalk(()),))
     # a walk out along e and straight back: the two steps cancel
     back_and_forth = TwoComplex(
         ("u", "w"), ("e",), ("u",), ("w",), ("f",),
-        (ClosedWalk.of([step("e"), step("e", -1)]),),
+        (ClosedWalk([step("e"), step("e", -1)]),),
     )
     # a self-loop walked three times and an edge walked twice each way
     repeats = TwoComplex(
         ("u", "w"), ("loop", "e"), ("u", "u"), ("u", "w"), ("f", "g"),
         (
-            ClosedWalk.of([step("loop")] * 3),
-            ClosedWalk.of([step("e"), step("e", -1), step("loop", -1), step("e"), step("e", -1)]),
+            ClosedWalk([step("loop")] * 3),
+            ClosedWalk([step("e"), step("e", -1), step("loop", -1), step("e"), step("e", -1)]),
         ),
     )
     return [no_edges, degenerate_face, back_and_forth, repeats, rp2(), torus(), torus_grid(2, 3)]
