@@ -26,6 +26,7 @@ INT64_BOUND = 2**63  # residues and base-D codes are int64 here, so D must stay 
 RESIDUAL_TOL = 1e-9
 CELL_CAP = 1 << 14  # entries in one block of projector values; bounds memory
 TABLE_CAP = 1 << 20  # entries of the projector's z . c table (8 MB as int64)
+HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd; spreads column hashes over uint64
 
 
 def _checked_dimension(modulus: int, n: int, cap: int) -> int:
@@ -102,11 +103,14 @@ def dense_projector(
     shifts to, so the elements of one X class add up entrywise.  The
     elements are ordered by X part, and within a class in sorted
     (phase, x, z) order.  An element's phase in column c is
-    phase + z . c mod D: z . c mod D is one table row per distinct z part,
-    shared by every element with that z part, and a member's values are a
-    lookup of phase + z . c, below 2D, into the roots of unity.  Members
-    are summed in order in blocks of at most CELL_CAP entries.  When the
-    table would pass TABLE_CAP entries, each block computes its own rows.
+    phase + z . c mod D, and z is a sum of face rows, so columns on which
+    every face row has the same z . c mod D (one label, `_exponent_labels`)
+    have the same entries.  Each class is summed once per label, in member
+    order, in blocks of at most CELL_CAP entries: a member's values are a
+    lookup of phase + z . c, below 2D, into the roots of unity, and
+    z . c mod D is one table row per distinct z part, over one column of
+    each label.  When that table would pass TABLE_CAP entries, each block
+    computes its own rows.  The sums are then read out to every column.
     `enumeration` is the output of enumerate_group(spec).
     """
     D = spec.modulus
@@ -120,32 +124,62 @@ def dense_projector(
     order = np.lexsort((z_codes, elements[:, 0], shifts))
     shifts, z_codes, phases = shifts[order], z_codes[order], elements[order, :1]
     bounds = [0, *(np.flatnonzero(np.diff(shifts)) + 1).tolist(), len(order)]  # the classes
+    labels, columns = _exponent_labels(spec, digits)
+    columns = digits[columns]
     z_slots = _slots(dim, z_codes)
     distinct = np.flatnonzero(z_slots >= 0)
     table = None
-    if len(distinct) * dim <= TABLE_CAP:
-        table, z_rows = (digits[distinct] @ digits.T) % D, z_slots[z_codes]
+    if len(distinct) * len(columns) <= TABLE_CAP:
+        table, z_rows = (digits[distinct] @ columns.T) % D, z_slots[z_codes]
     roots = _roots_of_unity(D, dim)
     roots = np.concatenate((roots, roots))  # w^k for k below 2D
-    step = max(1, CELL_CAP // dim)
+    step = max(1, CELL_CAP // len(columns))
     codes = shifts[bounds[:-1]]
-    rows = np.empty((len(codes), dim), dtype=np.int64)
-    values = np.empty((len(codes), dim), dtype=np.complex128)
+    sums = np.empty((len(codes), len(columns)), dtype=np.complex128)
     for i, (first, end) in enumerate(zip(bounds, bounds[1:])):
-        rows[i] = ((digits + digits[codes[i]]) % D) @ weights
         total = None
         for lo in range(first, end, step):
             hi = min(lo + step, end)
             if table is None:
-                block = (digits[z_codes[lo:hi]] @ digits.T) % D
+                block = (digits[z_codes[lo:hi]] @ columns.T) % D
             else:
                 block = table[z_rows[lo:hi]]
             block = roots[phases[lo:hi] + block]
             if total is not None:
                 block = np.concatenate((total[None], block))
-            total = block.sum(axis=0)
-        values[i] = total / enumeration.size
-    return ClassProjector(codes, rows, values)
+            total = block.sum(axis=0)  # down the members, one column at a time: in order
+        sums[i] = total / enumeration.size
+    return ClassProjector(codes, _shifted_indices(D, digits[codes]), np.take(sums, labels, axis=1))
+
+
+def _exponent_labels(spec: StabilizerSpec, digits: np.ndarray):
+    """Label of every basis column, and the first column of each label.
+
+    Two columns share a label exactly when every face row z has the same
+    z . c mod D on both, refined one face row at a time.
+    """
+    D = spec.modulus
+    labels = np.zeros(len(digits), dtype=np.int64)
+    for row in spec.face_matrix.array(np.int64):
+        _, labels = np.unique(labels * D + (digits @ row) % D, return_inverse=True)
+    _, columns = np.unique(labels, return_index=True)
+    return labels, columns
+
+
+def _shifted_indices(modulus: int, shifts: np.ndarray) -> np.ndarray:
+    """(len(shifts), D^n) array: entry (i, c) is the basis index of c + shifts[i], mod D.
+
+    Each row is the (D,)^n index tensor rolled back by shifts[i] along every
+    axis, built one axis at a time from that axis's rolled index, for all
+    shifts at once.
+    """
+    D = modulus
+    count = len(shifts)
+    rows = np.zeros((count, 1), dtype=np.int64)
+    for shift in shifts.T:
+        rolled = (np.arange(D) + shift[:, None]) % D  # np.roll(np.arange(D), -shift[i]) per row
+        rows = (rows[:, :, None] * D + rolled[:, None, :]).reshape(count, -1)
+    return rows
 
 
 def _slots(dim: int, *codes: np.ndarray) -> np.ndarray:
@@ -169,7 +203,10 @@ def projector_checks(spec: StabilizerSpec, proj: ClassProjector) -> dict:
 
     Each residual is the largest entrywise difference.  An entry whose class
     is missing from the other side counts in full, so nothing assumes that
-    the classes of P are closed under negation or sums.
+    the classes of P are closed under negation or sums.  Every entry in
+    column c is formed from the values of P in column c and in the columns
+    its classes shift c to, so the entries are formed once per column
+    signature (`_signature_columns`), on the first column that has it.
     `residual` is the largest of the three, and `ok` the verdict: it is
     under RESIDUAL_TOL and the rounded trace is K.  `proj` is
     dense_projector's output for the spec.
@@ -178,28 +215,32 @@ def projector_checks(spec: StabilizerSpec, proj: ClassProjector) -> dict:
     codes, rows, values = proj.codes, proj.rows, proj.values
     dim = rows.shape[1]
     slots = _slots(dim, codes)
+    columns = _signature_columns(rows, values)
     # P-dagger[r, c] = conj(P[c, r]): class x of P meets class -x read at its rows
     partners = slots[(-_digit_table(D, n)[codes] % D) @ _place_values(D, n)]
     herm_residual = 0.0
     for i, partner in enumerate(partners):
-        diff = values[i] if partner < 0 else np.conj(np.take(values[partner], rows[i])) - values[i]
+        diff = values[i, columns]
+        if partner >= 0:
+            diff = np.conj(np.take(values[partner], rows[i, columns])) - diff
         herm_residual = max(herm_residual, float(np.abs(diff).max()))
     # P_i P_j is the class x_i + x_j, whose code is the column x_j shifted by
     # x_i; its entry in column c is values[i] read at the row class j sends c to.
-    # Column blocks of at most CELL_CAP products reuse one buffer.
+    # Blocks of at most CELL_CAP products reuse one buffer.
     sums = rows[:, codes]
     square_slots = _slots(dim, codes, sums)
-    square = np.zeros((square_slots.max() + 1, dim), dtype=np.complex128)
-    step = min(dim, max(1, CELL_CAP // len(codes)))
+    square = np.zeros((square_slots.max() + 1, len(columns)), dtype=np.complex128)
+    step = min(len(columns), max(1, CELL_CAP // len(codes)))
     buffer = np.empty((len(codes), step), dtype=np.complex128)
-    for lo in range(0, dim, step):
-        block_rows = rows[:, lo : lo + step]
-        products = buffer[:, : block_rows.shape[1]]
+    for lo in range(0, len(columns), step):
+        block = columns[lo : lo + step]
+        block_rows = rows[:, block]
+        products = buffer[:, : len(block)]
         for i, targets in enumerate(square_slots[sums]):
             np.take(values[i], block_rows, out=products)
-            products *= values[:, lo : lo + step]
+            products *= values[:, block]
             square[targets, lo : lo + step] += products
-    square[square_slots[codes]] -= values
+    square[square_slots[codes]] -= values[:, columns]
     idem_residual = float(np.abs(square).max())
     trace = _trace(proj, slots)
     trace_residual = abs(trace - round(trace.real))
@@ -219,6 +260,42 @@ def projector_checks(spec: StabilizerSpec, proj: ClassProjector) -> dict:
         "residual": residual,
         "ok": residual < RESIDUAL_TOL and rounded == expected,
     }
+
+
+def _value_leads(values: np.ndarray) -> np.ndarray:
+    """For every column of `values`, the first column equal to it bit for bit.
+
+    Columns are grouped by a hash of their bits (odd multiples summed,
+    wrapping in uint64), and each is compared with the first column of its
+    group; a column that differs from it leads itself.
+    """
+    classes, dim = values.shape
+    values = np.ascontiguousarray(values)
+    bits = values.view(np.uint64)  # (classes, 2 dim): real, imaginary
+    hashes = np.arange(1, 2 * classes, 2, dtype=np.uint64) @ bits
+    hashes = hashes[0::2] * HASH_MULTIPLIER + hashes[1::2]
+    _, first, group = np.unique(hashes, return_index=True, return_inverse=True)
+    lead = first[group]
+    same = (np.take(values, lead, axis=1).view(np.uint64) == bits).all(axis=0)
+    return np.where(same.reshape(dim, 2).all(axis=1), lead, np.arange(dim))
+
+
+def _signature_columns(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """One column of each signature, ascending.
+
+    A column's signature is its values and the values of every column its
+    classes shift it to.  A column whose signature matches that of the
+    first column with its values (`_value_leads`) is left to that column;
+    the others are kept.
+    """
+    lead = _value_leads(values)
+    agree = np.ones(len(lead), dtype=bool)
+    for row in rows:
+        shifted = lead[row]
+        agree &= shifted == shifted[lead]
+    kept = np.zeros(len(lead), dtype=bool)
+    kept[np.where(agree, lead, np.arange(len(lead)))] = True
+    return np.flatnonzero(kept)
 
 
 def verify_logical_action(pauli: PauliProduct, spec: StabilizerSpec, proj: ClassProjector) -> bool:

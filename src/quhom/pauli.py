@@ -8,6 +8,7 @@ never leave the representable set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, filterfalse
@@ -21,6 +22,8 @@ from .zmod import ZModMatrix, product_dtype, span_cardinality
 
 ENUMERATION_CAP = 10**6
 CELL_CAP = 1 << 14  # entries in one block of closure products; bounds memory
+CLAIM_FACTOR = 16  # a claim table covers key spaces up to this many times the cap
+SEEN = -(2**31)  # a claim table's mark for a key found
 CHECK_MATRIX_QUDIT_CAP = 2 * 10**4  # largest n of a check matrix: 2 per cell of the largest grid
 
 
@@ -166,37 +169,72 @@ class GroupEnumeration:
     rows: np.ndarray = field(repr=False)
 
 
-def _closure_keys(expand, num_generators: int, cap: int) -> list[int]:
-    """Breadth-first closure over integer keys from key 0, in FIFO discovery order.
+def _claim_table(space: int):
+    """First-occurrence filter over keys in [0, space), key 0 already seen.
 
-    `expand(frontier)` gives the list of the products' keys for a list of
-    keys, parent-major, `num_generators` per parent.  One bounded block of
-    the frontier at a time, a block's keys are filtered against those seen
-    and deduplicated keeping first occurrences (`dict.fromkeys`), both in
-    C.  Raises BudgetExceeded as soon as more than `cap` keys are found.
+    A dense int32 table, 0 for a key not yet seen and SEEN for one seen.
+    Each key of a block claims its entry with its position less the block
+    length, which is negative and above SEEN; np.minimum.at keeps the
+    earliest claim, so a key is new where its own claim stands.  The new
+    keys are then marked seen.
+    """
+    claim = np.zeros(space, dtype=np.int32)
+    claim[0] = SEEN
+
+    def fresh(keys):
+        marks = np.arange(-len(keys), 0, dtype=np.int32)
+        np.minimum.at(claim, keys, marks)
+        keys = keys[claim[keys] == marks]
+        claim[keys] = SEEN
+        return keys
+
+    return fresh
+
+
+def _seen_set():
+    """First-occurrence filter over keys, key 0 already seen, with a set.
+
+    For keys past int64, or a key space too large for a claim table.
     """
     seen = {0}
-    order = [0]
-    frontier = order
+
+    def fresh(keys):
+        new = list(dict.fromkeys(filterfalse(seen.__contains__, keys.tolist())))
+        seen.update(new)
+        return np.array(new, dtype=keys.dtype)
+
+    return fresh
+
+
+def _closure_keys(expand, fresh, num_generators: int, cap: int, key_dtype) -> np.ndarray:
+    """Breadth-first closure over integer keys from key 0, in FIFO discovery order.
+
+    `expand(keys)` gives the products' keys for an array of keys,
+    parent-major, `num_generators` per parent, and `fresh(keys)` the ones
+    not seen before, each once, in order of first occurrence.  The frontier
+    goes one bounded block at a time.  Raises BudgetExceeded as soon as
+    more than `cap` keys are found.
+    """
+    frontier = np.zeros(1, dtype=key_dtype)
+    levels = [frontier]
+    size = 1
     step = max(1, CELL_CAP // max(num_generators, 1))  # frontier elements per block
     level = 0
-    while frontier and num_generators:
+    while len(frontier) and num_generators:
         level += 1
         found = []
         for lo in range(0, len(frontier), step):
-            keys = filterfalse(seen.__contains__, expand(frontier[lo : lo + step]))
-            fresh = list(dict.fromkeys(keys))
-            seen.update(fresh)
-            if len(seen) > cap:
+            found.append(fresh(expand(frontier[lo : lo + step])))
+            size += len(found[-1])
+            if size > cap:
                 raise BudgetExceeded(
                     f"group closure exceeded cap {cap} at BFS level {level}"
                     f" ({cap + 1} elements found)",
                     examined=cap + 1,
                 )
-            found += fresh
-        order += found
-        frontier = found
-    return order
+        frontier = np.concatenate(found)
+        levels.append(frontier)
+    return np.concatenate(levels)
 
 
 def additive_closure(rows: np.ndarray, modulus: int, cap: int, table: bool = False):
@@ -206,24 +244,38 @@ def additive_closure(rows: np.ndarray, modulus: int, cap: int, table: bool = Fal
     S + j g, for j = 1, ..., t until (t + 1) g falls in S.  S is a
     subgroup, so each coset is new as a whole and no element is formed
     twice; all the cosets of one row are one numpy sum.  An element's key
-    is its digits read in base D.  With `table`, also returns the addition
-    table, an (elements, rows) array: entry (i, g) is the index of element
-    i plus rows[g], mod D.  Raises BudgetExceeded before the set would
-    outgrow `cap`.
+    is its digits read in base D, or, when D^n passes int64 and place
+    values would grow with n, the tuple of its entries.  With `table`,
+    also returns the addition table, an (elements, rows) array: entry
+    (i, g) is the index of element i plus rows[g], mod D.  Raises
+    BudgetExceeded before the set would outgrow `cap`.
     """
     D = modulus
     n = rows.shape[1]
-    place = [D**q for q in range(n - 1, -1, -1)]
-    key_dtype = np.int64 if D**n < 2**63 else object
-    weights = np.array(place, dtype=key_dtype)
+    if D**n < 2**63:
+        place = [D**q for q in range(n - 1, -1, -1)]
+        weights = np.array(place, dtype=np.int64)
+
+        def key(vector):
+            return sum(a * w for a, w in zip(vector, place))
+
+        def keys(vectors):
+            return (vectors.astype(np.int64, copy=False) @ weights).tolist()
+
+    else:
+        key = tuple
+
+        def keys(vectors):
+            return list(map(tuple, vectors.tolist()))
+
     elements = np.zeros((1, n), dtype=rows.dtype)
-    index = {0: 0}  # key -> position in elements
+    index = {key((0,) * n): 0}  # key -> position in elements
     gens = list(map(tuple, rows.tolist()))
     stages = {}  # row -> (|S| before it, cosets t it added, (t + 1) g)
     for g in dict.fromkeys(gens):
         shifts = []  # g, 2g, ... while outside the subgroup so far
         shift = g
-        while sum(a * w for a, w in zip(shift, place)) not in index:
+        while key(shift) not in index:
             if len(elements) * (len(shifts) + 2) > cap:
                 raise BudgetExceeded(
                     f"additive closure exceeded cap {cap} ({cap + 1} elements found)",
@@ -235,8 +287,7 @@ def additive_closure(rows: np.ndarray, modulus: int, cap: int, table: bool = Fal
         if shifts:
             cosets = (elements + np.array(shifts, dtype=rows.dtype)[:, None, :]) % D
             cosets = cosets.reshape(-1, n)
-            keys = (cosets.astype(key_dtype, copy=False) @ weights).tolist()
-            index.update(zip(keys, count(len(elements))))
+            index.update(zip(keys(cosets), count(len(elements))))
             elements = np.concatenate((elements, cosets))
     if not table:
         return elements
@@ -254,8 +305,7 @@ def additive_closure(rows: np.ndarray, modulus: int, cap: int, table: bool = Fal
             wrapped = []  # the index of element lo plus (t + 1) g, for lo < m
             for lo in range(0, m, step):
                 sums = (elements[lo : min(m, lo + step)] + np.array(wrap, dtype=rows.dtype)) % D
-                keys = (sums.astype(key_dtype, copy=False) @ weights).tolist()
-                wrapped += map(index.__getitem__, keys)
+                wrapped += map(index.__getitem__, keys(sums))
             last += np.array(wrapped, dtype=np.intp) - np.arange(m)
     position = {g: c for c, g in enumerate(stages)}
     return elements, np.ascontiguousarray(columns.T[:, [position[g] for g in gens]])
@@ -275,12 +325,16 @@ def enumerate_pauli_closure(
     the cap raises BudgetExceeded.  An element is then one key for
     (phase, x index, z index), and its product with generator g is
     ((phase + zdot[z][g]) mod D, tx[x][g], tz[z][g]), where zdot is
-    Z g_x + g_phase mod D: three numpy gathers per block of the frontier.
-    Products are kept in (parent, generator) order, the discovery order
-    of a FIFO queue; the identity and repeated generators add nothing new
-    there and are left out.  The rows (phase, X[x], Z[z]) are built once
-    at the end.  The first element found with x = z = 0 and nonzero phase
-    is reported as the scalar violation.
+    Z g_x + g_phase mod D: two numpy gathers per block of the frontier,
+    into tables that hold each index's share of the key.  Products are
+    kept in (parent, generator) order, the discovery order of a FIFO
+    queue; the identity and repeated generators add nothing new there and
+    are left out.  Keys already found are filtered out with a claim table
+    over the D |X| |Z| keys, or with a set where the keys are Python ints
+    or the key space passes CLAIM_FACTOR times the cap.  The rows
+    (phase, X[x], Z[z]) are built once at the end.  The first element
+    found with x = z = 0 and nonzero phase is reported as the scalar
+    violation.
     """
     D = modulus
     n = num_qudits
@@ -306,18 +360,24 @@ def enumerate_pauli_closure(
         ) from None
     nz = len(z_parts)
     parts = len(x_parts) * nz  # keys are phase * parts + x index * nz + z index
-    key_dtype = np.int64 if D * parts < 2**63 else object
-    zdot = (z_parts @ g_x.T + steps[:, 0]) % D
-    tx = tx * nz  # the x index's share of a key
+    space = D * parts
+    key_dtype = np.int64 if space < 2**63 else object
+    # A product's key is its parent's phase share (key - index) plus zt[z, g],
+    # below twice the key space, mod the key space, plus tx[x, g].
+    zt = ((z_parts @ g_x.T + steps[:, 0]) % D).astype(key_dtype) * parts + tz
+    tx = tx.astype(key_dtype) * nz
 
-    def expand(frontier):
-        keys = np.array(frontier, dtype=key_dtype)
+    def expand(keys):
         index = keys % parts
-        xi, zi = (index // nz).astype(np.intp), (index % nz).astype(np.intp)
-        phases = (keys[:, None] // parts + zdot[zi]) % D
-        return (phases * parts + tx[xi] + tz[zi]).ravel().tolist()
+        products = (keys - index)[:, None] + zt[(index % nz).astype(np.intp, copy=False)]
+        products %= space
+        products += tx[(index // nz).astype(np.intp, copy=False)]
+        return products.ravel()
 
-    keys = np.array(_closure_keys(expand, k, cap), dtype=key_dtype)
+    claims = key_dtype is np.int64 and space <= CLAIM_FACTOR * cap
+    fresh = _claim_table(space) if claims else _seen_set()
+    keys = _closure_keys(expand, fresh, k, cap, key_dtype)
+    del fresh  # the claim table, before the rows are built
     index = keys % parts
     rows = np.empty((len(keys), width), dtype=dtype)
     rows[:, 0] = keys // parts
@@ -331,8 +391,16 @@ def enumerate_pauli_closure(
 
 
 def enumerate_group(spec: StabilizerSpec, cap: int = ENUMERATION_CAP) -> GroupEnumeration:
-    """Closure of the spec's generators; refuses when the span-predicted size is over cap."""
-    predicted = span_cardinality(spec.face_matrix) * span_cardinality(spec.vertex_matrix)
+    """Closure of the spec's generators; refuses when the predicted size is over cap.
+
+    Each x part in r(A) and z part in r(B) comes with every scalar, and the
+    scalars are the subgroup of Z_D the pairings generate, of order
+    D / gcd(D, pairings), so the group has |r(B)| |r(A)| D / gcd(D, pairings)
+    elements.
+    """
+    scalars = spec.modulus // math.gcd(spec.modulus, *map(int, spec.pairings.data))
+    spans = span_cardinality(spec.face_matrix) * span_cardinality(spec.vertex_matrix)
+    predicted = spans * scalars
     if predicted > cap:
         raise BudgetExceeded(
             f"predicted group size {predicted} exceeds cap {cap}", examined=0

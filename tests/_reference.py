@@ -9,14 +9,20 @@ matrices, the class projector, the dart quotient) use none of these.
 
 import numpy as np
 
+from quhom.errors import ScalarViolation
 from quhom.oracle import (
+    CELL_CAP,
     DENSE_DIMENSION_CAP,
+    RESIDUAL_TOL,
     _checked_dimension,
     _digit_table,
     _pauli_action,
+    _place_values,
+    _slots,
+    _trace,
     dense_projector,
 )
-from quhom.pauli import PauliProduct, enumerate_group
+from quhom.pauli import PauliProduct, code_dimension, enumerate_group
 from quhom.zmod import ZModMatrix
 
 
@@ -79,6 +85,55 @@ def projector(spec):
     """The class projector of the spec, from its enumerated group."""
     return dense_projector(spec, enumerate_group(spec))
 
+
+def per_column_checks(spec, proj):
+    """projector_checks with P-dagger and P-squared formed in every column, column
+    blocks of at most CELL_CAP products: the reference for the per-signature checks."""
+    D, n = spec.modulus, spec.n
+    codes, rows, values = proj.codes, proj.rows, proj.values
+    dim = rows.shape[1]
+    slots = _slots(dim, codes)
+    # P-dagger[r, c] = conj(P[c, r]): class x of P meets class -x read at its rows
+    partners = slots[(-_digit_table(D, n)[codes] % D) @ _place_values(D, n)]
+    herm_residual = 0.0
+    for i, partner in enumerate(partners):
+        diff = values[i] if partner < 0 else np.conj(np.take(values[partner], rows[i])) - values[i]
+        herm_residual = max(herm_residual, float(np.abs(diff).max()))
+    # P_i P_j is the class x_i + x_j, whose code is the column x_j shifted by
+    # x_i; its entry in column c is values[i] read at the row class j sends c to.
+    # Column blocks of at most CELL_CAP products reuse one buffer.
+    sums = rows[:, codes]
+    square_slots = _slots(dim, codes, sums)
+    square = np.zeros((square_slots.max() + 1, dim), dtype=np.complex128)
+    step = min(dim, max(1, CELL_CAP // len(codes)))
+    buffer = np.empty((len(codes), step), dtype=np.complex128)
+    for lo in range(0, dim, step):
+        block_rows = rows[:, lo : lo + step]
+        products = buffer[:, : block_rows.shape[1]]
+        for i, targets in enumerate(square_slots[sums]):
+            np.take(values[i], block_rows, out=products)
+            products *= values[:, lo : lo + step]
+            square[targets, lo : lo + step] += products
+    square[square_slots[codes]] -= values
+    idem_residual = float(np.abs(square).max())
+    trace = _trace(proj, slots)
+    trace_residual = abs(trace - round(trace.real))
+    try:
+        expected = code_dimension(spec)
+    except ScalarViolation:
+        expected = 0
+    residual = max(herm_residual, idem_residual, float(trace_residual))
+    rounded = int(round(trace.real))
+    return {
+        "hermitian_residual": herm_residual,
+        "idempotent_residual": idem_residual,
+        "trace": trace,
+        "trace_residual": float(trace_residual),
+        "rounded_trace": rounded,
+        "expected_dimension": expected,
+        "residual": residual,
+        "ok": residual < RESIDUAL_TOL and rounded == expected,
+    }
 
 
 def iota_matrix(hypermap, modulus):

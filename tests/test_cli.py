@@ -502,19 +502,16 @@ def test_verify_adversarial_check_matrix(tmp_path, capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize(
-    "cap,detail",
-    [
-        (5, "predicted size over enumeration cap"),
-        (10, "closure over enumeration cap after 11 elements (scalars)"),
-    ],
-)
-def test_verify_group_skip_says_why(tmp_path, capsys, monkeypatch, cap, detail):
-    # X and Z on one qutrit: |r(B)| |r(A)| = 9 predicted, 27 elements with the scalars;
-    # the projector is skipped too, without closing the group a second time
+@pytest.mark.parametrize("cap", [5, 10, 26])
+def test_verify_group_skip_says_why(tmp_path, capsys, monkeypatch, cap):
+    # X and Z on one qutrit: |r(B)| |r(A)| = 9, 27 elements with the scalars, all
+    # predicted before any closure; the projector is skipped too
+    from quhom import pauli
     from quhom.zmod import ZModMatrix
 
     calls = counted_enumerations(monkeypatch, cap)
+    closures = []
+    monkeypatch.setattr(pauli, "enumerate_pauli_closure", lambda *args: closures.append(args))
     row = ZModMatrix.from_rows([(1,)], 1, 3)
     path = tmp_path / "adv.txt"
     path.write_text(export_check_matrix(StabilizerSpec(3, 1, row, row)), encoding="utf-8")
@@ -522,8 +519,10 @@ def test_verify_group_skip_says_why(tmp_path, capsys, monkeypatch, cap, detail):
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert code == 0
     assert len(calls) == 1
+    assert closures == []
     assert checks["group_enumeration"] == {
-        "name": "group_enumeration", "status": "SKIP", "residual": None, "detail": detail
+        "name": "group_enumeration", "status": "SKIP", "residual": None,
+        "detail": "predicted size over enumeration cap",
     }
     assert checks["projector_trace"] == {
         "name": "projector_trace", "status": "SKIP", "residual": None,

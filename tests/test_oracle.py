@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quhom import oracle
 from quhom.complex2 import chain_complex, rp2, torus, torus_grid
 from quhom.distance import distance_css, distance_homological, witness_pauli
 from quhom.errors import BudgetExceeded
@@ -13,6 +14,7 @@ from quhom.oracle import (
     ClassProjector,
     _digit_table,
     _pauli_action,
+    _value_leads,
     complement_duality_checks,
     dense_projector,
     projector_checks,
@@ -23,7 +25,15 @@ from quhom.pauli import PauliProduct, StabilizerSpec, code_dimension, enumerate_
 from quhom.zmod import ZModMatrix
 
 from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, span_corpus, two_complex_corpus
-from _reference import commutation_phase, dense_pauli, elements, identity, multiply, projector
+from _reference import (
+    commutation_phase,
+    dense_pauli,
+    elements,
+    identity,
+    multiply,
+    per_column_checks,
+    projector,
+)
 
 
 def spec_for(complex2, D):
@@ -195,6 +205,9 @@ SMALL_SPECS = (
     ("single X D=3", single_generator_spec(3, x_row=(1,))),
     ("scalar D=2", single_generator_spec(2, z_row=(1,), x_row=(1,))),
     ("scalar D=3 n=2", single_generator_spec(3, z_row=(1, 0), x_row=(1, 0), n=2)),
+    # 5 labels, each the sum of a class's 25 members: more than 8 terms, so a sum
+    # along a contiguous axis would be pairwise and round differently
+    ("scalar D=5", single_generator_spec(5, z_row=(1,), x_row=(1,))),
 )
 
 
@@ -229,7 +242,13 @@ def assert_same_classes(proj, expected):
     for name in ("codes", "rows", "values"):
         got, want = getattr(proj, name), getattr(expected, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.flags.c_contiguous, name  # the memory order sets the order of later sums
         assert got.tobytes() == want.tobytes(), name
+
+
+def assert_same_checks(spec, proj):
+    """projector_checks equals the per-column reference to the last bit."""
+    assert repr(projector_checks(spec, proj)) == repr(per_column_checks(spec, proj))
 
 
 # the oracle_verify benchmark grids; 2x2 D=5 (5^8 dimensions) is over the dense cap
@@ -238,7 +257,9 @@ ORACLE_GRIDS = ((1, 2, 5), (1, 3, 3), (1, 5, 2), (2, 2, 5), (1, 3, 4))
 
 @pytest.mark.parametrize("label,spec", SMALL_SPECS, ids=[label for label, _ in SMALL_SPECS])
 def test_projector_bit_identical_to_reference(label, spec):
-    assert_same_classes(projector(spec), reference_projector(spec))
+    proj = projector(spec)
+    assert_same_classes(proj, reference_projector(spec))
+    assert_same_checks(spec, proj)
 
 
 @pytest.mark.parametrize("k,l,D", ORACLE_GRIDS, ids=[f"{k}x{l} D={D}" for k, l, D in ORACLE_GRIDS])
@@ -248,7 +269,9 @@ def test_projector_bit_identical_to_reference_on_grids(k, l, D):
         with pytest.raises(BudgetExceeded):
             projector(spec)
         return
-    assert_same_classes(projector(spec), reference_projector(spec))
+    proj = projector(spec)
+    assert_same_classes(proj, reference_projector(spec))
+    assert_same_checks(spec, proj)
 
 
 # TABLE_CAP = 0: no shared z . c table, every block of members computes its own rows
@@ -264,14 +287,21 @@ def test_projector_bit_identical_to_reference_on_grids_without_table(k, l, D, mo
     test_projector_bit_identical_to_reference_on_grids(k, l, D)
 
 
-def unclosed_projector(D, n, codes, seed):
-    """A ClassProjector with random values on the given X classes, closed or not."""
+def unclosed_projector(D, n, codes, seed, columns=None):
+    """A ClassProjector with random values on the given X classes, closed or not.
+
+    With `columns`, the values of every basis column are one of that many
+    random columns.
+    """
     rng = np.random.default_rng(seed)
     digits = _digit_table(D, n)
     weights = D ** np.arange(n - 1, -1, -1)
     codes = np.array(codes, dtype=np.int64)
     rows = ((digits[None] + digits[codes][:, None]) % D) @ weights
-    values = rng.normal(size=rows.shape) + 1j * rng.normal(size=rows.shape)
+    shape = (len(codes), columns or rows.shape[1])
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if columns:
+        values = np.ascontiguousarray(values[:, rng.integers(columns, size=rows.shape[1])])
     return ClassProjector(codes, rows, values)
 
 
@@ -295,9 +325,35 @@ def test_projector_checks_count_missing_classes_in_full():
     # X classes on two ququarts that are not closed under negation or sums
     spec = single_generator_spec(4, x_row=(0, 1), n=2)
     for codes in ((1,), (1, 3), (0, 1), (2, 5, 7)):
-        proj = unclosed_projector(4, 2, codes, seed=len(codes))
-        checks = checks_against_dense(spec, proj)
-        assert not checks["ok"]
+        for columns in (None, 1, 3):
+            proj = unclosed_projector(4, 2, codes, seed=len(codes), columns=columns)
+            checks = checks_against_dense(spec, proj)
+            assert not checks["ok"]
+            assert_same_checks(spec, proj)
+
+
+def test_value_leads_keep_colliding_columns_apart():
+    # one class, two columns with different bits and one hash: real bits times the
+    # multiplier plus imaginary bits, wrapping in uint64 (the imaginary part of the
+    # second column was solved for)
+    values = np.array([[1 + 0.5j, 51.5 + 0.0093994140625j]])
+    bits = values.view(np.uint64)[0]
+    hashes = bits[0::2] * oracle.HASH_MULTIPLIER + bits[1::2]
+    assert hashes[0] == hashes[1]
+    assert _value_leads(values).tolist() == [0, 1]
+    spec = single_generator_spec(2, z_row=(1,))
+    assert_same_checks(spec, ClassProjector(np.array([0]), np.array([[0, 1]]), values))
+
+
+def test_projector_checks_bit_identical_on_acceptance_specs():
+    checked = 0
+    for complex2, label in acceptance_complexes():
+        for D in ACCEPTANCE_MODULI:
+            if D ** len(complex2.edges) <= DENSE_DIMENSION_CAP:
+                spec = spec_for(complex2, D)
+                assert_same_checks(spec, projector(spec))
+                checked += 1
+    assert checked > 300
 
 
 def test_logical_action_agrees_with_dense_restriction_on_witnesses():

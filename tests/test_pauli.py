@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from quhom.complex2 import chain_complex, homology_cardinality, rp2, torus, torus_grid
 from quhom.errors import BudgetExceeded, ScalarViolation
 from quhom.pauli import (
+    CLAIM_FACTOR,
     ENUMERATION_CAP,
     PauliProduct,
     StabilizerSpec,
+    additive_closure,
     code_dimension,
     enumerate_group,
     enumerate_pauli_closure,
@@ -397,9 +400,17 @@ def _wide_case(D=3 * 2**62, n=5):
     return D, n, xs + zs
 
 
+def _spread_case(D=2 * 499_999):
+    """8 elements with int64 keys in a key space of 4 D, past the claim table's
+    bound at cap 500: X and Z of order 2 whose pairing is the scalar -1."""
+    half = D // 2
+    return D, 1, [PauliProduct.x_type(D, [half]), PauliProduct.z_type(D, [half])]
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(generator_sets())
 @example(_wide_case())
+@example(_spread_case())
 def test_closure_equals_deque_reference(case):
     D, n, gens = case
     assert closure_outcome(gens, D, n, 500) == closure_outcome(gens, D, n, 500, reference=True)
@@ -469,3 +480,71 @@ def test_closure_memory_is_bounded():
         tracemalloc.stop()
     assert enum.size == 5**6
     assert peak < 8 * 2**20
+
+
+def test_spread_case_keys_pass_the_claim_table_bound():
+    D, n, gens = _spread_case()
+    assert 2**63 > 4 * D > CLAIM_FACTOR * 500
+    assert enumerate_pauli_closure(gens, D, n, 500).size == 8
+
+
+def test_closure_memory_near_the_enumeration_cap():
+    # the 2x2 grid at D = 9: 9^6 = 531,441 elements in a key space of 9^7.  The
+    # peak is at the end: the rows (69 MB), the x parts gathered for them (half
+    # that) and the keys with their indices (13 MB); the 19 MB claim table is gone.
+    spec = spec_for(torus_grid(2, 2), 9)
+    tracemalloc.start()
+    try:
+        enum = enumerate_group(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enum.size == 9**6
+    assert peak < enum.rows.nbytes + 48 * 2**20
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_additive_closure_memory_is_linear_in_the_qudits(rows):
+    # n = 20,000 at D = 2: base-2 place values for every qudit would be 25 MB of Python ints
+    n = 20_000
+    generators = np.zeros((rows, n), dtype=np.int64)
+    generators[:, 0] = 1
+    tracemalloc.start()
+    try:
+        elements = additive_closure(generators, 2, ENUMERATION_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elements.shape == (1 + rows, n)
+    assert peak < 8 * 2**20
+
+
+def scalar_specs():
+    """Specs whose face and vertex rows do not all commute, so the group holds scalars."""
+    rng = random.Random(41)
+    specs = []
+    for D in (2, 3, 4, 6, 12):
+        for n in (1, 2, 3):
+            for _ in range(8):
+                rows = [[rng.randrange(D) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+                faces = ZModMatrix.from_rows(rows[: rng.randint(0, len(rows))], n, D)
+                vertices = ZModMatrix.from_rows(rows[faces.nrows :], n, D)
+                specs.append(StabilizerSpec(D, n, faces, vertices))
+    return specs
+
+
+def test_enumerate_group_predicts_the_size_with_scalars(monkeypatch):
+    from quhom import pauli
+
+    with_scalars = 0
+    for spec in scalar_specs() + [spec_for(rp2(), 4), spec_for(torus_grid(1, 2), 6)]:
+        size = enumerate_pauli_closure(spec.generators(), spec.modulus, spec.n).size
+        with_scalars += spec.scalar_witness() is not None
+        assert enumerate_group(spec, cap=size).size == size
+        closures = []
+        with monkeypatch.context() as patch:
+            patch.setattr(pauli, "enumerate_pauli_closure", lambda *args: closures.append(args))
+            with pytest.raises(BudgetExceeded, match=f"predicted group size {size} ") as info:
+                enumerate_group(spec, cap=size - 1)
+        assert info.value.examined == 0 and closures == []
+    assert with_scalars > 10
