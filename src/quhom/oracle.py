@@ -26,7 +26,6 @@ INT64_BOUND = 2**63  # residues and base-D codes are int64 here, so D must stay 
 RESIDUAL_TOL = 1e-9
 CELL_CAP = 1 << 14  # entries in one block of projector values; bounds memory
 TABLE_CAP = 1 << 20  # entries of the projector's z . c table (8 MB as int64)
-HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd; spreads column hashes over uint64
 
 
 def _checked_dimension(modulus: int, n: int, cap: int) -> int:
@@ -265,19 +264,14 @@ def projector_checks(spec: StabilizerSpec, proj: ClassProjector) -> dict:
 def _value_leads(values: np.ndarray) -> np.ndarray:
     """For every column of `values`, the first column equal to it bit for bit.
 
-    Columns are grouped by a hash of their bits (odd multiples summed,
-    wrapping in uint64), and each is compared with the first column of its
-    group; a column that differs from it leads itself.
+    Each column's bytes are one void scalar, so np.unique groups the columns
+    exactly.  (With axis=0 it compares field by field: 15 ms against 3 ms
+    on the 4096 columns of the 1x3 grid at D = 4.)
     """
-    classes, dim = values.shape
-    values = np.ascontiguousarray(values)
-    bits = values.view(np.uint64)  # (classes, 2 dim): real, imaginary
-    hashes = np.arange(1, 2 * classes, 2, dtype=np.uint64) @ bits
-    hashes = hashes[0::2] * HASH_MULTIPLIER + hashes[1::2]
-    _, first, group = np.unique(hashes, return_index=True, return_inverse=True)
-    lead = first[group]
-    same = (np.take(values, lead, axis=1).view(np.uint64) == bits).all(axis=0)
-    return np.where(same.reshape(dim, 2).all(axis=1), lead, np.arange(dim))
+    columns = np.ascontiguousarray(values.T)
+    columns = columns.view(np.dtype((np.void, columns.strides[0]))).ravel()
+    _, first, group = np.unique(columns, return_index=True, return_inverse=True)
+    return first[group]
 
 
 def _signature_columns(rows: np.ndarray, values: np.ndarray) -> np.ndarray:

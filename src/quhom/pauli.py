@@ -363,8 +363,9 @@ def enumerate_pauli_closure(
     space = D * parts
     key_dtype = np.int64 if space < 2**63 else object
     # A product's key is its parent's phase share (key - index) plus zt[z, g],
-    # below twice the key space, mod the key space, plus tx[x, g].
-    zt = ((z_parts @ g_x.T + steps[:, 0]) % D).astype(key_dtype) * parts + tz
+    # mod the key space, plus tx[x, g].  zt holds each share less the key
+    # space, so the sum lies in [-space, space) and stays inside int64.
+    zt = ((z_parts @ g_x.T + steps[:, 0]) % D).astype(key_dtype) * parts + tz - space
     tx = tx.astype(key_dtype) * nz
 
     def expand(keys):

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quhom import oracle
 from quhom.complex2 import chain_complex, rp2, torus, torus_grid
 from quhom.distance import distance_css, distance_homological, witness_pauli
 from quhom.errors import BudgetExceeded
@@ -14,7 +13,6 @@ from quhom.oracle import (
     ClassProjector,
     _digit_table,
     _pauli_action,
-    _value_leads,
     complement_duality_checks,
     dense_projector,
     projector_checks,
@@ -330,19 +328,6 @@ def test_projector_checks_count_missing_classes_in_full():
             checks = checks_against_dense(spec, proj)
             assert not checks["ok"]
             assert_same_checks(spec, proj)
-
-
-def test_value_leads_keep_colliding_columns_apart():
-    # one class, two columns with different bits and one hash: real bits times the
-    # multiplier plus imaginary bits, wrapping in uint64 (the imaginary part of the
-    # second column was solved for)
-    values = np.array([[1 + 0.5j, 51.5 + 0.0093994140625j]])
-    bits = values.view(np.uint64)[0]
-    hashes = bits[0::2] * oracle.HASH_MULTIPLIER + bits[1::2]
-    assert hashes[0] == hashes[1]
-    assert _value_leads(values).tolist() == [0, 1]
-    spec = single_generator_spec(2, z_row=(1,))
-    assert_same_checks(spec, ClassProjector(np.array([0]), np.array([[0, 1]]), values))
 
 
 def test_projector_checks_bit_identical_on_acceptance_specs():

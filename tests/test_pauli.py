@@ -407,10 +407,25 @@ def _spread_case(D=2 * 499_999):
     return D, 1, [PauliProduct.x_type(D, [half]), PauliProduct.z_type(D, [half])]
 
 
+def _phase_carry_case(D=3 * 2_500_000_000_000_000_000):
+    """3 scalars with int64 keys in a key space of D, past 2^62: a phase
+    share plus a phase step, 2D/3 each, passes int64 before the reduction."""
+    return D, 0, [PauliProduct.scalar(D, 2 * D // 3)]
+
+
+def _carry_pair_case(m=3 * 10**17 + 1):
+    """27 elements with int64 keys in a key space of 27 m, past 2^62: X^m and
+    Z^m of order 3 mod D = 3 m, whose pairing m^2 = m mod D is a scalar."""
+    D = 3 * m
+    return D, 1, [PauliProduct.x_type(D, [m]), PauliProduct.z_type(D, [m])]
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(generator_sets())
 @example(_wide_case())
 @example(_spread_case())
+@example(_phase_carry_case())
+@example(_carry_pair_case())
 def test_closure_equals_deque_reference(case):
     D, n, gens = case
     assert closure_outcome(gens, D, n, 500) == closure_outcome(gens, D, n, 500, reference=True)
