@@ -69,28 +69,25 @@ def _roots_of_unity(modulus: int, dim: int) -> np.ndarray:
 def _pauli_action(pauli: PauliProduct, digits: np.ndarray):
     """Rows hit and phases picked up on each basis column by w^l X^x Z^z."""
     D = pauli.modulus
-    n = pauli.num_qudits
-    x = np.array(pauli.x, dtype=np.int64)
-    z = np.array(pauli.z, dtype=np.int64)
-    rows = ((digits + x) % D) @ _place_values(D, n)
-    phases = (pauli.phase + digits @ z) % D
+    rows = _shifted_indices(D, np.array([pauli.x], dtype=np.int64))[0]
+    phases = (pauli.phase + digits @ np.array(pauli.z, dtype=np.int64)) % D
     return rows, _roots_of_unity(D, len(digits))[phases]
 
 
 @dataclass(frozen=True)
 class ClassProjector:
-    """P stored as its X classes, each one entry per basis column.
+    """P stored as its X classes, each one value per column label.
 
     Class i gathers the group elements whose X part has the base-D code
     codes[i], qudit 1 the most significant digit as in basis indices.  Its
-    entry in column c lies in row rows[i, c], the basis state c shifted by
-    that X part, and has the value values[i, c].  Codes are distinct and
-    ascending; values keep exact zeros.
+    entry in basis column c lies in the row of c shifted by that X part
+    (`_shifted_indices`) and has the value sums[i, labels[c]].  Codes are
+    distinct and ascending; sums keep exact zeros.
     """
 
     codes: np.ndarray  # (classes,) int64
-    rows: np.ndarray  # (classes, D^n) int64
-    values: np.ndarray  # (classes, D^n) complex128
+    sums: np.ndarray  # (classes, labels) complex128
+    labels: np.ndarray  # (D^n,) int64
 
 
 def dense_projector(
@@ -109,19 +106,24 @@ def dense_projector(
     lookup of phase + z . c, below 2D, into the roots of unity, and
     z . c mod D is one table row per distinct z part, over one column of
     each label.  When that table would pass TABLE_CAP entries, each block
-    computes its own rows.  The sums are then read out to every column.
-    `enumeration` is the output of enumerate_group(spec).
+    computes its own rows.  `enumeration` is the output of
+    enumerate_group(spec).
     """
     D = spec.modulus
     n = spec.n
     dim = _checked_dimension(D, n, cap)
     digits = _digit_table(D, n)
     weights = _place_values(D, n)
-    elements = enumeration.rows.astype(np.int64)  # entries < D <= cap; the identity alone if n = 0
-    shifts = elements[:, 1 : n + 1] @ weights  # codes: the digit table's row of each part
-    z_codes = elements[:, n + 1 :] @ weights
-    order = np.lexsort((z_codes, elements[:, 0], shifts))
-    shifts, z_codes, phases = shifts[order], z_codes[order], elements[order, :1]
+    # int64 keys: the key space D |X| |Z| is at most D^(2n+1) <= cap^3, or D when n = 0
+    keys = enumeration.keys
+    nz = len(enumeration.z_parts)
+    parts = len(enumeration.x_parts) * nz
+    index = keys % parts
+    shifts = (enumeration.x_parts.astype(np.int64) @ weights)[index // nz]  # digit table rows
+    z_codes = (enumeration.z_parts.astype(np.int64) @ weights)[index % nz]
+    phases = keys // parts
+    order = np.lexsort((z_codes, phases, shifts))
+    shifts, z_codes, phases = shifts[order], z_codes[order], phases[order, None]
     bounds = [0, *(np.flatnonzero(np.diff(shifts)) + 1).tolist(), len(order)]  # the classes
     labels, columns = _exponent_labels(spec, digits)
     columns = digits[columns]
@@ -148,7 +150,7 @@ def dense_projector(
                 block = np.concatenate((total[None], block))
             total = block.sum(axis=0)  # down the members, one column at a time: in order
         sums[i] = total / enumeration.size
-    return ClassProjector(codes, _shifted_indices(D, digits[codes]), np.take(sums, labels, axis=1))
+    return ClassProjector(codes, sums, labels)
 
 
 def _exponent_labels(spec: StabilizerSpec, digits: np.ndarray):
@@ -169,16 +171,28 @@ def _shifted_indices(modulus: int, shifts: np.ndarray) -> np.ndarray:
     """(len(shifts), D^n) array: entry (i, c) is the basis index of c + shifts[i], mod D.
 
     Each row is the (D,)^n index tensor rolled back by shifts[i] along every
-    axis, built one axis at a time from that axis's rolled index, for all
-    shifts at once.
+    axis, built one axis at a time from that axis's rolled index times its
+    place value, for all shifts at once.  The last axis, the fastest-varying
+    one, comes first, so each step broadcasts over the indices built so far.
     """
     D = modulus
-    count = len(shifts)
+    count, n = shifts.shape
     rows = np.zeros((count, 1), dtype=np.int64)
-    for shift in shifts.T:
-        rolled = (np.arange(D) + shift[:, None]) % D  # np.roll(np.arange(D), -shift[i]) per row
-        rows = (rows[:, :, None] * D + rolled[:, None, :]).reshape(count, -1)
+    if n == 0:  # one basis state, and D may be past any np.arange
+        return rows
+    # np.roll(np.arange(D), -shifts[i, q]) * D^(n-1-q) in entry (i, q)
+    rolled = (np.arange(D) + shifts[:, :, None]) % D * _place_values(D, n)[:, None]
+    for axis in rolled.transpose(1, 0, 2)[::-1]:
+        rows = (axis[:, :, None] + rows[:, None, :]).reshape(count, -1)
     return rows
+
+
+def _class_rows(modulus: int, shifts: np.ndarray, dim: int):
+    """(first class, rows) for blocks of classes: rows is _shifted_indices of
+    their X parts, at most CELL_CAP entries (one class when D^n passes it)."""
+    step = max(1, CELL_CAP // dim)
+    for lo in range(0, len(shifts), step):
+        yield lo, _shifted_indices(modulus, shifts[lo : lo + step])
 
 
 def _slots(dim: int, *codes: np.ndarray) -> np.ndarray:
@@ -193,8 +207,8 @@ def _slots(dim: int, *codes: np.ndarray) -> np.ndarray:
 
 
 def _trace(proj: ClassProjector, slots: np.ndarray) -> complex:
-    """tr P: only the class of X part 0 has entries on the diagonal."""
-    return complex(proj.values[slots[0]].sum()) if slots[0] >= 0 else 0j
+    """tr P: only the class of X part 0 has entries on the diagonal, one per column."""
+    return complex(proj.sums[slots[0]][proj.labels].sum()) if slots[0] >= 0 else 0j
 
 
 def projector_checks(spec: StabilizerSpec, proj: ClassProjector) -> dict:
@@ -204,42 +218,58 @@ def projector_checks(spec: StabilizerSpec, proj: ClassProjector) -> dict:
     is missing from the other side counts in full, so nothing assumes that
     the classes of P are closed under negation or sums.  Every entry in
     column c is formed from the values of P in column c and in the columns
-    its classes shift c to, so the entries are formed once per column
-    signature (`_signature_columns`), on the first column that has it.
+    its classes shift c to, so two columns with the same labels there have
+    the same entries, and the entries are formed on one column of each such
+    signature.  A column's lead is the first column of its label, and the
+    column is left to its lead when every class shifts the two to columns
+    of one label.  The shifted columns are formed in blocks of at most
+    CELL_CAP entries: once to find the columns formed and the sums
+    x_i + x_j that P-squared has, then for the columns formed.
     `residual` is the largest of the three, and `ok` the verdict: it is
     under RESIDUAL_TOL and the rounded trace is K.  `proj` is
     dense_projector's output for the spec.
     """
     D, n = spec.modulus, spec.n
-    codes, rows, values = proj.codes, proj.rows, proj.values
-    dim = rows.shape[1]
+    codes, sums, labels = proj.codes, proj.sums, proj.labels
+    dim = len(labels)
+    shifts = _digit_table(D, n)[codes]
     slots = _slots(dim, codes)
-    columns = _signature_columns(rows, values)
+    _, first, group = np.unique(labels, return_index=True, return_inverse=True)
+    lead = first[group]
+    agree = np.ones(dim, dtype=bool)
+    paired = np.zeros(dim, dtype=bool)  # codes of x_i + x_j: the column x_j shifted by x_i
+    for _, rows in _class_rows(D, shifts, dim):
+        shifted = labels[rows]
+        agree &= (shifted == shifted[:, lead]).all(axis=0)
+        paired[rows[:, codes]] = True
+    columns = np.flatnonzero(~agree | (lead == np.arange(dim)))
     # P-dagger[r, c] = conj(P[c, r]): class x of P meets class -x read at its rows
-    partners = slots[(-_digit_table(D, n)[codes] % D) @ _place_values(D, n)]
+    partners = slots[(-shifts % D) @ _place_values(D, n)]
+    matched = partners >= 0
     herm_residual = 0.0
-    for i, partner in enumerate(partners):
-        diff = values[i, columns]
-        if partner >= 0:
-            diff = np.conj(np.take(values[partner], rows[i, columns])) - diff
-        herm_residual = max(herm_residual, float(np.abs(diff).max()))
-    # P_i P_j is the class x_i + x_j, whose code is the column x_j shifted by
-    # x_i; its entry in column c is values[i] read at the row class j sends c to.
-    # Blocks of at most CELL_CAP products reuse one buffer.
-    sums = rows[:, codes]
-    square_slots = _slots(dim, codes, sums)
+    # P_i P_j is the class x_i + x_j; its entry in column c is class i read
+    # at c + x_j times class j in column c.  Blocks of at most CELL_CAP
+    # products reuse one buffer.
+    square_slots = _slots(dim, codes, np.flatnonzero(paired))
     square = np.zeros((square_slots.max() + 1, len(columns)), dtype=np.complex128)
     step = min(len(columns), max(1, CELL_CAP // len(codes)))
     buffer = np.empty((len(codes), step), dtype=np.complex128)
     for lo in range(0, len(columns), step):
         block = columns[lo : lo + step]
-        block_rows = rows[:, block]
+        own = sums[:, labels[block]]
+        read = np.empty((len(codes), len(block)), dtype=np.int64)  # labels at c + x_j
+        for start, rows in _class_rows(D, shifts, dim):
+            read[start : start + len(rows)] = labels[rows[:, block]]
+        diff = own.copy()
+        diff[matched] = np.conj(sums[partners[matched, None], read[matched]]) - own[matched]
+        herm_residual = max(herm_residual, float(np.abs(diff).max()))
         products = buffer[:, : len(block)]
-        for i, targets in enumerate(square_slots[sums]):
-            np.take(values[i], block_rows, out=products)
-            products *= values[:, block]
-            square[targets, lo : lo + step] += products
-    square[square_slots[codes]] -= values[:, columns]
+        for start, rows in _class_rows(D, shifts, dim):
+            for i, targets in enumerate(square_slots[rows[:, codes]], start):
+                np.take(sums[i], read, out=products)
+                products *= own
+                square[targets, lo : lo + step] += products
+        square[square_slots[codes], lo : lo + step] -= own
     idem_residual = float(np.abs(square).max())
     trace = _trace(proj, slots)
     trace_residual = abs(trace - round(trace.real))
@@ -261,37 +291,6 @@ def projector_checks(spec: StabilizerSpec, proj: ClassProjector) -> dict:
     }
 
 
-def _value_leads(values: np.ndarray) -> np.ndarray:
-    """For every column of `values`, the first column equal to it bit for bit.
-
-    Each column's bytes are one void scalar, so np.unique groups the columns
-    exactly.  (With axis=0 it compares field by field: 15 ms against 3 ms
-    on the 4096 columns of the 1x3 grid at D = 4.)
-    """
-    columns = np.ascontiguousarray(values.T)
-    columns = columns.view(np.dtype((np.void, columns.strides[0]))).ravel()
-    _, first, group = np.unique(columns, return_index=True, return_inverse=True)
-    return first[group]
-
-
-def _signature_columns(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """One column of each signature, ascending.
-
-    A column's signature is its values and the values of every column its
-    classes shift it to.  A column whose signature matches that of the
-    first column with its values (`_value_leads`) is left to that column;
-    the others are kept.
-    """
-    lead = _value_leads(values)
-    agree = np.ones(len(lead), dtype=bool)
-    for row in rows:
-        shifted = lead[row]
-        agree &= shifted == shifted[lead]
-    kept = np.zeros(len(lead), dtype=bool)
-    kept[np.where(agree, lead, np.arange(len(lead)))] = True
-    return np.flatnonzero(kept)
-
-
 def verify_logical_action(pauli: PauliProduct, spec: StabilizerSpec, proj: ClassProjector) -> bool:
     """True iff the operator restricted to the code space is not a scalar.
 
@@ -299,24 +298,37 @@ def verify_logical_action(pauli: PauliProduct, spec: StabilizerSpec, proj: Class
     for an orthonormal basis B of the code space, R B = B M with M the
     restriction, so R P - c P = B (M - c I) B^dagger has the Frobenius norm of
     M - c I.  The candidate scalar is c = tr(M)/K = tr(R P)/tr(P), and M is a
-    scalar iff R P = c P, which needs no basis of the range.  `proj` is
-    dense_projector's output for the spec.
+    scalar iff R P = c P, which needs no basis of the range.  The squared
+    norm is added up one block of at most CELL_CAP entries at a time.
+    `proj` is dense_projector's output for the spec.
     """
-    slots = _slots(proj.rows.shape[1], proj.codes)
+    D, n = pauli.modulus, pauli.num_qudits
+    codes, sums, labels = proj.codes, proj.sums, proj.labels
+    dim = len(labels)
+    slots = _slots(dim, codes)
     trace = _trace(proj, slots).real
     if round(trace) == 0:
         return False
-    op_rows, phases = _pauli_action(pauli, _digit_table(pauli.modulus, pauli.num_qudits))
+    digits = _digit_table(D, n)
+    op_rows, phases = _pauli_action(pauli, digits)
     # R P: class x of P moves to class x + x_R, each entry times R's phase on its row
-    applied = phases[proj.rows] * proj.values
-    shifted = op_rows[proj.codes]
-    scale = applied[shifted == 0].sum() / trace  # tr(R P): its class of X part 0, if any
-    targets = slots[shifted]
-    hit = targets >= 0
-    applied[hit] -= scale * proj.values[targets[hit]]
-    unmatched = np.delete(proj.values, targets[hit], axis=0)  # classes of P that R P misses
-    residual = np.hypot(np.linalg.norm(applied), abs(scale) * np.linalg.norm(unmatched))
-    return bool(residual > RESIDUAL_TOL)
+    (home,) = slots[op_rows == 0]  # the class R moves to X part 0, if any
+    scale = 0j
+    if home >= 0:  # tr(R P): that class's entry in column op_rows[r] lies in row r
+        scale = (phases * sums[home, labels[op_rows]]).sum() / trace
+    targets = slots[op_rows[codes]]
+    missed = np.ones(len(codes), dtype=bool)  # classes of P that R P misses
+    missed[targets[targets >= 0]] = False
+    scaled = scale * np.concatenate((sums, np.zeros_like(sums[:1])))  # c P, and 0 at target -1
+    squares = 0.0
+    for start, rows in _class_rows(D, digits[codes], dim):
+        block = slice(start, start + len(rows))
+        applied = phases[rows]
+        applied *= sums[block][:, labels]
+        applied -= scaled[targets[block]][:, labels]
+        unmatched = np.linalg.norm(scaled[block][missed[block]][:, labels])
+        squares += np.linalg.norm(applied) ** 2 + unmatched**2
+    return bool(squares**0.5 > RESIDUAL_TOL)
 
 
 def span_elements(matrix: ZModMatrix) -> set:

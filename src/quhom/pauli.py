@@ -160,13 +160,16 @@ def syndrome(error: PauliProduct, spec: StabilizerSpec) -> tuple[int, ...]:
 class GroupEnumeration:
     """Closure result: group order, first scalar found, and the elements.
 
-    `rows` holds one element per row, (phase, x..., z...), in discovery
-    order.
+    The elements are `keys`, in discovery order, over the part arrays
+    `x_parts` (X) and `z_parts` (Z), one part per row: w^phase X^x Z^z with
+    x = X[a] and z = Z[b] has the key phase |X| |Z| + a |Z| + b.
     """
 
     size: int
     scalar_violation: PauliProduct | None
-    rows: np.ndarray = field(repr=False)
+    keys: np.ndarray = field(repr=False)
+    x_parts: np.ndarray = field(repr=False)
+    z_parts: np.ndarray = field(repr=False)
 
 
 def _claim_table(space: int):
@@ -331,10 +334,9 @@ def enumerate_pauli_closure(
     queue; the identity and repeated generators add nothing new there and
     are left out.  Keys already found are filtered out with a claim table
     over the D |X| |Z| keys, or with a set where the keys are Python ints
-    or the key space passes CLAIM_FACTOR times the cap.  The rows
-    (phase, X[x], Z[z]) are built once at the end.  The first element
-    found with x = z = 0 and nonzero phase is reported as the scalar
-    violation.
+    or the key space passes CLAIM_FACTOR times the cap.  The group is
+    returned as its keys with X and Z.  The first element found with
+    x = z = 0 and nonzero phase is reported as the scalar violation.
     """
     D = modulus
     n = num_qudits
@@ -378,17 +380,11 @@ def enumerate_pauli_closure(
     claims = key_dtype is np.int64 and space <= CLAIM_FACTOR * cap
     fresh = _claim_table(space) if claims else _seen_set()
     keys = _closure_keys(expand, fresh, k, cap, key_dtype)
-    del fresh  # the claim table, before the rows are built
-    index = keys % parts
-    rows = np.empty((len(keys), width), dtype=dtype)
-    rows[:, 0] = keys // parts
-    rows[:, 1 : n + 1] = x_parts[(index // nz).astype(np.intp)]
-    rows[:, n + 1 :] = z_parts[(index % nz).astype(np.intp)]
-    scalars = np.flatnonzero(index == 0)  # x = z = 0; the identity is first
+    scalars = np.flatnonzero(keys % parts == 0)  # x = z = 0; the identity is first
     violation = None
     if len(scalars) > 1:
-        violation = PauliProduct(D, rows[scalars[1], 0], (0,) * n, (0,) * n)
-    return GroupEnumeration(len(rows), violation, rows)
+        violation = PauliProduct(D, keys[scalars[1]] // parts, (0,) * n, (0,) * n)
+    return GroupEnumeration(len(keys), violation, keys, x_parts, z_parts)
 
 
 def enumerate_group(spec: StabilizerSpec, cap: int = ENUMERATION_CAP) -> GroupEnumeration:

@@ -2,9 +2,10 @@
 
 Pauli products multiplied one at a time with the phase rule written out,
 Pauli products as dense D^n x D^n matrices, a group's elements as
-(phase, x, z) triples, and a hypermap's hyperedge indicators.  The
-library's own routes (the index-table closure, syndromes from the check
-matrices, the class projector, the dart quotient) use none of these.
+(phase, x, z) triples, the class projector one entry per basis column,
+and a hypermap's hyperedge indicators.  The library's own routes (the
+index-table closure, syndromes from the check matrices, the class
+projector, the dart quotient) use none of these.
 """
 
 import numpy as np
@@ -19,7 +20,6 @@ from quhom.oracle import (
     _pauli_action,
     _place_values,
     _slots,
-    _trace,
     dense_projector,
 )
 from quhom.pauli import PauliProduct, code_dimension, enumerate_group
@@ -74,11 +74,15 @@ def dense_pauli(pauli, cap=DENSE_DIMENSION_CAP):
 
 
 def elements(enum):
-    """The enumerated group as a set of (phase, x, z) triples, read off its rows."""
-    n = (enum.rows.shape[1] - 1) // 2
-    return frozenset(
-        (row[0], tuple(row[1 : n + 1]), tuple(row[n + 1 :])) for row in enum.rows.tolist()
-    )
+    """The enumerated group as (phase, x, z) triples in discovery order, each
+    key phase |X| |Z| + a |Z| + b read as (phase, X[a], Z[b])."""
+    nz = len(enum.z_parts)
+    x_parts, z_parts = enum.x_parts.tolist(), enum.z_parts.tolist()
+    triples = []
+    for key in enum.keys.tolist():
+        phase, index = divmod(key, len(x_parts) * nz)
+        triples.append((phase, tuple(x_parts[index // nz]), tuple(z_parts[index % nz])))
+    return triples
 
 
 def projector(spec):
@@ -86,11 +90,22 @@ def projector(spec):
     return dense_projector(spec, enumerate_group(spec))
 
 
+def class_columns(spec, proj):
+    """(rows, values) of a ClassProjector, one entry per class and basis column:
+    class i's entry in column c lies in row rows[i, c], the basis index of c
+    plus its X part, and is values[i, c], its sum at the label of c."""
+    D, n = spec.modulus, spec.n
+    digits = _digit_table(D, n)
+    rows = ((digits[None] + digits[proj.codes][:, None]) % D) @ _place_values(D, n)
+    return rows, proj.sums[:, proj.labels]
+
+
 def per_column_checks(spec, proj):
     """projector_checks with P-dagger and P-squared formed in every column, column
     blocks of at most CELL_CAP products: the reference for the per-signature checks."""
     D, n = spec.modulus, spec.n
-    codes, rows, values = proj.codes, proj.rows, proj.values
+    codes = proj.codes
+    rows, values = class_columns(spec, proj)
     dim = rows.shape[1]
     slots = _slots(dim, codes)
     # P-dagger[r, c] = conj(P[c, r]): class x of P meets class -x read at its rows
@@ -116,7 +131,7 @@ def per_column_checks(spec, proj):
             square[targets, lo : lo + step] += products
     square[square_slots[codes]] -= values
     idem_residual = float(np.abs(square).max())
-    trace = _trace(proj, slots)
+    trace = complex(values[slots[0]].sum()) if slots[0] >= 0 else 0j
     trace_residual = abs(trace - round(trace.real))
     try:
         expected = code_dimension(spec)

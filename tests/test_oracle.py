@@ -24,6 +24,7 @@ from quhom.zmod import ZModMatrix
 
 from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, span_corpus, two_complex_corpus
 from _reference import (
+    class_columns,
     commutation_phase,
     dense_pauli,
     elements,
@@ -113,23 +114,24 @@ def test_commutation_phase_matches_dense():
         assert np.abs(lhs - rhs).max() < 1e-9
 
 
-def densify(proj):
+def densify(spec, proj):
     """The D^n x D^n array of a ClassProjector."""
-    dim = proj.rows.shape[1]
+    dim = len(proj.labels)
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    for rows, values in zip(proj.rows, proj.values):
+    for rows, values in zip(*class_columns(spec, proj)):
         mat[rows, np.arange(dim)] = values
     return mat
 
 
 def test_projector_single_z():
-    proj = densify(projector(single_generator_spec(2, z_row=(1,))))
+    spec = single_generator_spec(2, z_row=(1,))
+    proj = densify(spec, projector(spec))
     assert np.abs(proj - np.diag([1.0, 0.0])).max() < 1e-12
 
 
 def test_projector_single_x_qutrit():
     spec = single_generator_spec(3, x_row=(1,))
-    proj = densify(projector(spec))
+    proj = densify(spec, projector(spec))
     assert abs(np.trace(proj) - 1) < 1e-9
     assert projector_checks(spec, projector(spec))["ok"]
 
@@ -139,7 +141,7 @@ def test_projector_rp2_and_torus():
     assert projector_checks(spec, projector(spec))["rounded_trace"] == 2
     spec = spec_for(torus(), 2)
     assert projector_checks(spec, projector(spec))["rounded_trace"] == 4
-    assert np.abs(densify(projector(spec)) - np.eye(4)).max() < 1e-12
+    assert np.abs(densify(spec, projector(spec)) - np.eye(4)).max() < 1e-12
 
 
 def test_projector_checks_verdict():
@@ -147,7 +149,7 @@ def test_projector_checks_verdict():
     proj = projector(spec)
     checks = projector_checks(spec, proj)
     assert checks["ok"] and checks["residual"] < 1e-9
-    doubled = dataclasses.replace(proj, values=2 * proj.values)
+    doubled = dataclasses.replace(proj, sums=2 * proj.sums)
     checks = projector_checks(spec, doubled)  # 4P != 2P, trace 18 != 9
     assert not checks["ok"]
     assert checks["residual"] == checks["idempotent_residual"] > 1
@@ -213,12 +215,12 @@ SMALL_SPECS = (
 def test_sparse_projector_equals_explicit_sum(label, spec):
     proj = projector(spec)
     assert isinstance(proj, ClassProjector)
-    assert np.abs(densify(proj) - explicit_projector(spec)).max() < 1e-12
+    assert np.abs(densify(spec, proj) - explicit_projector(spec)).max() < 1e-12
 
 
 def reference_projector(spec):
-    """One _pauli_action per element in sorted order, summed per X part: the
-    reference for the per-class assembly."""
+    """(codes, rows, values) from one _pauli_action per element in sorted order,
+    summed per X part: the reference for the per-class assembly."""
     D, n = spec.modulus, spec.n
     digits = _digit_table(D, n)
     enum = enumerate_group(spec)
@@ -233,14 +235,14 @@ def reference_projector(spec):
     codes = np.array([np.dot(x, weights) for x in by_shift], dtype=np.int64)
     rows = np.stack([r for r, _ in by_shift.values()])
     values = np.stack([v for _, v in by_shift.values()]) / enum.size
-    return ClassProjector(codes, rows, values)
+    return codes, rows, values
 
 
-def assert_same_classes(proj, expected):
-    for name in ("codes", "rows", "values"):
-        got, want = getattr(proj, name), getattr(expected, name)
+def assert_same_classes(spec, proj, expected):
+    """The projector, read out to every column, equals the reference to the last bit."""
+    arrays = (proj.codes, *class_columns(spec, proj))
+    for name, got, want in zip(("codes", "rows", "values"), arrays, expected):
         assert got.dtype == want.dtype and got.shape == want.shape, name
-        assert got.flags.c_contiguous, name  # the memory order sets the order of later sums
         assert got.tobytes() == want.tobytes(), name
 
 
@@ -256,7 +258,7 @@ ORACLE_GRIDS = ((1, 2, 5), (1, 3, 3), (1, 5, 2), (2, 2, 5), (1, 3, 4))
 @pytest.mark.parametrize("label,spec", SMALL_SPECS, ids=[label for label, _ in SMALL_SPECS])
 def test_projector_bit_identical_to_reference(label, spec):
     proj = projector(spec)
-    assert_same_classes(proj, reference_projector(spec))
+    assert_same_classes(spec, proj, reference_projector(spec))
     assert_same_checks(spec, proj)
 
 
@@ -268,7 +270,7 @@ def test_projector_bit_identical_to_reference_on_grids(k, l, D):
             projector(spec)
         return
     proj = projector(spec)
-    assert_same_classes(proj, reference_projector(spec))
+    assert_same_classes(spec, proj, reference_projector(spec))
     assert_same_checks(spec, proj)
 
 
@@ -285,27 +287,28 @@ def test_projector_bit_identical_to_reference_on_grids_without_table(k, l, D, mo
     test_projector_bit_identical_to_reference_on_grids(k, l, D)
 
 
-def unclosed_projector(D, n, codes, seed, columns=None):
-    """A ClassProjector with random values on the given X classes, closed or not.
+def unclosed_projector(D, n, codes, seed, labels=None):
+    """A ClassProjector with random sums on the given X classes, closed or not.
 
-    With `columns`, the values of every basis column are one of that many
-    random columns.
+    Without `labels` every basis column has a label of its own.  With it,
+    the columns are dealt that many labels at random, each used, and the
+    last label has the same sums as the first, bit for bit.
     """
     rng = np.random.default_rng(seed)
-    digits = _digit_table(D, n)
-    weights = D ** np.arange(n - 1, -1, -1)
-    codes = np.array(codes, dtype=np.int64)
-    rows = ((digits[None] + digits[codes][:, None]) % D) @ weights
-    shape = (len(codes), columns or rows.shape[1])
-    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    if columns:
-        values = np.ascontiguousarray(values[:, rng.integers(columns, size=rows.shape[1])])
-    return ClassProjector(codes, rows, values)
+    dim = D**n
+    shape = (len(codes), labels or dim)
+    sums = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if labels:
+        sums[:, -1] = sums[:, 0]
+        column_labels = rng.permutation(np.arange(dim) % labels)
+    else:
+        column_labels = np.arange(dim)
+    return ClassProjector(np.array(codes, dtype=np.int64), sums, column_labels)
 
 
 def checks_against_dense(spec, proj):
     checks = projector_checks(spec, proj)
-    dense = densify(proj)
+    dense = densify(spec, proj)
     assert abs(checks["hermitian_residual"] - np.abs(dense.conj().T - dense).max()) < 1e-12
     assert abs(checks["idempotent_residual"] - np.abs(dense @ dense - dense).max()) < 1e-12
     assert abs(checks["trace"] - np.trace(dense)) < 1e-12
@@ -316,15 +319,15 @@ def checks_against_dense(spec, proj):
 def test_projector_checks_match_dense_residuals(label, spec):
     proj = projector(spec)
     checks_against_dense(spec, proj)
-    checks_against_dense(spec, dataclasses.replace(proj, values=2 * proj.values))
+    checks_against_dense(spec, dataclasses.replace(proj, sums=2 * proj.sums))
 
 
 def test_projector_checks_count_missing_classes_in_full():
     # X classes on two ququarts that are not closed under negation or sums
     spec = single_generator_spec(4, x_row=(0, 1), n=2)
     for codes in ((1,), (1, 3), (0, 1), (2, 5, 7)):
-        for columns in (None, 1, 3):
-            proj = unclosed_projector(4, 2, codes, seed=len(codes), columns=columns)
+        for labels in (None, 1, 3):  # 1: all 16 columns on one label
+            proj = unclosed_projector(4, 2, codes, seed=len(codes), labels=labels)
             checks = checks_against_dense(spec, proj)
             assert not checks["ok"]
             assert_same_checks(spec, proj)
@@ -339,6 +342,11 @@ def test_projector_checks_bit_identical_on_acceptance_specs():
                 assert_same_checks(spec, projector(spec))
                 checked += 1
     assert checked > 300
+
+
+def test_projector_checks_bit_identical_on_acceptance_specs_without_table(monkeypatch):
+    monkeypatch.setattr("quhom.oracle.TABLE_CAP", 0)
+    test_projector_checks_bit_identical_on_acceptance_specs()
 
 
 def test_logical_action_agrees_with_dense_restriction_on_witnesses():
@@ -381,10 +389,13 @@ def test_logical_action_zero_code_space():
 def test_projector_checks_stay_sparse_at_the_dense_cap():
     # 4^6 = 4096 dimensions: one dense complex D^n x D^n array alone is 268 MB
     grid = spec_for(torus_grid(1, 3), 4)
-    # full-rank Z rows, no X rows: one X class of 4096 members
-    z_rows = ZModMatrix.from_coo(6, 6, 4, range(6), range(6), [1] * 6)
-    one_class = StabilizerSpec(4, 6, z_rows, ZModMatrix.from_rows([], 6, 4))
-    for spec, dimension in ((grid, 16), (one_class, 1)):
+    # full-rank Z rows, no X rows: one X class of 4096 members on 4096 labels;
+    # full-rank X rows, no Z rows: 4096 X classes of one member on one label
+    full = ZModMatrix.from_coo(6, 6, 4, range(6), range(6), [1] * 6)
+    none = ZModMatrix.from_rows([], 6, 4)
+    one_class = StabilizerSpec(4, 6, full, none)
+    all_classes = StabilizerSpec(4, 6, none, full)
+    for spec, dimension in ((grid, 16), (one_class, 1), (all_classes, 1)):
         witness = witness_pauli(distance_css(spec), 4)
         tracemalloc.start()
         try:

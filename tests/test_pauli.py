@@ -362,7 +362,7 @@ def reference_closure(generators, modulus, num_qudits, cap):
 def closure_outcome(generators, modulus, num_qudits, cap, reference=False):
     """(size, scalar_violation, elements, order), or ("budget", examined) when over cap.
 
-    `order` lists the elements row by row as GroupEnumeration.rows holds them.
+    `order` lists the elements in the order GroupEnumeration.keys holds them.
     """
     try:
         if reference:
@@ -370,9 +370,8 @@ def closure_outcome(generators, modulus, num_qudits, cap, reference=False):
         enum = enumerate_pauli_closure(generators, modulus, num_qudits, cap)
     except BudgetExceeded as exc:
         return "budget", exc.examined
-    n = num_qudits
-    order = [(row[0], tuple(row[1 : n + 1]), tuple(row[n + 1 :])) for row in enum.rows.tolist()]
-    return enum.size, enum.scalar_violation, elements(enum), order
+    order = elements(enum)
+    return enum.size, enum.scalar_violation, frozenset(order), order
 
 
 @st.composite
@@ -505,8 +504,7 @@ def test_spread_case_keys_pass_the_claim_table_bound():
 
 def test_closure_memory_near_the_enumeration_cap():
     # the 2x2 grid at D = 9: 9^6 = 531,441 elements in a key space of 9^7.  The
-    # peak is at the end: the rows (69 MB), the x parts gathered for them (half
-    # that) and the keys with their indices (13 MB); the 19 MB claim table is gone.
+    # peak is the 19 MB claim table with the keys (4 MB) and their BFS levels.
     spec = spec_for(torus_grid(2, 2), 9)
     tracemalloc.start()
     try:
@@ -515,7 +513,7 @@ def test_closure_memory_near_the_enumeration_cap():
     finally:
         tracemalloc.stop()
     assert enum.size == 9**6
-    assert peak < enum.rows.nbytes + 48 * 2**20
+    assert peak < 40 * 2**20
 
 
 @pytest.mark.parametrize("rows", [0, 1])
