@@ -2,8 +2,6 @@
 
 from .complex2 import (
     ChainComplexData,
-    ClosedWalk,
-    SignedEdge,
     TwoComplex,
     boundary1,
     boundary2,

@@ -4,6 +4,7 @@ Both schemas are strict: unknown fields are rejected, names must be unique,
 and every value is type-checked.  A walk entry is a bare edge name for a
 forward step or the name suffixed with '~' for a reversed one; an empty
 walk array denotes the degenerate face produced by hypermap conversion.
+A complex document is read into the index lists of `complex2.TwoComplex`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .complex2 import ClosedWalk, SignedEdge, TwoComplex
+from .complex2 import TwoComplex, canonical_steps
 from .errors import BudgetExceeded, ParseError, SchemaError
 from .hypermap import Hypermap, SpecialDarts
 
@@ -45,15 +46,49 @@ def _require_obj(value: Any, what: str, allowed: set) -> dict:
     return value.copy()
 
 
-def _unique_names(names, what):
-    seen = set()
-    for name in names:
-        if name in seen:
-            raise SchemaError(f"duplicate {what} name {name!r}")
-        seen.add(name)
+def _require_fields(value: Any, what: str, fields: set, listed: str) -> dict:
+    value = _require_obj(value, what, fields)
+    if set(value) != fields:
+        raise SchemaError(f"{what} objects need exactly {listed}")
+    return value
+
+
+def _index(names: tuple, what: str) -> dict:
+    """Name -> position; the first name that repeats raises."""
+    index = dict(zip(names, range(len(names))))
+    if len(index) < len(names):
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise SchemaError(f"duplicate {what} name {name!r}")
+            seen.add(name)
+    return index
+
+
+def _resolve(names: list, index: dict, unknown: dict) -> tuple[int, ...]:
+    """Each name's index.  A name not in `index` gets one past it, the same
+    every time: its position in `unknown`, where it is added, plus len(index)."""
+    try:
+        return tuple(map(index.__getitem__, names))
+    except KeyError:
+        pass
+    base = len(index)
+    return tuple(
+        index[name] if name in index else base + unknown.setdefault(name, len(unknown))
+        for name in names
+    )
 
 
 def complex_from_dict(doc: Any) -> tuple[TwoComplex, int]:
+    """The complex a document describes, as index lists, and its modulus.
+
+    Names become indices as the document is read, with no object per walk
+    step.  A value is checked with `type(value) is str`, and the
+    `_require_*` helpers run only on one that fails, so they raise the same
+    errors, in the same order, as a check of every value with them would.
+    Names the document uses but does not declare become indices past the
+    declared ones (see `TwoComplex`).
+    """
     doc = _require_obj(doc, "document", COMPLEX_FIELDS)
     missing = COMPLEX_FIELDS - set(doc)
     if missing:
@@ -62,72 +97,94 @@ def complex_from_dict(doc: Any) -> tuple[TwoComplex, int]:
 
     if not isinstance(doc["vertices"], list):
         raise SchemaError("vertices must be an array of strings")
-    vertices = tuple(_require_str(v, "vertex name") for v in doc["vertices"])
-    _unique_names(vertices, "vertex")
+    vertices = tuple(doc["vertices"])
+    for name in vertices:
+        if type(name) is not str or not name:
+            _require_str(name, "vertex name")
+    vertex_index = _index(vertices, "vertex")
 
     if not isinstance(doc["edges"], list):
         raise SchemaError("edges must be an array of objects")
     edges, sources, targets = [], [], []
     for entry in doc["edges"]:
-        entry = _require_obj(entry, "edge", EDGE_FIELDS)
-        if set(entry) != EDGE_FIELDS:
-            raise SchemaError("edge objects need exactly name/source/target")
-        name = _require_str(entry["name"], "edge name")
-        if "~" in name:
-            raise SchemaError(f"edge name {name!r} may not contain '~'")
+        if type(entry) is not dict or entry.keys() != EDGE_FIELDS:
+            entry = _require_fields(entry, "edge", EDGE_FIELDS, "name/source/target")
+        name, source, target = entry["name"], entry["source"], entry["target"]
+        if type(name) is not str or not name or "~" in name:
+            _require_str(name, "edge name")
+            if "~" in name:
+                raise SchemaError(f"edge name {name!r} may not contain '~'")
+        if type(source) is not str or not source:
+            _require_str(source, "edge source")
+        if type(target) is not str or not target:
+            _require_str(target, "edge target")
         edges.append(name)
-        sources.append(_require_str(entry["source"], "edge source"))
-        targets.append(_require_str(entry["target"], "edge target"))
-    _unique_names(edges, "edge")
+        sources.append(source)
+        targets.append(target)
+    edges = tuple(edges)
+    edge_index = _index(edges, "edge")
 
     if not isinstance(doc["faces"], list):
         raise SchemaError("faces must be an array of objects")
-    faces, walks = [], []
+    faces, walk_names, walk_signs, walk_offsets = [], [], [], [0]
     for entry in doc["faces"]:
-        entry = _require_obj(entry, "face", FACE_FIELDS)
-        if set(entry) != FACE_FIELDS:
-            raise SchemaError("face objects need exactly name/walk")
-        faces.append(_require_str(entry["name"], "face name"))
-        if not isinstance(entry["walk"], list):
+        if type(entry) is not dict or entry.keys() != FACE_FIELDS:
+            entry = _require_fields(entry, "face", FACE_FIELDS, "name/walk")
+        name, walk = entry["name"], entry["walk"]
+        if type(name) is not str or not name:
+            _require_str(name, "face name")
+        faces.append(name)
+        if not isinstance(walk, list):
             raise SchemaError("face walk must be an array of edge names")
-        steps = []
-        for item in entry["walk"]:
-            item = _require_str(item, "walk entry")
-            if item.endswith("~"):
-                steps.append(SignedEdge(item[:-1], -1))
+        for item in walk:
+            if type(item) is not str or not item:
+                _require_str(item, "walk entry")
+            if item[-1] == "~":
+                walk_names.append(item[:-1])
+                walk_signs.append(-1)
             else:
-                steps.append(SignedEdge(item, 1))
-        walks.append(ClosedWalk(steps))
-    _unique_names(faces, "face")
+                walk_names.append(item)
+                walk_signs.append(1)
+        walk_offsets.append(len(walk_names))
+    faces = tuple(faces)
+    _index(faces, "face")
 
+    unknown_vertices, unknown_edges = {}, {}
     complex2 = TwoComplex(
         vertices=vertices,
-        edges=tuple(edges),
-        sources=tuple(sources),
-        targets=tuple(targets),
-        faces=tuple(faces),
-        walks=tuple(walks),
+        edges=edges,
+        sources=_resolve(sources, vertex_index, unknown_vertices),
+        targets=_resolve(targets, vertex_index, unknown_vertices),
+        faces=faces,
+        walk_edges=_resolve(walk_names, edge_index, unknown_edges),
+        walk_signs=tuple(walk_signs),
+        walk_offsets=tuple(walk_offsets),
+        unknown_vertices=tuple(unknown_vertices),
+        unknown_edges=tuple(unknown_edges),
     )
     return complex2, modulus
 
 
 def complex_to_dict(complex2: TwoComplex, modulus: int) -> dict:
+    """The document of a complex, each walk written in its canonical rotation."""
+    vertex_names, edge_names = complex2.vertex_names, complex2.edge_names
+    walk_edges, walk_signs = complex2.walk_edges, complex2.walk_signs
     return {
         "modulus": modulus,
         "vertices": list(complex2.vertices),
         "edges": [
-            {"name": e, "source": s, "target": t}
+            {"name": e, "source": vertex_names[s], "target": vertex_names[t]}
             for e, s, t in zip(complex2.edges, complex2.sources, complex2.targets)
         ],
         "faces": [
             {
-                "name": f,
+                "name": face,
                 "walk": [
-                    step.edge if step.sign > 0 else step.edge + "~"
-                    for step in walk.steps
+                    edge_names[walk_edges[k]] + ("" if walk_signs[k] > 0 else "~")
+                    for k in canonical_steps(complex2, f)
                 ],
             }
-            for f, walk in zip(complex2.faces, complex2.walks)
+            for f, face in enumerate(complex2.faces)
         ],
     }
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .complex2 import ChainComplexData, ClosedWalk, SignedEdge, TwoComplex, boundary1
+from .complex2 import ChainComplexData, TwoComplex, boundary1
 from .zmod import ZModMatrix
 
 Permutation = tuple[int, ...]
@@ -234,35 +234,31 @@ def to_two_complex(hypermap: Hypermap, specials: SpecialDarts) -> TwoComplex:
     darts degenerates to the empty walk.
     """
     structure = hypermap.orbit_structure()
-    vertices = tuple(f"v{orbit[0]}" for orbit in structure.hypervertices)
     basis = specials.non_special(hypermap.n)
-    edges = tuple(f"d{i}" for i in basis)
-    sources = tuple(vertices[structure.hypervertex_of[i - 1]] for i in basis)
-    targets = tuple(
-        vertices[structure.hypervertex_of[hypermap.alpha_inverse[i - 1] - 1]]
-        for i in basis
-    )
-    faces = []
-    walks = []
+    edge_of = {dart: i for i, dart in enumerate(basis)}
+    walk_edges, walk_signs, walk_offsets = [], [], [0]
     for orbit in structure.faces:
-        steps: list[SignedEdge] = []
         for dart in orbit:
-            if dart not in specials.special_set:
-                steps.append(SignedEdge(f"d{dart}", 1))
+            if dart in edge_of:
+                walk_edges.append(edge_of[dart])
+                walk_signs.append(1)
                 continue
             j = hypermap.alpha[dart - 1]
             while j != dart:
-                steps.append(SignedEdge(f"d{j}", -1))
+                walk_edges.append(edge_of[j])
+                walk_signs.append(-1)
                 j = hypermap.alpha[j - 1]
-        faces.append(f"f{orbit[0]}")
-        walks.append(ClosedWalk(steps))
+        walk_offsets.append(len(walk_edges))
+    vertex_of = structure.hypervertex_of
     return TwoComplex(
-        vertices=vertices,
-        edges=edges,
-        sources=sources,
-        targets=targets,
-        faces=tuple(faces),
-        walks=tuple(walks),
+        vertices=tuple(f"v{orbit[0]}" for orbit in structure.hypervertices),
+        edges=tuple(f"d{i}" for i in basis),
+        sources=tuple(vertex_of[i - 1] for i in basis),
+        targets=tuple(vertex_of[hypermap.alpha_inverse[i - 1] - 1] for i in basis),
+        faces=tuple(f"f{orbit[0]}" for orbit in structure.faces),
+        walk_edges=tuple(walk_edges),
+        walk_signs=tuple(walk_signs),
+        walk_offsets=tuple(walk_offsets),
     )
 
 

@@ -7,7 +7,8 @@ the local Random instance, never the global one.
 import random
 from functools import lru_cache
 
-from quhom.complex2 import ClosedWalk, SignedEdge, TwoComplex
+from quhom.complex2 import TwoComplex
+from quhom.documents import complex_from_dict
 from quhom.hypermap import Hypermap, SpecialDarts
 from quhom.zmod import ZModMatrix
 
@@ -15,6 +16,7 @@ ACCEPTANCE_MODULI = (2, 3, 4, 6)
 
 
 def _random_closed_walk(rng, vertices, out_steps, max_walk):
+    """A closed walk as (edge index, sign) steps, or None after 60 tries."""
     for _ in range(60):
         start = rng.choice(vertices)
         if not out_steps[start]:
@@ -32,37 +34,53 @@ def _random_closed_walk(rng, vertices, out_steps, max_walk):
             steps.append(signed)
             cur = nxt
         if not dead_end and cur == start:
-            return ClosedWalk(steps)
+            return steps
     return None
 
 
 def random_two_complex(rng, max_vertices=4, max_edges=6, max_faces=4, max_walk=6):
     nv = rng.randint(1, max_vertices)
-    vertices = tuple(f"v{i}" for i in range(nv))
+    vertices = tuple(range(nv))
     ne = rng.randint(1, max_edges)
-    edges, sources, targets = [], [], []
-    for i in range(ne):
-        edges.append(f"e{i}")
+    sources, targets = [], []
+    for _ in range(ne):
         sources.append(rng.choice(vertices))
         targets.append(rng.choice(vertices))
     out_steps = {v: [] for v in vertices}
-    for e, s, t in zip(edges, sources, targets):
-        out_steps[s].append((SignedEdge(e, 1), t))
-        out_steps[t].append((SignedEdge(e, -1), s))
-    faces, walks = [], []
+    for e, (s, t) in enumerate(zip(sources, targets)):
+        out_steps[s].append(((e, 1), t))
+        out_steps[t].append(((e, -1), s))
+    walks = []
     for _ in range(rng.randint(0, max_faces)):
         walk = _random_closed_walk(rng, vertices, out_steps, max_walk)
         if walk is not None:
-            faces.append(f"f{len(faces)}")
             walks.append(walk)
+    steps = [step for walk in walks for step in walk]
+    offsets = [0]
+    for walk in walks:
+        offsets.append(offsets[-1] + len(walk))
     return TwoComplex(
-        vertices=vertices,
-        edges=tuple(edges),
+        vertices=tuple(f"v{i}" for i in vertices),
+        edges=tuple(f"e{i}" for i in range(ne)),
         sources=tuple(sources),
         targets=tuple(targets),
-        faces=tuple(faces),
-        walks=tuple(walks),
+        faces=tuple(f"f{i}" for i in range(len(walks))),
+        walk_edges=tuple(e for e, _ in steps),
+        walk_signs=tuple(s for _, s in steps),
+        walk_offsets=tuple(offsets),
     )
+
+
+def named_complex(vertices, edges, faces):
+    """A complex read from a document: edges as (name, source, target), faces
+    as (name, walk entries), "e~" a step against the orientation of e."""
+    doc = {
+        "modulus": 2,
+        "vertices": list(vertices),
+        "edges": [{"name": e, "source": s, "target": t} for e, s, t in edges],
+        "faces": [{"name": f, "walk": list(walk)} for f, walk in faces],
+    }
+    return complex_from_dict(doc)[0]
 
 
 @lru_cache(maxsize=None)

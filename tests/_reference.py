@@ -2,10 +2,13 @@
 
 Pauli products multiplied one at a time with the phase rule written out,
 Pauli products as dense D^n x D^n matrices, a group's elements as
-(phase, x, z) triples, the class projector one entry per basis column,
-and a hypermap's hyperedge indicators.  The library's own routes (the
+(phase, x, z) triples, the class projector one entry per basis column
+and as a dense array, class projectors with random unclosed classes, the
+logical-action residual from dense arrays, a hypermap's hyperedge indicators, and a complex document's walk
+rotation and validation by names.  The library's own routes (the
 index-table closure, syndromes from the check matrices, the class
-projector, the dart quotient) use none of these.
+projector, the dart quotient, the index lists of a parsed complex) use
+none of these.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ import numpy as np
 from quhom.errors import ScalarViolation
 from quhom.oracle import (
     CELL_CAP,
+    ClassProjector,
     DENSE_DIMENSION_CAP,
     RESIDUAL_TOL,
     _checked_dimension,
@@ -100,6 +104,42 @@ def class_columns(spec, proj):
     return rows, proj.sums[:, proj.labels]
 
 
+def densify(spec, proj):
+    """The D^n x D^n array of a ClassProjector."""
+    dim = len(proj.labels)
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for rows, values in zip(*class_columns(spec, proj)):
+        mat[rows, np.arange(dim)] = values
+    return mat
+
+
+def unclosed_projector(D, n, codes, seed, labels=None):
+    """A ClassProjector with random sums on the given X classes, closed or not.
+
+    Without `labels` every basis column has a label of its own.  With it,
+    the columns are dealt that many labels at random, each used, and the
+    last label has the same sums as the first, bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    dim = D**n
+    shape = (len(codes), labels or dim)
+    sums = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if labels:
+        sums[:, -1] = sums[:, 0]
+        column_labels = rng.permutation(np.arange(dim) % labels)
+    else:
+        column_labels = np.arange(dim)
+    return ClassProjector(np.array(codes, dtype=np.int64), sums, column_labels)
+
+
+def logical_residual(pauli, spec, proj):
+    """The Frobenius norm of R P - c P, with c = tr(R P) / Re tr(P), from dense arrays."""
+    dense_proj = densify(spec, proj)
+    applied = dense_pauli(pauli) @ dense_proj
+    scale = np.trace(applied) / np.trace(dense_proj).real
+    return float(np.linalg.norm(applied - scale * dense_proj))
+
+
 def per_column_checks(spec, proj):
     """projector_checks with P-dagger and P-squared formed in every column, column
     blocks of at most CELL_CAP products: the reference for the per-signature checks."""
@@ -157,3 +197,62 @@ def iota_matrix(hypermap, modulus):
     pairs = [(dart - 1, e) for e, orbit in enumerate(hyperedges) for dart in orbit]
     rows, cols = zip(*pairs)  # a hypermap has at least one dart
     return ZModMatrix.from_coo(hypermap.n, len(hyperedges), modulus, rows, cols, [1] * len(pairs))
+
+
+def canonical_rotation(steps):
+    """(edge name, sign) steps in their canonical rotation: the
+    lexicographically minimal rotation, + ordered before -."""
+    steps = tuple(steps)
+    if steps:
+        # the first rotation with the minimal key starts at a minimal step key
+        keys = [(edge, sign < 0) for edge, sign in steps]
+        first = min(keys)
+        start = keys.index(first)
+        if keys.count(first) > 1:
+            doubled, n = keys * 2, len(keys)
+            starts = (i for i, key in enumerate(keys) if key == first)
+            start = min(starts, key=lambda i: doubled[i : i + n])
+        steps = steps[start:] + steps[:start]
+    return steps
+
+
+def document_walks(doc):
+    """Each face's walk as (edge name, sign) steps in canonical rotation."""
+    return [
+        canonical_rotation((item[:-1], -1) if item.endswith("~") else (item, 1) for item in face["walk"])
+        for face in doc["faces"]
+    ]
+
+
+def validate_document(doc):
+    """The violations of a complex document that passes the schema, found by
+    names: dangling vertex and edge references, then per face the unknown
+    edges or else the incidence breaks, positions in canonical rotation."""
+    violations = []
+    vertices = set(doc["vertices"])
+    ends = {e["name"]: (e["source"], e["target"]) for e in doc["edges"]}
+    for e in doc["edges"]:
+        if e["source"] not in vertices:
+            violations.append(f"edge {e['name']}: unknown source vertex {e['source']!r}")
+        if e["target"] not in vertices:
+            violations.append(f"edge {e['name']}: unknown target vertex {e['target']!r}")
+    for face, steps in zip(doc["faces"], document_walks(doc)):
+        f = face["name"]
+        bad_ref = False
+        for pos, (edge, _) in enumerate(steps):
+            if edge not in ends:
+                violations.append(f"face {f}: step {pos} references unknown edge {edge!r}")
+                bad_ref = True
+        if bad_ref or not steps:
+            continue
+        n = len(steps)
+        for pos in range(n):
+            (edge, sign), (next_edge, next_sign) = steps[pos], steps[(pos + 1) % n]
+            target = ends[edge][1] if sign > 0 else ends[edge][0]
+            source = ends[next_edge][0] if next_sign > 0 else ends[next_edge][1]
+            if target != source:
+                violations.append(
+                    f"face {f}: incidence break at position {pos}->{(pos + 1) % n}: "
+                    f"target {target!r} != source {source!r}"
+                )
+    return violations

@@ -185,7 +185,7 @@ def test_to_two_complex_single_dart():
     assert len(c.vertices) == 1
     assert c.edges == ()
     assert len(c.faces) == 1
-    assert c.walks[0].is_degenerate
+    assert c.walk_offsets == (0, 0)  # one degenerate face
     assert validate(c) == []
     assert boundary2(c, 4).transpose().row(0) == ()
 
@@ -197,8 +197,8 @@ def test_to_two_complex_two_darts():
     assert c.edges == ("d2",)
     assert c.sources == c.targets  # self-loop
     assert len(c.faces) == 2
-    signs = sorted(w.steps[0].sign for w in c.walks)
-    assert signs == [-1, 1]
+    assert c.walk_offsets == (0, 1, 2)  # one step per face
+    assert sorted(c.walk_signs) == [-1, 1]
     assert validate(c) == []
     assert verify_equivalence(h, SpecialDarts.default(h), c, 5, boundary2(c, 5))
 
@@ -208,7 +208,8 @@ def test_equivalence_reads_the_given_complex():
     h = Hypermap(2, (2, 1), (2, 1))
     specials = SpecialDarts.default(h)
     c = to_two_complex(h, specials)
-    swapped = dataclasses.replace(c, walks=c.walks[::-1])
+    # each face is one step on the one edge, so swapping the signs swaps the walks
+    swapped = dataclasses.replace(c, walk_signs=c.walk_signs[::-1])
     assert verify_equivalence(h, specials, c, 5, boundary2(c, 5))
     assert not verify_equivalence(h, specials, swapped, 5, boundary2(swapped, 5))
 

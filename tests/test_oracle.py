@@ -27,11 +27,14 @@ from _reference import (
     class_columns,
     commutation_phase,
     dense_pauli,
+    densify,
     elements,
     identity,
+    logical_residual,
     multiply,
     per_column_checks,
     projector,
+    unclosed_projector,
 )
 
 
@@ -112,15 +115,6 @@ def test_commutation_phase_matches_dense():
         lhs = dense_pauli(p) @ dense_pauli(q)
         rhs = omega**beta * (dense_pauli(q) @ dense_pauli(p))
         assert np.abs(lhs - rhs).max() < 1e-9
-
-
-def densify(spec, proj):
-    """The D^n x D^n array of a ClassProjector."""
-    dim = len(proj.labels)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for rows, values in zip(*class_columns(spec, proj)):
-        mat[rows, np.arange(dim)] = values
-    return mat
 
 
 def test_projector_single_z():
@@ -287,25 +281,6 @@ def test_projector_bit_identical_to_reference_on_grids_without_table(k, l, D, mo
     test_projector_bit_identical_to_reference_on_grids(k, l, D)
 
 
-def unclosed_projector(D, n, codes, seed, labels=None):
-    """A ClassProjector with random sums on the given X classes, closed or not.
-
-    Without `labels` every basis column has a label of its own.  With it,
-    the columns are dealt that many labels at random, each used, and the
-    last label has the same sums as the first, bit for bit.
-    """
-    rng = np.random.default_rng(seed)
-    dim = D**n
-    shape = (len(codes), labels or dim)
-    sums = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    if labels:
-        sums[:, -1] = sums[:, 0]
-        column_labels = rng.permutation(np.arange(dim) % labels)
-    else:
-        column_labels = np.arange(dim)
-    return ClassProjector(np.array(codes, dtype=np.int64), sums, column_labels)
-
-
 def checks_against_dense(spec, proj):
     checks = projector_checks(spec, proj)
     dense = densify(spec, proj)
@@ -377,6 +352,26 @@ def test_logical_action_agrees_with_dense_restriction_on_stabilizers():
         for stab in (*spec.generators(), identity(spec.modulus, spec.n)):
             assert dense_restriction_is_scalar(stab, basis), label
             assert not verify_logical_action(stab, spec, projector(spec)), label
+
+
+def test_logical_action_counts_the_classes_r_p_misses(monkeypatch):
+    # R = X^(0,1) on two ququarts moves the classes of codes 0, 3, 5 to 1, 0, 6.
+    # Class 3 has X part -x_R, so c = tr(RP)/tr(P) is not 0, and classes 3 and
+    # 5, which R P does not land on, hold -c P in R P - c P
+    D, n, codes = 4, 2, (0, 3, 5)
+    spec = single_generator_spec(D, x_row=(0, 1), n=n)
+    pauli = PauliProduct.x_type(D, (0, 1))
+    shifted = {4 * (code // 4) + (code + 1) % 4 for code in codes}
+    assert set(codes) - shifted == {3, 5}
+    for labels in (None, 3):
+        proj = unclosed_projector(D, n, codes, seed=1, labels=labels)
+        assert round(proj.sums[0][proj.labels].sum().real) != 0  # tr P
+        residual = logical_residual(pauli, spec, proj)
+        # the library's residual lies between these two tolerances exactly
+        # when it is the dense one
+        for tol, acts in ((residual * (1 - 1e-9), True), (residual * (1 + 1e-9), False)):
+            monkeypatch.setattr("quhom.oracle.RESIDUAL_TOL", tol)
+            assert verify_logical_action(pauli, spec, proj) is acts, (labels, tol)
 
 
 def test_logical_action_zero_code_space():

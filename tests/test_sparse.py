@@ -15,9 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quhom.complex2 import (
-    ClosedWalk,
-    SignedEdge,
-    TwoComplex,
     boundary1,
     boundary2,
     chain_complex,
@@ -29,7 +26,7 @@ from quhom.complex2 import (
 from quhom.pauli import PauliProduct, StabilizerSpec
 from quhom.zmod import ZModMatrix, kernel_cardinality, smith_normal_form, span_cardinality
 
-from _corpus import two_complex_corpus
+from _corpus import named_complex, two_complex_corpus
 
 MODULI = (2, 3, 4, 6, 12, 3 * 2**62)
 
@@ -170,37 +167,27 @@ def test_product_and_scalar_witness_equal_dense_reference(case):
 
 def dense_boundaries(complex2, D):
     """d1 and d2 accumulated entry by entry from the definitions."""
-    vidx, eidx = complex2.vertex_index, complex2.edge_index
     d1 = [[0] * len(complex2.edges) for _ in complex2.vertices]
     for j, (s, t) in enumerate(zip(complex2.sources, complex2.targets)):
-        d1[vidx[t]][j] += 1
-        d1[vidx[s]][j] -= 1
+        d1[t][j] += 1
+        d1[s][j] -= 1
     d2 = [[0] * len(complex2.faces) for _ in complex2.edges]
-    for j, walk in enumerate(complex2.walks):
-        for step in walk.steps:
-            d2[eidx[step.edge]][j] += step.sign
+    offsets = complex2.walk_offsets
+    for f in range(len(complex2.faces)):
+        for k in range(offsets[f], offsets[f + 1]):
+            d2[complex2.walk_edges[k]][f] += complex2.walk_signs[k]
     return [[e % D for e in row] for row in d1], [[e % D for e in row] for row in d2]
 
 
-def step(edge, sign=1):
-    return SignedEdge(edge, sign)
-
-
 def special_complexes():
-    no_edges = TwoComplex(("a", "b"), (), (), (), (), ())
-    degenerate_face = TwoComplex(("v",), (), (), (), ("f",), (ClosedWalk(()),))
+    no_edges = named_complex(("a", "b"), [], [])
+    degenerate_face = named_complex(("v",), [], [("f", [])])
     # a walk out along e and straight back: the two steps cancel
-    back_and_forth = TwoComplex(
-        ("u", "w"), ("e",), ("u",), ("w",), ("f",),
-        (ClosedWalk([step("e"), step("e", -1)]),),
-    )
+    back_and_forth = named_complex(("u", "w"), [("e", "u", "w")], [("f", ["e", "e~"])])
     # a self-loop walked three times and an edge walked twice each way
-    repeats = TwoComplex(
-        ("u", "w"), ("loop", "e"), ("u", "u"), ("u", "w"), ("f", "g"),
-        (
-            ClosedWalk([step("loop")] * 3),
-            ClosedWalk([step("e"), step("e", -1), step("loop", -1), step("e"), step("e", -1)]),
-        ),
+    repeats = named_complex(
+        ("u", "w"), [("loop", "u", "u"), ("e", "u", "w")],
+        [("f", ["loop"] * 3), ("g", ["e", "e~", "loop~", "e", "e~"])],
     )
     return [no_edges, degenerate_face, back_and_forth, repeats, rp2(), torus(), torus_grid(2, 3)]
 
@@ -228,7 +215,6 @@ def test_special_complex_entries():
 def test_large_grid_chain_and_scalar_check_memory_is_linear_in_nnz():
     # a dense d1 of the 100x100 grid would have 10^4 x 2 10^4 = 2 10^8 entries
     grid = torus_grid(100, 100)
-    grid.vertex_index, grid.edge_index  # the label dicts belong to the complex
     tracemalloc.start()
     try:
         chain = chain_complex(grid, 6)
