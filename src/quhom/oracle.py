@@ -1,10 +1,10 @@
 """Brute-force verification at tiny scale: the slow, trusted path.
 
 Operators realize X as the cyclic shift and Z as the diagonal of D-th
-roots of unity, one entry per basis column: a single Pauli product as its
-action, the group projector one X class at a time.  Qudit 1 is the
-slowest-varying tensor index, matching position 1 (leftmost factor) of
-the symplectic representation.
+roots of unity, one entry per basis column: the group projector one X
+class at a time, a Pauli product by its phase on each basis state.
+Qudit 1 is the slowest-varying tensor index, matching position 1
+(leftmost factor) of the symplectic representation.
 Everything here is deliberately independent of the exact-arithmetic
 production path.
 """
@@ -64,14 +64,6 @@ def _roots_of_unity(modulus: int, dim: int) -> np.ndarray:
     With no qudits (D^n = 1) every exponent is 0, so one entry does, however large D is.
     """
     return np.exp(2j * np.pi * np.arange(min(modulus, dim)) / modulus)
-
-
-def _pauli_action(pauli: PauliProduct, digits: np.ndarray):
-    """Rows hit and phases picked up on each basis column by w^l X^x Z^z."""
-    D = pauli.modulus
-    rows = _shifted_indices(D, np.array([pauli.x], dtype=np.int64))[0]
-    phases = (pauli.phase + digits @ np.array(pauli.z, dtype=np.int64)) % D
-    return rows, _roots_of_unity(D, len(digits))[phases]
 
 
 @dataclass(frozen=True)
@@ -298,8 +290,17 @@ def verify_logical_action(pauli: PauliProduct, spec: StabilizerSpec, proj: Class
     for an orthonormal basis B of the code space, R B = B M with M the
     restriction, so R P - c P = B (M - c I) B^dagger has the Frobenius norm of
     M - c I.  The candidate scalar is c = tr(M)/K = tr(R P)/tr(P), and M is a
-    scalar iff R P = c P, which needs no basis of the range.  The squared
-    norm is added up one block of at most CELL_CAP entries at a time.
+    scalar iff R P = c P, which needs no basis of the range.
+
+    R = w^l X^x Z^z moves class i of P to the class t of X part x_i + x, and
+    multiplies its entry in column c by R's phase on basis state c + x_i,
+    w^e(c) u_i with e(c) = l + z . c and u_i = w^(z . x_i).  So R P - c P has
+    there the entry w^e(c) (u_i P_i - w^-e(c) c P_t) at the label of c, whose
+    modulus depends on c only through its label and e(c).  The squared norm
+    is a sum over those pairs, each weighted by its number of columns, in
+    blocks of at most CELL_CAP entries; a class of P that R P misses holds
+    -c P alone.  It is added up by numpy's own loops (np.einsum), not BLAS,
+    whose threads a process forked after `import numpy` would start.
     `proj` is dense_projector's output for the spec.
     """
     D, n = pauli.modulus, pauli.num_qudits
@@ -310,24 +311,34 @@ def verify_logical_action(pauli: PauliProduct, spec: StabilizerSpec, proj: Class
     if round(trace) == 0:
         return False
     digits = _digit_table(D, n)
-    op_rows, phases = _pauli_action(pauli, digits)
-    # R P: class x of P moves to class x + x_R, each entry times R's phase on its row
-    (home,) = slots[op_rows == 0]  # the class R moves to X part 0, if any
+    place = _place_values(D, n)
+    x, z = np.array(pauli.x, dtype=np.int64), np.array(pauli.z, dtype=np.int64)
+    pairs, counts = np.unique(labels * D + (pauli.phase + digits @ z) % D, return_counts=True)
+    pair_labels, exponents = np.divmod(pairs, D)
+    roots = _roots_of_unity(D, dim)
+    shifts = digits[codes]
+    moved = roots[(shifts @ z) % D][:, None] * sums  # u_i P_i
+    targets = slots[((shifts + x) % D) @ place]
+    home = slots[(-x % D) @ place]  # the class R moves to X part 0, if any
     scale = 0j
-    if home >= 0:  # tr(R P): that class's entry in column op_rows[r] lies in row r
-        scale = (phases * sums[home, labels[op_rows]]).sum() / trace
-    targets = slots[op_rows[codes]]
+    if home >= 0:  # tr(R P): that class's entry in column c lies in row c
+        scale = (counts * roots[exponents] * moved[home, pair_labels]).sum() / trace
     missed = np.ones(len(codes), dtype=bool)  # classes of P that R P misses
     missed[targets[targets >= 0]] = False
     scaled = scale * np.concatenate((sums, np.zeros_like(sums[:1])))  # c P, and 0 at target -1
+    # (R P - c P) / w^e, one row per class: u_i P_i - w^-e c P_t for each
+    # class i of P, then -w^-e c P_t for each class t that R P misses
+    first = np.concatenate((moved, np.zeros_like(sums[missed])))
+    second = scaled[np.concatenate((targets, np.flatnonzero(missed)))]
+    turns = np.conj(roots[exponents])  # w^-e
+    weights = np.repeat(counts.astype(np.float64), 2)  # for the real and imaginary parts
+    step = max(1, CELL_CAP // len(pairs))
     squares = 0.0
-    for start, rows in _class_rows(D, digits[codes], dim):
-        block = slice(start, start + len(rows))
-        applied = phases[rows]
-        applied *= sums[block][:, labels]
-        applied -= scaled[targets[block]][:, labels]
-        unmatched = np.linalg.norm(scaled[block][missed[block]][:, labels])
-        squares += np.linalg.norm(applied) ** 2 + unmatched**2
+    for lo in range(0, len(first), step):
+        diff = np.take(first[lo : lo + step], pair_labels, axis=1)  # C order, unlike [:, pair_labels]
+        diff -= turns * np.take(second[lo : lo + step], pair_labels, axis=1)
+        parts = diff.view(np.float64)
+        squares += np.einsum("ij,ij,j->", parts, parts, weights)
     return bool(squares**0.5 > RESIDUAL_TOL)
 
 

@@ -1,7 +1,9 @@
 """Frozen randomized corpora shared by the unit and acceptance tests.
 
 Seeds are fixed so every run sees the same instances; generators only use
-the local Random instance, never the global one.
+the local Random instance, never the global one.  The transformations at
+the end (`renamed`, `turned`, `permuted_rows`) change how an input is
+written, not the code it defines.
 """
 
 import random
@@ -10,6 +12,7 @@ from functools import lru_cache
 from quhom.complex2 import TwoComplex
 from quhom.documents import complex_from_dict
 from quhom.hypermap import Hypermap, SpecialDarts
+from quhom.pauli import StabilizerSpec, export_check_matrix
 from quhom.zmod import ZModMatrix
 
 ACCEPTANCE_MODULI = (2, 3, 4, 6)
@@ -127,3 +130,50 @@ def span_corpus(count, seed=40951):
         gens = [tuple(rng.randrange(D) for _ in range(n)) for _ in range(k)]
         out.append((ZModMatrix.from_rows(gens, n, D), f"s{i}"))
     return tuple(out)
+
+
+def renamed(doc, rng):
+    """A complex document under new vertex, edge and face names, each list shuffled."""
+    names = [*doc["vertices"], *(e["name"] for e in doc["edges"]), *(f["name"] for f in doc["faces"])]
+    new = dict(zip(names, (f"n{i}" for i in rng.sample(range(10 * len(names) + 1), len(names)))))
+    doc = {
+        "modulus": doc["modulus"],
+        "vertices": [new[v] for v in doc["vertices"]],
+        "edges": [{"name": new[e["name"]], "source": new[e["source"]], "target": new[e["target"]]}
+                  for e in doc["edges"]],
+        "faces": [{"name": new[f["name"]],
+                   "walk": [new[step.rstrip("~")] + "~" * step.endswith("~") for step in f["walk"]]}
+                  for f in doc["faces"]],
+    }
+    for items in (doc["vertices"], doc["edges"], doc["faces"]):
+        rng.shuffle(items)
+    return doc
+
+
+def turned(doc, rng):
+    """A complex document with each face walk rotated to a random step, and
+    inverted (reversed, each step flipped) half the time."""
+    faces = []
+    for face in doc["faces"]:
+        walk = list(face["walk"])
+        if walk:
+            turn = rng.randrange(len(walk))
+            walk = walk[turn:] + walk[:turn]
+        if rng.random() < 0.5:
+            walk = [step[:-1] if step.endswith("~") else step + "~" for step in reversed(walk)]
+        faces.append({"name": face["name"], "walk": walk})
+    return {**doc, "faces": faces}
+
+
+def permuted_rows(spec, rng):
+    """The check-matrix file of the spec with its face rows and its vertex
+    rows each in random order."""
+    face_rows = list(spec.face_matrix.entries)
+    vertex_rows = list(spec.vertex_matrix.entries)
+    rng.shuffle(face_rows)
+    rng.shuffle(vertex_rows)
+    D, n = spec.modulus, spec.n
+    permuted = StabilizerSpec(
+        D, n, ZModMatrix.from_rows(face_rows, n, D), ZModMatrix.from_rows(vertex_rows, n, D)
+    )
+    return export_check_matrix(permuted)

@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare the library against.
 
 Pauli products multiplied one at a time with the phase rule written out,
-Pauli products as dense D^n x D^n matrices, a group's elements as
+Pauli products as their action on the basis states and as dense D^n x D^n
+matrices, a group's elements as
 (phase, x, z) triples, the class projector one entry per basis column
 and as a dense array, class projectors with random unclosed classes, the
 logical-action residual from dense arrays, a hypermap's hyperedge indicators, and a complex document's walk
@@ -21,8 +22,8 @@ from quhom.oracle import (
     RESIDUAL_TOL,
     _checked_dimension,
     _digit_table,
-    _pauli_action,
     _place_values,
+    _roots_of_unity,
     _slots,
     dense_projector,
 )
@@ -68,10 +69,19 @@ def commutation_phase(p, q):
     return (_dot(p.z, q.x) - _dot(p.x, q.z)) % p.modulus
 
 
+def pauli_action(pauli, digits):
+    """Rows hit and phases picked up on each basis column by w^l X^x Z^z: column c
+    goes to row c + x, times w^(l + z . c)."""
+    D, n = pauli.modulus, pauli.num_qudits
+    rows = (digits + np.array(pauli.x, dtype=np.int64)) % D @ _place_values(D, n)
+    phases = (pauli.phase + digits @ np.array(pauli.z, dtype=np.int64)) % D
+    return rows, _roots_of_unity(D, len(digits))[phases]
+
+
 def dense_pauli(pauli, cap=DENSE_DIMENSION_CAP):
     """Dense matrix of w^l X^x Z^z on D^n dimensions."""
     dim = _checked_dimension(pauli.modulus, pauli.num_qudits, cap)
-    rows, values = _pauli_action(pauli, _digit_table(pauli.modulus, pauli.num_qudits))
+    rows, values = pauli_action(pauli, _digit_table(pauli.modulus, pauli.num_qudits))
     mat = np.zeros((dim, dim), dtype=np.complex128)
     mat[rows, np.arange(dim)] = values
     return mat

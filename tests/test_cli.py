@@ -15,6 +15,8 @@ from quhom.complex2 import chain_complex, rp2, torus_grid
 from quhom.documents import complex_to_dict
 from quhom.pauli import ENUMERATION_CAP, StabilizerSpec, export_check_matrix
 
+from _corpus import renamed
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -851,20 +853,14 @@ def relabeled_grid_doc(k, l, D, seed=0):
     """The k x l torus grid under new names, with some edges flipped and every list shuffled."""
     rng = random.Random(seed)
     doc = complex_to_dict(torus_grid(k, l), D)
-    names = [*doc["vertices"], *(e["name"] for e in doc["edges"])]
-    new = dict(zip(names, (f"n{i}" for i in rng.sample(range(10 * len(names)), len(names)))))
     flipped = {e["name"] for e in doc["edges"] if rng.random() < 0.5}
     for e in doc["edges"]:
         if e["name"] in flipped:
             e["source"], e["target"] = e["target"], e["source"]
-        e.update(name=new[e["name"]], source=new[e["source"]], target=new[e["target"]])
     for face in doc["faces"]:
         steps = [(s.rstrip("~"), s.endswith("~")) for s in face["walk"]]
-        face["walk"] = [new[e] + "~" * (inverse != (e in flipped)) for e, inverse in steps]
-    doc["vertices"] = [new[v] for v in doc["vertices"]]
-    for items in (doc["vertices"], doc["edges"], doc["faces"]):
-        rng.shuffle(items)
-    return doc
+        face["walk"] = [e + "~" * (inverse != (e in flipped)) for e, inverse in steps]
+    return renamed(doc, rng)
 
 
 @pytest.mark.parametrize("argv,expected", (

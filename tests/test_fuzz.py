@@ -1,12 +1,15 @@
 """Fuzz the CLI's exit-code contract on small generated documents.
 
-`main()` runs `convert` on hypermap documents and `validate`,
-`params --verify --budget 50` and `verify --budget 50` on complex documents.
-Most documents are well formed, some with no edges; the rest have a field
-dropped, replaced by junk JSON or added, or are not JSON at all.  Moduli
-include values past int64.  Every run must end in a documented exit code with no exception
-escaping, and a well-formed complex that validates never exits 5 (the
-routes it checks are proven equal).  Examples are derandomized.
+`main()` runs `convert` on hypermap documents, `validate`,
+`params --verify --budget 50` and `verify --budget 50` on complex documents,
+and `params`, `distance` and `verify` with `--budget 50` on check-matrix
+files.  Most documents are well formed, some with no edges; the rest have a
+field dropped, replaced by junk JSON or added, or are not JSON at all.  A
+malformed check-matrix file has one fault of a known kind and exits with
+that kind's code.  Moduli include values past int64.  Every run must end in
+a documented exit code with no exception escaping, and a well-formed complex
+that validates never exits 5 (the routes it checks are proven equal).
+Examples are derandomized.
 """
 
 import contextlib
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from quhom.cli import main
 from quhom.documents import complex_to_dict
+from quhom.pauli import CHECK_MATRIX_QUDIT_CAP
 
 from _corpus import random_two_complex
 
@@ -30,6 +34,7 @@ COMPLEX_COMMANDS = (
     ("params", "--verify", "--budget", "50"),
     ("verify", "--budget", "50"),
 )
+CHECK_MATRIX_COMMANDS = (("params",), ("distance",), ("verify",))
 
 junk = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 2**65) | st.floats() | st.text(max_size=3),
@@ -93,6 +98,60 @@ def hypermap_documents(draw):
     return draw(documents(doc))
 
 
+@st.composite
+def check_matrix_files(draw):
+    """(bytes of a check-matrix file, the exit code its one fault must give, or None).
+
+    The file starts well formed: header 'D n num_faces num_vertices', then
+    that many rows of n entries in [0, D).  Then, unless it is kept, one
+    fault: a header of 3 or 5 fields, a header field that is no integer,
+    D < 2, a negative n or count, a row too many or too few, a row of the
+    wrong length, an entry >= D or negative (exit 2); n over the qudit cap
+    (exit 4); bytes that are not UTF-8 (exit 3).
+    """
+    D = draw(st.sampled_from(MODULI))
+    n = draw(st.integers(0, 4))
+    header = [D, n, draw(st.integers(0, 3)), draw(st.integers(0, 3))]
+    rows = [[draw(st.integers(0, D - 1)) for _ in range(n)] for _ in range(header[2] + header[3])]
+    how = draw(st.sampled_from((
+        "keep", "keep", "keep", "fields", "integer", "modulus", "negative", "rows",
+        "length", "entry", "wide", "utf-8",
+    )))
+    if how in ("length", "entry") and not (rows and n):
+        how = "rows"
+    expected = {"keep": None, "wide": 4, "utf-8": 3}.get(how, 2)
+    if how == "fields":
+        header = header[:3] if draw(st.booleans()) else [*header, draw(st.integers(0, 3))]
+    elif how == "integer":
+        header[draw(st.integers(0, 3))] = draw(st.sampled_from(("x", "1.5", "2e3", "-", "0x3", "3/1")))
+    elif how == "modulus":
+        header[0] = draw(st.integers(-2, 1))
+    elif how == "negative":
+        header[draw(st.integers(1, 3))] = -draw(st.integers(1, 3))
+    elif how == "rows":
+        if rows and draw(st.booleans()):
+            rows.pop(draw(st.integers(0, len(rows) - 1)))
+        else:
+            rows.append([0] * max(n, 1))  # with no qudits, a row is a blank line, which is skipped
+    elif how == "length":
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(0)
+    elif how == "entry":
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, n - 1))] = draw(st.sampled_from((D, D + 1, 2 * D, -1, -D)))
+    elif how == "wide":
+        header[1] = CHECK_MATRIX_QUDIT_CAP + draw(st.integers(1, 10**6))
+    lines = [header, *rows]
+    data = "".join(" ".join(map(str, line)) + "\n" for line in lines).encode()
+    if how == "utf-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from((b"\xff", b"\xc3\x28", b"\xed\xa0\x80"))) + data[at:]
+    return data, expected
+
+
 def run(argv) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -129,3 +188,17 @@ def test_convert_keeps_the_exit_code_contract(document_path, case):
     assert code in EXIT_CODES, (code, err)
     assert "Traceback" not in err
     assert code != 5, err  # the certificate is a theorem
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=check_matrix_files())
+def test_check_matrix_commands_keep_the_exit_code_contract(document_path, case):
+    data, expected = case
+    document_path.write_bytes(data)
+    for command in CHECK_MATRIX_COMMANDS:
+        code, err = run((*command, "--budget", "50", "--check-matrix", str(document_path)))
+        assert code in EXIT_CODES, (command, code, err)
+        assert "Traceback" not in err
+        assert code != 5, (command, err)  # exit 5 is a bug, never the input's fault
+        if expected is not None:
+            assert code == expected, (command, code, err, data)

@@ -12,7 +12,6 @@ from quhom.oracle import (
     DENSE_DIMENSION_CAP,
     ClassProjector,
     _digit_table,
-    _pauli_action,
     complement_duality_checks,
     dense_projector,
     projector_checks,
@@ -32,6 +31,7 @@ from _reference import (
     identity,
     logical_residual,
     multiply,
+    pauli_action,
     per_column_checks,
     projector,
     unclosed_projector,
@@ -213,14 +213,14 @@ def test_sparse_projector_equals_explicit_sum(label, spec):
 
 
 def reference_projector(spec):
-    """(codes, rows, values) from one _pauli_action per element in sorted order,
+    """(codes, rows, values) from one pauli_action per element in sorted order,
     summed per X part: the reference for the per-class assembly."""
     D, n = spec.modulus, spec.n
     digits = _digit_table(D, n)
     enum = enumerate_group(spec)
     by_shift = {}
     for phase, x, z in sorted(elements(enum)):
-        rows, values = _pauli_action(PauliProduct(spec.modulus, phase, x, z), digits)
+        rows, values = pauli_action(PauliProduct(spec.modulus, phase, x, z), digits)
         if x in by_shift:
             by_shift[x][1] += values
         else:
@@ -349,29 +349,56 @@ def test_logical_action_agrees_with_dense_restriction_on_stabilizers():
         if spec.scalar_witness() is not None:
             continue
         basis = code_space_basis(spec)
-        for stab in (*spec.generators(), identity(spec.modulus, spec.n)):
+        D, n = spec.modulus, spec.n
+        # times w, each acts on the code space as the scalar w, not 1
+        phased = [PauliProduct(D, 1, g.x, g.z) for g in spec.generators()]
+        for stab in (*spec.generators(), *phased, identity(D, n), PauliProduct.scalar(D, 1, n)):
             assert dense_restriction_is_scalar(stab, basis), label
             assert not verify_logical_action(stab, spec, projector(spec)), label
 
 
 def test_logical_action_counts_the_classes_r_p_misses(monkeypatch):
-    # R = X^(0,1) on two ququarts moves the classes of codes 0, 3, 5 to 1, 0, 6.
-    # Class 3 has X part -x_R, so c = tr(RP)/tr(P) is not 0, and classes 3 and
-    # 5, which R P does not land on, hold -c P in R P - c P
-    D, n, codes = 4, 2, (0, 3, 5)
+    # R = X^(0,1) on two ququarts moves the classes of codes 0, 2, 3, 5 to 1, 3,
+    # 0, 6.  Class 3 has X part -x_R, so c = tr(RP)/tr(P) is not 0, and classes
+    # 2 and 5, which R P does not land on, hold -c P in R P - c P.
+    # w X^(0,1) Z^(0,1) moves them alike, times a phase that differs between
+    # classes: on class 2, which lands on class 3, and on class 3, which sets c
+    D, n, codes = 4, 2, (0, 2, 3, 5)
     spec = single_generator_spec(D, x_row=(0, 1), n=n)
-    pauli = PauliProduct.x_type(D, (0, 1))
     shifted = {4 * (code // 4) + (code + 1) % 4 for code in codes}
-    assert set(codes) - shifted == {3, 5}
-    for labels in (None, 3):
-        proj = unclosed_projector(D, n, codes, seed=1, labels=labels)
-        assert round(proj.sums[0][proj.labels].sum().real) != 0  # tr P
-        residual = logical_residual(pauli, spec, proj)
-        # the library's residual lies between these two tolerances exactly
-        # when it is the dense one
-        for tol, acts in ((residual * (1 - 1e-9), True), (residual * (1 + 1e-9), False)):
-            monkeypatch.setattr("quhom.oracle.RESIDUAL_TOL", tol)
-            assert verify_logical_action(pauli, spec, proj) is acts, (labels, tol)
+    assert set(codes) - shifted == {2, 5}
+    for pauli in (PauliProduct.x_type(D, (0, 1)), PauliProduct(D, 1, (0, 1), (0, 1))):
+        for labels in (None, 3):
+            proj = unclosed_projector(D, n, codes, seed=1, labels=labels)
+            assert round(proj.sums[0][proj.labels].sum().real) != 0  # tr P
+            assert_residual_is_dense(monkeypatch, pauli, spec, proj)
+
+
+def assert_residual_is_dense(monkeypatch, pauli, spec, proj):
+    """The library's residual lies between these two tolerances exactly when
+    it is the dense ||R P - c P||."""
+    residual = logical_residual(pauli, spec, proj)
+    assert residual > 0
+    for tol, acts in ((residual * (1 - 1e-9), True), (residual * (1 + 1e-9), False)):
+        monkeypatch.setattr("quhom.oracle.RESIDUAL_TOL", tol)
+        assert verify_logical_action(pauli, spec, proj) is acts, tol
+
+
+@pytest.mark.parametrize(
+    "complex2,D",
+    ((torus(), 3), (torus_grid(1, 2), 4), (torus_grid(1, 3), 2)),
+    ids=("torus-D3", "grid1x2-D4", "grid1x3-D2"),
+)
+@pytest.mark.parametrize("cell_cap", (None, 1), ids=("one-block", "block-per-class"))
+def test_logical_action_residual_on_closed_projectors(monkeypatch, complex2, D, cell_cap):
+    # the witnesses' residuals on projectors from dense_projector, summed in
+    # one block of classes or (CELL_CAP 1) in one block per class
+    spec = spec_for(complex2, D)
+    proj = projector(spec)
+    if cell_cap is not None:
+        monkeypatch.setattr("quhom.oracle.CELL_CAP", cell_cap)
+    for rep in (distance_css(spec), distance_homological(chain_complex(complex2, D))):
+        assert_residual_is_dense(monkeypatch, witness_pauli(rep, D), spec, proj)
 
 
 def test_logical_action_zero_code_space():
