@@ -106,14 +106,13 @@ def dense_projector(
     dim = _checked_dimension(D, n, cap)
     digits = _digit_table(D, n)
     weights = _place_values(D, n)
-    # int64 keys: the key space D |X| |Z| is at most D^(2n+1) <= cap^3, or D when n = 0
     keys = enumeration.keys
     nz = len(enumeration.z_parts)
     parts = len(enumeration.x_parts) * nz
     index = keys % parts
     shifts = (enumeration.x_parts.astype(np.int64) @ weights)[index // nz]  # digit table rows
     z_codes = (enumeration.z_parts.astype(np.int64) @ weights)[index % nz]
-    phases = keys // parts
+    phases = keys // parts * enumeration.phase_step  # below D, which fits in int64
     order = np.lexsort((z_codes, phases, shifts))
     shifts, z_codes, phases = shifts[order], z_codes[order], phases[order, None]
     bounds = [0, *(np.flatnonzero(np.diff(shifts)) + 1).tolist(), len(order)]  # the classes

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count, filterfalse
-from typing import Iterable, Sequence
+from itertools import count
+from typing import Sequence
 
 import numpy as np
 
@@ -22,9 +22,9 @@ from .zmod import ZModMatrix, product_dtype, span_cardinality
 
 ENUMERATION_CAP = 10**6
 CELL_CAP = 1 << 14  # entries in one block of closure products; bounds memory
-CLAIM_FACTOR = 16  # a claim table covers key spaces up to this many times the cap
 SEEN = -(2**31)  # a claim table's mark for a key found
-CHECK_MATRIX_QUDIT_CAP = 2 * 10**4  # largest n of a check matrix: 2 per cell of the largest grid
+# largest n of a check matrix, and its most rows when n = 0: 2 per cell of the largest grid
+CHECK_MATRIX_QUDIT_CAP = 2 * 10**4
 
 
 @dataclass(frozen=True)
@@ -105,21 +105,11 @@ class StabilizerSpec:
     def num_vertex_generators(self) -> int:
         return self.vertex_matrix.nrows
 
-    def face_generator(self, i: int) -> PauliProduct:
-        return PauliProduct.z_type(self.modulus, self.face_matrix.row(i))
-
-    def vertex_generator(self, i: int) -> PauliProduct:
-        return PauliProduct.x_type(self.modulus, self.vertex_matrix.row(i))
-
     def generators(self) -> tuple[PauliProduct, ...]:
-        """Faces first, then vertices, each in input order; built once per spec."""
-        return self._generators
-
-    @cached_property
-    def _generators(self) -> tuple[PauliProduct, ...]:
-        faces = tuple(self.face_generator(i) for i in range(self.num_face_generators))
-        vertices = tuple(self.vertex_generator(i) for i in range(self.num_vertex_generators))
-        return faces + vertices
+        """Z to each face row, then X to each vertex row, each in input order."""
+        D = self.modulus
+        faces = (PauliProduct.z_type(D, row) for row in self.face_matrix.entries)
+        return (*faces, *(PauliProduct.x_type(D, row) for row in self.vertex_matrix.entries))
 
     @cached_property
     def pairings(self) -> ZModMatrix:
@@ -161,8 +151,9 @@ class GroupEnumeration:
     """Closure result: group order, first scalar found, and the elements.
 
     The elements are `keys`, in discovery order, over the part arrays
-    `x_parts` (X) and `z_parts` (Z), one part per row: w^phase X^x Z^z with
-    x = X[a] and z = Z[b] has the key phase |X| |Z| + a |Z| + b.
+    `x_parts` (X) and `z_parts` (Z), one part per row.  Every phase is a
+    multiple of `phase_step` (g): w^phase X^x Z^z with x = X[a] and
+    z = Z[b] has the key (phase / g) |X| |Z| + a |Z| + b.
     """
 
     size: int
@@ -170,71 +161,35 @@ class GroupEnumeration:
     keys: np.ndarray = field(repr=False)
     x_parts: np.ndarray = field(repr=False)
     z_parts: np.ndarray = field(repr=False)
+    phase_step: int
 
 
-def _claim_table(space: int):
-    """First-occurrence filter over keys in [0, space), key 0 already seen.
+def _closure_keys(expand, space: int, num_generators: int) -> np.ndarray:
+    """Breadth-first closure over keys in [0, space) from key 0, in FIFO discovery order.
 
-    A dense int32 table, 0 for a key not yet seen and SEEN for one seen.
-    Each key of a block claims its entry with its position less the block
-    length, which is negative and above SEEN; np.minimum.at keeps the
-    earliest claim, so a key is new where its own claim stands.  The new
-    keys are then marked seen.
+    `expand(keys)` gives the products' keys for an array of keys,
+    parent-major, `num_generators` per parent.  The frontier goes one
+    bounded block at a time, and a dense int32 claim table over the key
+    space keeps each key's first occurrence: 0 for a key not yet seen,
+    SEEN for one seen.  Each key of a block claims its entry with its
+    position less the block length, which is negative and above SEEN;
+    np.minimum.at keeps the earliest claim, so a key is new where its own
+    claim stands.  The new keys are then marked seen.
     """
     claim = np.zeros(space, dtype=np.int32)
     claim[0] = SEEN
-
-    def fresh(keys):
-        marks = np.arange(-len(keys), 0, dtype=np.int32)
-        np.minimum.at(claim, keys, marks)
-        keys = keys[claim[keys] == marks]
-        claim[keys] = SEEN
-        return keys
-
-    return fresh
-
-
-def _seen_set():
-    """First-occurrence filter over keys, key 0 already seen, with a set.
-
-    For keys past int64, or a key space too large for a claim table.
-    """
-    seen = {0}
-
-    def fresh(keys):
-        new = list(dict.fromkeys(filterfalse(seen.__contains__, keys.tolist())))
-        seen.update(new)
-        return np.array(new, dtype=keys.dtype)
-
-    return fresh
-
-
-def _closure_keys(expand, fresh, num_generators: int, cap: int, key_dtype) -> np.ndarray:
-    """Breadth-first closure over integer keys from key 0, in FIFO discovery order.
-
-    `expand(keys)` gives the products' keys for an array of keys,
-    parent-major, `num_generators` per parent, and `fresh(keys)` the ones
-    not seen before, each once, in order of first occurrence.  The frontier
-    goes one bounded block at a time.  Raises BudgetExceeded as soon as
-    more than `cap` keys are found.
-    """
-    frontier = np.zeros(1, dtype=key_dtype)
+    frontier = np.zeros(1, dtype=np.int64)
     levels = [frontier]
-    size = 1
     step = max(1, CELL_CAP // max(num_generators, 1))  # frontier elements per block
-    level = 0
     while len(frontier) and num_generators:
-        level += 1
         found = []
         for lo in range(0, len(frontier), step):
-            found.append(fresh(expand(frontier[lo : lo + step])))
-            size += len(found[-1])
-            if size > cap:
-                raise BudgetExceeded(
-                    f"group closure exceeded cap {cap} at BFS level {level}"
-                    f" ({cap + 1} elements found)",
-                    examined=cap + 1,
-                )
+            keys = expand(frontier[lo : lo + step])
+            marks = np.arange(-len(keys), 0, dtype=np.int32)
+            np.minimum.at(claim, keys, marks)
+            keys = keys[claim[keys] == marks]
+            claim[keys] = SEEN
+            found.append(keys)
         frontier = np.concatenate(found)
         levels.append(frontier)
     return np.concatenate(levels)
@@ -314,77 +269,70 @@ def additive_closure(rows: np.ndarray, modulus: int, cap: int, table: bool = Fal
     return elements, np.ascontiguousarray(columns.T[:, [position[g] for g in gens]])
 
 
-def enumerate_pauli_closure(
-    generators: Iterable[PauliProduct],
-    modulus: int,
-    num_qudits: int,
-    cap: int = ENUMERATION_CAP,
-) -> GroupEnumeration:
-    """Breadth-first closure under multiplication, starting from the identity.
+def enumerate_pauli_closure(spec: StabilizerSpec, cap: int = ENUMERATION_CAP) -> GroupEnumeration:
+    """Breadth-first closure of the spec's generators under multiplication, from the identity.
 
-    The generators' x rows and z rows are closed first, each by addition
+    The generators are Z to each face row and X to each vertex row, faces
+    first.  Their x rows and z rows are closed first, each by addition
     mod D, into part arrays X and Z with addition tables tx and tz.  The
     group holds every x part and every z part, so either closure passing
-    the cap raises BudgetExceeded.  An element is then one key for
-    (phase, x index, z index), and its product with generator g is
-    ((phase + zdot[z][g]) mod D, tx[x][g], tz[z][g]), where zdot is
-    Z g_x + g_phase mod D: two numpy gathers per block of the frontier,
+    the cap raises BudgetExceeded.  The product of w^phase X^x Z^z with
+    generator g is ((phase + zdot[z][g]) mod D, tx[x][g], tz[z][g]),
+    where zdot is Z g_x mod D.  So every phase is a multiple of
+    g = gcd(D, zdot), the gcd of D and the face-vertex pairings, and the
+    group is the D/g scalars of those phases times X times Z.  An element
+    is one key (phase / g) |X| |Z| + x index |Z| + z index, and the group
+    fills that key space; over the cap, BudgetExceeded is raised before
+    the BFS.  A product is two numpy gathers per block of the frontier,
     into tables that hold each index's share of the key.  Products are
     kept in (parent, generator) order, the discovery order of a FIFO
-    queue; the identity and repeated generators add nothing new there and
-    are left out.  Keys already found are filtered out with a claim table
-    over the D |X| |Z| keys, or with a set where the keys are Python ints
-    or the key space passes CLAIM_FACTOR times the cap.  The group is
-    returned as its keys with X and Z.  The first element found with
-    x = z = 0 and nonzero phase is reported as the scalar violation.
+    queue; the identity and repeated rows add nothing new there and are
+    left out.  The group is returned as its keys with X, Z and g.  The
+    first element found with x = z = 0 and nonzero phase is reported as
+    the scalar violation.
     """
-    D = modulus
-    n = num_qudits
-    width = 2 * n + 1
-    gens = []
-    for g in generators:
-        if g.modulus != D or g.num_qudits != n:
-            raise ValueError("generator does not match the requested dimensions")
-        gens.append((g.phase, *g.x, *g.z))
-    steps = [g for g in dict.fromkeys(gens) if any(g)]  # the identity or a repeat adds nothing
+    D = spec.modulus
+    n = spec.n
+    zero = (0,) * n
+    rows = [(*zero, *z) for z in spec.face_matrix.entries]
+    rows += [(*x, *zero) for x in spec.vertex_matrix.entries]
+    steps = [g for g in dict.fromkeys(rows) if any(g)]  # the identity or a repeat adds nothing
     k = len(steps)
-    dtype = product_dtype(n + 2, D)  # phase + g_phase + z . g_x
-    steps = np.array(steps, dtype=dtype).reshape(k, width)
-    g_x = steps[:, 1 : n + 1]
+    steps = np.array(steps, dtype=product_dtype(n, D)).reshape(k, 2 * n)  # z . g_x fits
+    g_x = steps[:, :n]
     try:
         x_parts, tx = additive_closure(g_x, D, cap, table=True)
-        z_parts, tz = additive_closure(steps[:, n + 1 :], D, cap, table=True)
-    except BudgetExceeded:
+        z_parts, tz = additive_closure(steps[:, n:], D, cap, table=True)
+    except BudgetExceeded as exc:
         raise BudgetExceeded(
-            f"group closure exceeded cap {cap} at BFS level 0 ({cap + 1} elements found):"
-            " the group holds more x parts or z parts than that",
-            examined=cap + 1,
+            f"group closure exceeded cap {cap}: the group holds more x parts or z parts than that",
+            examined=exc.examined,
         ) from None
+    zdot = (z_parts @ g_x.T) % D
+    g = math.gcd(D, int(np.gcd.reduce(zdot, axis=None)))
     nz = len(z_parts)
-    parts = len(x_parts) * nz  # keys are phase * parts + x index * nz + z index
-    space = D * parts
-    key_dtype = np.int64 if space < 2**63 else object
-    # A product's key is its parent's phase share (key - index) plus zt[z, g],
-    # mod the key space, plus tx[x, g].  zt holds each share less the key
-    # space, so the sum lies in [-space, space) and stays inside int64.
-    zt = ((z_parts @ g_x.T + steps[:, 0]) % D).astype(key_dtype) * parts + tz - space
-    tx = tx.astype(key_dtype) * nz
+    parts = len(x_parts) * nz  # keys are phase / g * parts + x index * nz + z index
+    space = D // g * parts
+    if space > cap:
+        raise BudgetExceeded(
+            f"group closure exceeded cap {cap}: the group has {space} elements", examined=0
+        )
+    zt = (zdot // g).astype(np.int64) * parts + tz  # a phase share plus a z index
+    tx = tx.astype(np.int64) * nz
 
     def expand(keys):
         index = keys % parts
-        products = (keys - index)[:, None] + zt[(index % nz).astype(np.intp, copy=False)]
+        products = (keys - index)[:, None] + zt[index % nz]
         products %= space
-        products += tx[(index // nz).astype(np.intp, copy=False)]
+        products += tx[index // nz]
         return products.ravel()
 
-    claims = key_dtype is np.int64 and space <= CLAIM_FACTOR * cap
-    fresh = _claim_table(space) if claims else _seen_set()
-    keys = _closure_keys(expand, fresh, k, cap, key_dtype)
+    keys = _closure_keys(expand, space, k)
     scalars = np.flatnonzero(keys % parts == 0)  # x = z = 0; the identity is first
     violation = None
     if len(scalars) > 1:
-        violation = PauliProduct(D, keys[scalars[1]] // parts, (0,) * n, (0,) * n)
-    return GroupEnumeration(len(keys), violation, keys, x_parts, z_parts)
+        violation = PauliProduct.scalar(D, int(keys[scalars[1]] // parts) * g, n)
+    return GroupEnumeration(len(keys), violation, keys, x_parts, z_parts, g)
 
 
 def enumerate_group(spec: StabilizerSpec, cap: int = ENUMERATION_CAP) -> GroupEnumeration:
@@ -402,7 +350,7 @@ def enumerate_group(spec: StabilizerSpec, cap: int = ENUMERATION_CAP) -> GroupEn
         raise BudgetExceeded(
             f"predicted group size {predicted} exceeds cap {cap}", examined=0
         )
-    return enumerate_pauli_closure(spec.generators(), spec.modulus, spec.n, cap)
+    return enumerate_pauli_closure(spec, cap)
 
 
 def stabilizer_size(spec: StabilizerSpec) -> int:
@@ -454,6 +402,13 @@ def parse_check_matrix(text: str) -> StabilizerSpec:
             f"check matrix has {n} qudits, over the cap of {CHECK_MATRIX_QUDIT_CAP}"
         )
     body = lines[1:]
+    if n == 0 and not body:
+        # rows with no entries are the blank lines skipped above; the header alone counts them
+        if nf + nv > CHECK_MATRIX_QUDIT_CAP:
+            raise BudgetExceeded(
+                f"check matrix has {nf + nv} rows, over the cap of {CHECK_MATRIX_QUDIT_CAP}"
+            )
+        body = [""] * (nf + nv)
     if len(body) != nf + nv:
         raise SchemaError(f"expected {nf + nv} generator rows, found {len(body)}")
     rows = []

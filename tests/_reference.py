@@ -69,6 +69,16 @@ def commutation_phase(p, q):
     return (_dot(p.z, q.x) - _dot(p.x, q.z)) % p.modulus
 
 
+def face_operators(spec):
+    """Z to each face row: the spec's generators before its vertex operators."""
+    return spec.generators()[: spec.num_face_generators]
+
+
+def vertex_operators(spec):
+    """X to each vertex row: the spec's generators after its face operators."""
+    return spec.generators()[spec.num_face_generators :]
+
+
 def pauli_action(pauli, digits):
     """Rows hit and phases picked up on each basis column by w^l X^x Z^z: column c
     goes to row c + x, times w^(l + z . c)."""
@@ -89,12 +99,13 @@ def dense_pauli(pauli, cap=DENSE_DIMENSION_CAP):
 
 def elements(enum):
     """The enumerated group as (phase, x, z) triples in discovery order, each
-    key phase |X| |Z| + a |Z| + b read as (phase, X[a], Z[b])."""
+    key (phase / g) |X| |Z| + a |Z| + b read as (phase, X[a], Z[b])."""
     nz = len(enum.z_parts)
     x_parts, z_parts = enum.x_parts.tolist(), enum.z_parts.tolist()
     triples = []
     for key in enum.keys.tolist():
-        phase, index = divmod(key, len(x_parts) * nz)
+        share, index = divmod(key, len(x_parts) * nz)
+        phase = share * enum.phase_step
         triples.append((phase, tuple(x_parts[index // nz]), tuple(z_parts[index % nz])))
     return triples
 

@@ -52,7 +52,13 @@ from _corpus import (
     random_special_darts,
     span_corpus,
 )
-from _reference import commutation_phase, iota_matrix, projector
+from _reference import (
+    commutation_phase,
+    face_operators,
+    iota_matrix,
+    projector,
+    vertex_operators,
+)
 
 DENSE_CAP = 4096
 
@@ -166,10 +172,9 @@ def test_criterion_6_face_vertex_commutation():
         for complex2, label in acceptance_complexes():
             for D in ACCEPTANCE_MODULI:
                 spec = _spec(complex2, D)
-                for i in range(spec.num_face_generators):
-                    bf = spec.face_generator(i)
-                    for j in range(spec.num_vertex_generators):
-                        beta = commutation_phase(bf, spec.vertex_generator(j))
+                for i, bf in enumerate(face_operators(spec)):
+                    for j, av in enumerate(vertex_operators(spec)):
+                        beta = commutation_phase(bf, av)
                         assert beta == 0, (label, D, i, j)
                         pairs += 1
         return f"{pairs} generator pairs commute"

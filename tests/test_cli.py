@@ -513,7 +513,7 @@ def test_verify_group_skip_says_why(tmp_path, capsys, monkeypatch, cap):
 
     calls = counted_enumerations(monkeypatch, cap)
     closures = []
-    monkeypatch.setattr(pauli, "enumerate_pauli_closure", lambda *args: closures.append(args))
+    monkeypatch.setattr(pauli, "enumerate_pauli_closure", lambda spec, cap: closures.append(spec))
     row = ZModMatrix.from_rows([(1,)], 1, 3)
     path = tmp_path / "adv.txt"
     path.write_text(export_check_matrix(StabilizerSpec(3, 1, row, row)), encoding="utf-8")

@@ -105,9 +105,9 @@ def check_matrix_files(draw):
     The file starts well formed: header 'D n num_faces num_vertices', then
     that many rows of n entries in [0, D).  Then, unless it is kept, one
     fault: a header of 3 or 5 fields, a header field that is no integer,
-    D < 2, a negative n or count, a row too many or too few, a row of the
-    wrong length, an entry >= D or negative (exit 2); n over the qudit cap
-    (exit 4); bytes that are not UTF-8 (exit 3).
+    D < 2, a negative n or count, a row too many or (with qudits) too few,
+    a row of the wrong length, an entry >= D or negative (exit 2); n over
+    the qudit cap (exit 4); bytes that are not UTF-8 (exit 3).
     """
     D = draw(st.sampled_from(MODULI))
     n = draw(st.integers(0, 4))
@@ -129,10 +129,10 @@ def check_matrix_files(draw):
     elif how == "negative":
         header[draw(st.integers(1, 3))] = -draw(st.integers(1, 3))
     elif how == "rows":
-        if rows and draw(st.booleans()):
+        if n and rows and draw(st.booleans()):
             rows.pop(draw(st.integers(0, len(rows) - 1)))
         else:
-            rows.append([0] * max(n, 1))  # with no qudits, a row is a blank line, which is skipped
+            rows.append([0] * max(n, 1))  # with no qudits, a row is a blank line: only "0" is a fault
     elif how == "length":
         row = draw(st.sampled_from(rows))
         if draw(st.booleans()):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from quhom.complex2 import chain_complex, homology_cardinality, rp2, torus, torus_grid
 from quhom.errors import BudgetExceeded, ScalarViolation
 from quhom.pauli import (
-    CLAIM_FACTOR,
     ENUMERATION_CAP,
     PauliProduct,
     StabilizerSpec,
@@ -27,7 +26,15 @@ from quhom.pauli import (
 from quhom.zmod import ZModMatrix
 
 from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, two_complex_corpus
-from _reference import commutation_phase, elements, identity, inverse, multiply
+from _reference import (
+    commutation_phase,
+    elements,
+    face_operators,
+    identity,
+    inverse,
+    multiply,
+    vertex_operators,
+)
 
 
 def random_pauli(rng, D, n):
@@ -111,30 +118,26 @@ def test_dimension_mismatch_rejected():
 
 def test_face_operator_examples():
     # a face generator is Z to the face's boundary column
-    assert spec_for(rp2(), 4).face_generator(0) == PauliProduct.z_type(4, (2,))
-    assert spec_for(torus(), 3).face_generator(0) == identity(3, 2)
-    spec = spec_for(torus_grid(2, 2), 5)
-    for f in range(4):
-        assert spec.face_generator(f).weight() == 4
+    assert face_operators(spec_for(rp2(), 4)) == (PauliProduct.z_type(4, (2,)),)
+    assert face_operators(spec_for(torus(), 3)) == (identity(3, 2),)
+    faces = face_operators(spec_for(torus_grid(2, 2), 5))
+    assert [f.weight() for f in faces] == [4] * 4
 
 
 def test_vertex_operator_examples():
     # a vertex generator is X to the vertex's row of d1; self-loops cancel
-    assert spec_for(rp2(), 3).vertex_generator(0) == identity(3, 1)
-    assert spec_for(torus(), 4).vertex_generator(0) == identity(4, 2)
-    spec = spec_for(torus_grid(2, 2), 2)
-    for v in range(4):
-        assert spec.vertex_generator(v).weight() == 4
+    assert vertex_operators(spec_for(rp2(), 3)) == (identity(3, 1),)
+    assert vertex_operators(spec_for(torus(), 4)) == (identity(4, 2),)
+    vertices = vertex_operators(spec_for(torus_grid(2, 2), 2))
+    assert [v.weight() for v in vertices] == [4] * 4
 
 
 def test_face_vertex_commutation_pairs():
     for complex2, label in two_complex_corpus(40, seed=61):
         for D in range(2, 7):
             spec = spec_for(complex2, D)
-            for f in range(len(complex2.faces)):
-                bf = spec.face_generator(f)
-                for v in range(len(complex2.vertices)):
-                    av = spec.vertex_generator(v)
+            for f, bf in enumerate(face_operators(spec)):
+                for v, av in enumerate(vertex_operators(spec)):
                     assert commutation_phase(bf, av) == 0, (label, D, f, v)
 
 
@@ -155,17 +158,25 @@ def test_enumerate_torus_spec_trivial():
     assert enum.size == 1
 
 
+def rows_spec(D, n, faces, vertices):
+    """The spec with these face rows and vertex rows."""
+    return StabilizerSpec(
+        D, n, ZModMatrix.from_rows(faces, n, D), ZModMatrix.from_rows(vertices, n, D)
+    )
+
+
 def test_enumerate_scalar_generator_flagged():
-    enum = enumerate_pauli_closure([PauliProduct.scalar(3, 1, 2)], 3, 2)
-    assert enum.scalar_violation is not None
-    assert enum.size == 3
+    # Z^2 and X on the first of two ququarts pair to w^2: the scalars are I and w^2 I
+    enum = enumerate_pauli_closure(rows_spec(4, 2, [(2, 0)], [(1, 1)]))
+    assert enum.scalar_violation == PauliProduct.scalar(4, 2, 2)
+    assert (enum.size, enum.phase_step) == (2 * 2 * 4, 2)
 
 
 def test_enumerate_noncommuting_produces_scalar():
-    # X and Z on one qudit: the commutator is w I
-    gens = [PauliProduct.x_type(2, (1,)), PauliProduct.z_type(2, (1,))]
-    enum = enumerate_pauli_closure(gens, 2, 1)
-    assert enum.scalar_violation is not None
+    # X and Z on one qubit: the commutator is w I = -I
+    enum = enumerate_pauli_closure(rows_spec(2, 1, [(1,)], [(1,)]))
+    assert enum.scalar_violation == PauliProduct.scalar(2, 1, 1)
+    assert (enum.size, enum.phase_step) == (8, 1)
 
 
 def test_enumeration_cap():
@@ -246,9 +257,9 @@ def reference_syndrome(error, spec):
 
 def reference_bad_pairs(spec):
     """The earlier count of `verify`: face-vertex generator pairs that do not commute."""
-    gens = spec.generators()
-    faces, vertices = gens[: spec.num_face_generators], gens[spec.num_face_generators :]
-    return sum(1 for f in faces for v in vertices if commutation_phase(f, v))
+    return sum(
+        1 for f in face_operators(spec) for v in vertex_operators(spec) if commutation_phase(f, v)
+    )
 
 
 def random_check_matrix_spec(rng, D, n):
@@ -284,6 +295,15 @@ def test_check_matrix_roundtrip():
     assert header == ["3", "8", "4", "4"]
 
 
+@pytest.mark.parametrize("faces, vertices", [(0, 0), (1, 0), (0, 2), (3, 1)])
+def test_check_matrix_roundtrip_with_no_qudits(faces, vertices):
+    # each row is written as a blank line, and the header alone counts them back
+    spec = rows_spec(2, 0, [()] * faces, [()] * vertices)
+    text = export_check_matrix(spec)
+    assert text == f"2 0 {faces} {vertices}\n" + "\n" * (faces + vertices)
+    assert parse_check_matrix(text) == spec
+
+
 def test_check_matrix_parse_errors():
     from quhom.errors import SchemaError
 
@@ -293,6 +313,12 @@ def test_check_matrix_parse_errors():
         parse_check_matrix("2 2 1 0\n1 1 1")
     with pytest.raises(SchemaError):
         parse_check_matrix("2 2 1 0\n3 0")
+    for body in ("0", "\n0\n", "1 0"):  # with no qudits a row has no entries
+        with pytest.raises(SchemaError):
+            parse_check_matrix(f"2 0 1 1\n{body}\n")
+    assert parse_check_matrix("2 0 20000 0\n").num_face_generators == 20_000
+    with pytest.raises(BudgetExceeded, match="20001 rows, over the cap of 20000"):
+        parse_check_matrix("2 0 10000 10001\n")
 
 
 def reference_scalar_witness(spec):
@@ -325,15 +351,15 @@ def test_scalar_witness_equals_double_loop(D):
             assert spec.scalar_witness() is None is reference_scalar_witness(spec), label
 
 
-def reference_closure(generators, modulus, num_qudits, cap):
+def reference_closure(spec, cap):
     """Deque BFS over (phase, x, z) tuples: the reference for the level-wise closure.
 
     Returns (size, scalar_violation, elements, order) like GroupEnumeration's
     fields, order being the elements in the order the queue discovers them.
     """
-    D = modulus
-    n = num_qudits
-    gens = [(g.phase, g.x, g.z) for g in generators]
+    D = spec.modulus
+    n = spec.n
+    gens = [(g.phase, g.x, g.z) for g in spec.generators()]
     identity = (0, (0,) * n, (0,) * n)
     seen = {identity}
     order = [identity]
@@ -359,64 +385,61 @@ def reference_closure(generators, modulus, num_qudits, cap):
     return len(seen), violation, frozenset(seen), order
 
 
-def closure_outcome(generators, modulus, num_qudits, cap, reference=False):
-    """(size, scalar_violation, elements, order), or ("budget", examined) when over cap.
+def closure_outcome(spec, cap, reference=False):
+    """(size, scalar_violation, elements, order), or "budget" when over cap.
 
     `order` lists the elements in the order GroupEnumeration.keys holds them.
     """
     try:
         if reference:
-            return reference_closure(generators, modulus, num_qudits, cap)
-        enum = enumerate_pauli_closure(generators, modulus, num_qudits, cap)
-    except BudgetExceeded as exc:
-        return "budget", exc.examined
+            return reference_closure(spec, cap)
+        enum = enumerate_pauli_closure(spec, cap)
+    except BudgetExceeded:
+        return "budget"
     order = elements(enum)
     return enum.size, enum.scalar_violation, frozenset(order), order
 
 
 @st.composite
 def generator_sets(draw):
+    """Specs whose rows come from a pool of at most 3: zero rows (the identity),
+    single-qudit rows (Z and X on one qudit do not commute, so the group holds
+    scalars) and any rows, each drawn any number of times."""
     D = draw(st.sampled_from((2, 3, 4, 6, 12, 3 * 2**62)))
     n = draw(st.integers(0, 5))
     entry = st.one_of(st.sampled_from((0, 1, D - 1, D // 2)), st.integers(0, D - 1))
-    vector = st.lists(entry, min_size=n, max_size=n)
-    # single-qudit X and Z: two on one qudit do not commute
     unit = st.integers(0, max(n - 1, 0)).map(lambda q: [int(i == q) for i in range(n)])
-    pauli = st.one_of(
-        st.builds(lambda p, x, z: PauliProduct(D, p, x, z), entry, vector, vector),
-        st.builds(lambda p: PauliProduct.scalar(D, p, n), entry),
-        st.builds(lambda x: PauliProduct.x_type(D, x), unit),
-        st.builds(lambda z: PauliProduct.z_type(D, z), unit),
-    )
-    return D, n, draw(st.lists(pauli, max_size=5))
+    row = st.one_of(st.lists(entry, min_size=n, max_size=n), unit, st.just([0] * n))
+    pool = st.sampled_from(draw(st.lists(row, min_size=1, max_size=3)))
+    faces = draw(st.lists(pool, max_size=3))
+    return rows_spec(D, n, faces, draw(st.lists(pool, max_size=3)))
 
 
 def _wide_case(D=3 * 2**62, n=5):
-    """256 elements at a modulus past int64: part tables and BFS keys on object arrays."""
+    """256 elements at a modulus past int64: part tables on object arrays."""
     half = D // 2
-    xs = [PauliProduct.x_type(D, [half * (i == q) for i in range(n)]) for q in range(4)]
-    zs = [PauliProduct.z_type(D, [half * (i in (q, q + 1)) for i in range(n)]) for q in range(4)]
-    return D, n, xs + zs
+    vertices = [[half * (i == q) for i in range(n)] for q in range(4)]
+    faces = [[half * (i in (q, q + 1)) for i in range(n)] for q in range(4)]
+    return rows_spec(D, n, faces, vertices)
 
 
 def _spread_case(D=2 * 499_999):
-    """8 elements with int64 keys in a key space of 4 D, past the claim table's
-    bound at cap 500: X and Z of order 2 whose pairing is the scalar -1."""
+    """8 elements: X and Z of order 2 whose pairing is the scalar -1, so the
+    phases are the 2 multiples of D/2."""
     half = D // 2
-    return D, 1, [PauliProduct.x_type(D, [half]), PauliProduct.z_type(D, [half])]
+    return rows_spec(D, 1, [[half]], [[half]])
 
 
-def _phase_carry_case(D=3 * 2_500_000_000_000_000_000):
-    """3 scalars with int64 keys in a key space of D, past 2^62: a phase
-    share plus a phase step, 2D/3 each, passes int64 before the reduction."""
-    return D, 0, [PauliProduct.scalar(D, 2 * D // 3)]
+def _phase_carry_case(D=7_500_000_000_000_000_000):
+    """27 elements: X^(D/3) and Z^(2D/3), whose pairing 2D/3 is past 2^62."""
+    return rows_spec(D, 1, [[2 * D // 3]], [[D // 3]])
 
 
 def _carry_pair_case(m=3 * 10**17 + 1):
-    """27 elements with int64 keys in a key space of 27 m, past 2^62: X^m and
-    Z^m of order 3 mod D = 3 m, whose pairing m^2 = m mod D is a scalar."""
+    """27 elements: X^m and Z^m of order 3 mod D = 3 m, whose pairing
+    m^2 = m mod D is a scalar."""
     D = 3 * m
-    return D, 1, [PauliProduct.x_type(D, [m]), PauliProduct.z_type(D, [m])]
+    return rows_spec(D, 1, [[m]], [[m]])
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -425,17 +448,27 @@ def _carry_pair_case(m=3 * 10**17 + 1):
 @example(_spread_case())
 @example(_phase_carry_case())
 @example(_carry_pair_case())
-def test_closure_equals_deque_reference(case):
-    D, n, gens = case
-    assert closure_outcome(gens, D, n, 500) == closure_outcome(gens, D, n, 500, reference=True)
+def test_closure_equals_deque_reference(spec):
+    assert closure_outcome(spec, 500) == closure_outcome(spec, 500, reference=True)
 
 
 def test_closure_equals_deque_reference_on_acceptance_complexes():
     for complex2, label in acceptance_complexes():
         for D in ACCEPTANCE_MODULI:
             spec = spec_for(complex2, D)
-            args = (spec.generators(), D, spec.n, ENUMERATION_CAP)
-            assert closure_outcome(*args) == closure_outcome(*args, reference=True), (label, D)
+            assert closure_outcome(spec, ENUMERATION_CAP) == closure_outcome(
+                spec, ENUMERATION_CAP, reference=True
+            ), (label, D)
+
+
+def test_closure_fills_its_key_space():
+    # the group is the D/g scalars w^(g k) times X times Z, so its keys are 0, ..., size - 1
+    specs = [spec_for(c, D) for c, _ in acceptance_complexes() for D in ACCEPTANCE_MODULI]
+    for spec in specs + scalar_specs():
+        enum = enumerate_group(spec)
+        space = spec.modulus // enum.phase_step * len(enum.x_parts) * len(enum.z_parts)
+        assert space == enum.size, spec
+        assert np.array_equal(np.sort(enum.keys), np.arange(space)), spec
 
 
 @pytest.mark.parametrize(
@@ -443,44 +476,37 @@ def test_closure_equals_deque_reference_on_acceptance_complexes():
     [
         spec_for(torus_grid(2, 2), 3),
         spec_for(rp2(), 4),
-        StabilizerSpec(
-            3, 1, ZModMatrix.from_rows([(1,)], 1, 3), ZModMatrix.from_rows([(1,)], 1, 3)
-        ),
+        rows_spec(3, 1, [(1,)], [(1,)]),
     ],
     ids=["grid 2x2 D=3", "rp2 D=4", "scalar D=3"],
 )
 def test_closure_cap_edges(spec):
-    gens = spec.generators()
-    size = enumerate_pauli_closure(gens, spec.modulus, spec.n).size
-    assert enumerate_pauli_closure(gens, spec.modulus, spec.n, cap=size).size == size
-    message = rf"at BFS level \d+ \({size} elements found\)"
-    with pytest.raises(BudgetExceeded, match=message) as info:
-        enumerate_pauli_closure(gens, spec.modulus, spec.n, cap=size - 1)
-    assert info.value.examined == size
-    assert closure_outcome(gens, spec.modulus, spec.n, size - 1, reference=True) == (
-        "budget",
-        size,
-    )
+    size = enumerate_pauli_closure(spec).size
+    assert enumerate_pauli_closure(spec, cap=size).size == size
+    # rp2 at D = 4 has 2 z parts, so its parts pass cap 1 before the group does
+    message = rf"exceeded cap {size - 1}: the group (has {size} elements|holds more x parts or z)"
+    with pytest.raises(BudgetExceeded, match=message):
+        enumerate_pauli_closure(spec, cap=size - 1)
+    assert closure_outcome(spec, size - 1, reference=True) == "budget"
 
 
 @pytest.mark.parametrize(
-    "gens",
+    "spec",
     [
-        [PauliProduct.x_type(3, (1, 0, 0)), PauliProduct.x_type(3, (0, 1, 1))],
-        [PauliProduct.z_type(3, (1, 0, 0)), PauliProduct.z_type(3, (0, 1, 1))],
-        [PauliProduct.x_type(3, (1, 0, 2)), PauliProduct.z_type(3, (1, 0, 1))],
+        rows_spec(3, 3, [], [(1, 0, 0), (0, 1, 1)]),
+        rows_spec(3, 3, [(1, 0, 0), (0, 1, 1)], []),
+        rows_spec(3, 3, [(1, 0, 1)], [(1, 0, 2)]),
     ],
     ids=["x parts", "z parts", "x and z parts"],
 )
-def test_closure_over_cap_in_its_parts(gens):
+def test_closure_over_cap_in_its_parts(spec):
     # 9 x parts, 9 z parts, or 3 of each: the parts alone pass cap 2
     for cap in (1, 2):
-        assert closure_outcome(gens, 3, 3, cap) == ("budget", cap + 1)
-        assert closure_outcome(gens, 3, 3, cap, reference=True) == ("budget", cap + 1)
-    with pytest.raises(BudgetExceeded, match=r"at BFS level \d+ \(3 elements found\)"):
-        enumerate_pauli_closure(gens, 3, 3, cap=2)
-    size = reference_closure(gens, 3, 3, 100)[0]
-    assert closure_outcome(gens, 3, 3, size) == closure_outcome(gens, 3, 3, size, reference=True)
+        assert closure_outcome(spec, cap) == "budget" == closure_outcome(spec, cap, reference=True)
+    with pytest.raises(BudgetExceeded, match="exceeded cap 2: the group holds more x parts or z"):
+        enumerate_pauli_closure(spec, cap=2)
+    size = reference_closure(spec, 100)[0]
+    assert closure_outcome(spec, size) == closure_outcome(spec, size, reference=True)
 
 
 def test_closure_memory_is_bounded():
@@ -496,15 +522,9 @@ def test_closure_memory_is_bounded():
     assert peak < 8 * 2**20
 
 
-def test_spread_case_keys_pass_the_claim_table_bound():
-    D, n, gens = _spread_case()
-    assert 2**63 > 4 * D > CLAIM_FACTOR * 500
-    assert enumerate_pauli_closure(gens, D, n, 500).size == 8
-
-
 def test_closure_memory_near_the_enumeration_cap():
-    # the 2x2 grid at D = 9: 9^6 = 531,441 elements in a key space of 9^7.  The
-    # peak is the 19 MB claim table with the keys (4 MB) and their BFS levels.
+    # the 2x2 grid at D = 9: 9^6 = 531,441 elements, which fill the key space.  The
+    # peak is the keys (4 MB) with their BFS levels and the 2 MB claim table.
     spec = spec_for(torus_grid(2, 2), 9)
     tracemalloc.start()
     try:
@@ -514,6 +534,7 @@ def test_closure_memory_near_the_enumeration_cap():
         tracemalloc.stop()
     assert enum.size == 9**6
     assert peak < 40 * 2**20
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("rows", [0, 1])
@@ -551,12 +572,12 @@ def test_enumerate_group_predicts_the_size_with_scalars(monkeypatch):
 
     with_scalars = 0
     for spec in scalar_specs() + [spec_for(rp2(), 4), spec_for(torus_grid(1, 2), 6)]:
-        size = enumerate_pauli_closure(spec.generators(), spec.modulus, spec.n).size
+        size = enumerate_pauli_closure(spec).size
         with_scalars += spec.scalar_witness() is not None
         assert enumerate_group(spec, cap=size).size == size
         closures = []
         with monkeypatch.context() as patch:
-            patch.setattr(pauli, "enumerate_pauli_closure", lambda *args: closures.append(args))
+            patch.setattr(pauli, "enumerate_pauli_closure", lambda spec, cap: closures.append(spec))
             with pytest.raises(BudgetExceeded, match=f"predicted group size {size} ") as info:
                 enumerate_group(spec, cap=size - 1)
         assert info.value.examined == 0 and closures == []

@@ -13,6 +13,7 @@ README = SRC.parents[1] / "README.md"
 KEPT = {
     "distance.distance_homological": "the README library example; the benchmark traces it",
     "pauli.export_check_matrix": "writes the check-matrix format that --check-matrix reads",
+    "pauli.StabilizerSpec.generators": "the benchmark's tracer finds the spec argument by it",
 }
 
 
