@@ -20,6 +20,17 @@ without a product when some check row has a single nonzero entry on it
 and that entry is a unit.  `examined` is the witness's position in the
 pinned order, skipped candidates included, so block sizes never show in
 a report.
+
+A side's floor is the least weight at which that prune can pass a
+support.  When every column of the side's check matrix holds one or two
+entries, all units mod D, the columns are the edges of a graph on the
+check rows and one ground node, and the floor is its girth: a support
+with fewer edges is a forest, whose leaf row holds a single unit entry
+on it.  Otherwise the floor is 1.  The floors are worked out when the
+search enters shell 2, so a budget spent in shell 1 never pays for them.
+A shell checks only the sides whose floor it has reached; a shell below
+every floor is added to `examined` without enumerating a support, and a
+budget that ends inside it raises as the enumeration would have.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from math import comb
+from math import comb, gcd
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,12 +88,14 @@ def is_in_normalizer(pauli: PauliProduct, spec: StabilizerSpec) -> bool:
 
     Route one is the syndrome; route two asks x in r(B)-perp and z in
     r(A)-perp by reduction against the generators of the orthogonal
-    complements, which each check matrix builds once.  They are proven
-    equal, so disagreement raises.
+    complements, which each check matrix builds once, and only for a
+    nonzero part.  They are proven equal, so disagreement raises.
     """
     by_syndrome = not any(syndrome(pauli, spec))
-    by_modules = contains(orthogonal_complement(spec.face_matrix), pauli.x) and contains(
-        orthogonal_complement(spec.vertex_matrix), pauli.z
+    by_modules = all(
+        contains(orthogonal_complement(checks), part)
+        for checks, part in ((spec.face_matrix, pauli.x), (spec.vertex_matrix, pauli.z))
+        if any(part)  # the zero part lies in every span
     )
     if by_syndrome != by_modules:
         raise TheoremMismatch(
@@ -143,6 +156,52 @@ def _kernel_mask(side, supports: np.ndarray, values: np.ndarray, modulus: int) -
     return mask
 
 
+def _shell_floor(checks: ZModMatrix, bound: int | None = None) -> int:
+    """Least weight of a support the unit prune passes, or 1 when the checks are no graph.
+
+    When every column holds one or two entries, all units mod D, the
+    columns are the edges of a graph on the check rows and one ground
+    node; a one-entry column joins its row to ground.  A support with
+    fewer edges than the girth is a forest, and a forest with an edge has
+    a leaf row, which holds a single unit entry on the support: the prune
+    rejects it.  A shortest cycle puts two entries on each row it meets,
+    so the girth is exact.  A BFS from every node finds it, stopping at
+    depth best/2; each node keeps the column of its tree edge, so that
+    parallel columns close a 2-cycle.  With no cycle shorter than `bound`
+    (default n + 1, which is what a forest gives) the result is `bound`.
+    """
+    columns = checks.transpose()
+    ptr, rows = columns.indptr.tolist(), columns.indices.tolist()
+    if any(gcd(e, checks.modulus) != 1 for e in set(columns.data.tolist())):
+        return 1
+    ground = checks.nrows
+    adjacent = [[] for _ in range(ground + 1)]  # node -> [(neighbour, column)]
+    for column, (start, stop) in enumerate(zip(ptr, ptr[1:])):
+        if stop - start not in (1, 2):
+            return 1
+        a, b = rows[start], rows[start + 1] if stop - start == 2 else ground
+        adjacent[a].append((b, column))
+        adjacent[b].append((a, column))
+    best = checks.ncols + 1 if bound is None else bound
+    for source in range(ground + 1):
+        via = {source: -1}  # node -> column of its tree edge
+        depth = {source: 0}
+        frontier, d = [source], 0
+        while frontier and 2 * d + 1 < best:  # cycles first closed at depth d have length >= 2d + 1
+            reached = []
+            for u in frontier:
+                for v, column in adjacent[u]:
+                    if column == via[u]:
+                        continue
+                    if v in via:
+                        best = min(best, d + depth[v] + 1)
+                    else:
+                        via[v], depth[v] = column, d + 1
+                        reached.append(v)
+            frontier, d = reached, d + 1
+    return best
+
+
 def _first_hit(sides, n: int, supports: np.ndarray, values: np.ndarray, modulus: int):
     """(support index, value index, passing tags, vector) of a block's first witness, or None.
 
@@ -183,19 +242,37 @@ def _weight_shell_search(
     with all (D-1)^w value rows each, or one slice of a single support's
     value rows when a whole one does not fit.  Blocks start at FIRST_BLOCK
     candidates, double up to CELL_CAP, and never reach past the budget.
-    `examined` is the witness's 1-based position in the pinned order,
-    counting the candidates of skipped supports.
+    From shell 2 on, a shell checks only the sides whose `_shell_floor` it
+    has reached, and a shell below every floor is counted without a block.
+    The floors are bounded by the last shell the budget reaches, since no
+    later shell is searched.  `examined` is the witness's 1-based position
+    in the pinned order, counting the candidates of skipped supports and
+    shells.
     """
     if not sides:
         return DistanceReport(None, None, None, method, 0)
     D = modulus
     dtype = product_dtype(n, D)
-    sides = [_prepare_side(tag, checks, excluded, dtype) for tag, checks, excluded in sides]
-    nrows = max(max(side[1].shape[0] for side in sides), 1)
+    prepared = [_prepare_side(tag, checks, excluded, dtype) for tag, checks, excluded in sides]
+    nrows = max(max(side[1].shape[0] for side in prepared), 1)
+    floors = [1] * len(sides)
     examined = 0
     block = FIRST_BLOCK
     for weight in range(1, n + 1):
         per_support = (D - 1) ** weight
+        if weight == 2:
+            last, total = 1, examined
+            while last < n and total <= budget:
+                last += 1
+                total += comb(n, last) * (D - 1) ** last
+            floors = [_shell_floor(checks, last + 1) for _, checks, _ in sides]
+        active = [side for side, floor in zip(prepared, floors) if floor <= weight]
+        if not active:
+            size = comb(n, weight) * per_support
+            if examined + size <= budget:
+                examined += size
+                continue
+            examined = budget  # the budget ends in this shell: the loop below raises at once
         max_supports = max(1, CELL_CAP // (nrows * weight))
         supports = itertools.combinations(range(n), weight)
         left = comb(n, weight)
@@ -217,7 +294,7 @@ def _weight_shell_search(
                     chunk = np.array([next(supports)], dtype=np.int64)
                 stop = min(per_support, start + block, start + allowed)
             values = _odometer(D, weight, start, stop, dtype)
-            hit = _first_hit(sides, n, chunk, values, D)
+            hit = _first_hit(active, n, chunk, values, D)
             if hit is not None:
                 s, j, tags, vec = hit
                 position = examined + s * len(values) + j + 1

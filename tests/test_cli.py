@@ -755,6 +755,34 @@ def test_params_verify_grid_14x14_in_time(capsys):
     assert elapsed < 3.0, f"params --verify on the 14x14 grid took {elapsed:.2f}s, limit 3s"
 
 
+def test_distance_grid_20x20_skips_the_shells_below_its_floors(capsys):
+    # shells 2 and 3 lie below the girth 4 of both sides, so the budget runs
+    # out in shell 3 without a support of either being enumerated
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "distance", "--builtin", "torus-grid:20x20", "--modulus", "2")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: distance search exceeded budget 10000000 in weight shell 3 of 800 "
+        "after 10000000 candidates (css route)\n"
+    )
+    assert elapsed < 5.0, f"distance on the 20x20 grid took {elapsed:.2f}s, limit 5s"
+
+
+def test_shell_floors_are_worked_out_only_past_shell_1(capsys, monkeypatch):
+    from quhom import distance
+
+    floors = counted(monkeypatch, distance, "_shell_floor")
+    for D in ("2", "3", "6"):
+        code, _, _ = run_cli(
+            capsys, "params", "--budget", "1", "--builtin", "torus-grid:10x10", "--modulus", D
+        )
+        assert code == 0
+    assert floors == []
+    code, _, _ = run_cli(capsys, "distance", "--builtin", "torus-grid:3x3", "--modulus", "2")
+    assert code == 0 and len(floors) == 2  # one per side, once
+
+
 def count_products(monkeypatch):
     """Shapes (rows, inner, columns) of every ZModMatrix product from now on."""
     from quhom.zmod import ZModMatrix
@@ -895,19 +923,27 @@ def test_one_chain_and_one_membership_solver_per_boundary_matrix(
 
 @pytest.mark.parametrize("k,l", ((3, 3), (2, 2)))
 def test_verify_builds_one_complement_per_span(tmp_path, capsys, monkeypatch, k, l):
-    # the witness check and, within the exhaustive cap (the 2x2 grid), the
-    # complement-duality check both read a span's complement; it is built once
-    from quhom import zmod
+    # the witness check reads the complement of the span its nonzero part is
+    # tested against (a pure-type witness has a zero part, which needs none),
+    # and within the exhaustive cap (the 2x2 grid) the complement-duality
+    # check reads both; each is built once
+    from quhom import documents, zmod
+    from quhom.distance import COCYCLE, distance_css
 
+    doc = relabeled_grid_doc(k, l, 2)
+    spec = StabilizerSpec.from_chain(chain_complex(documents.complex_from_dict(doc)[0], 2))
+    # a cocycle witness is X-type, so its x is tested against F-perp
+    cocycle = distance_css(spec).witness_side == COCYCLE
+    tested = spec.face_matrix if cocycle else spec.vertex_matrix
+    expected = [tested] if (k, l) == (3, 3) else [spec.face_matrix, spec.vertex_matrix]
     eliminations = counted(monkeypatch, zmod.UnitPivotElimination, "__init__")
     complements = counted_property(monkeypatch, zmod.UnitPivotElimination, "complement")
-    doc = relabeled_grid_doc(k, l, 2)
     code, out, _ = run_cli(capsys, "verify", "--level", "quick", write_json(tmp_path / "g.json", doc))
     assert code == 0 and "PASS distance_witness" in out
     assert (k, l) == (3, 3) or "PASS complement_duality_face_span" in out
     matrix_of = {id(elimination): matrix for elimination, matrix in eliminations}
     built = [matrix_of[id(elimination)] for elimination in complements]
-    assert len(built) == 2 and built[0] != built[1]  # the face span's and the vertex span's
+    assert len(built) == len(expected) and all(built.count(m) == 1 for m in expected)
 
 
 WIDE_SKIPS = (

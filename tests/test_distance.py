@@ -2,7 +2,7 @@ import functools
 import random
 from dataclasses import replace
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -370,6 +370,154 @@ def test_kernel_mask_equals_unpruned_products(D):
                     sum(row[p] * v for p, v in zip(support, vals)) % D == 0 for row in rows
                 )
                 assert mask[s, j] == zero, (rows, support, vals)
+
+
+def random_checks(rng, D, n=None):
+    """Check rows whose columns are mostly graph edges: two unit entries, or
+    one (an edge to ground), parallel ones included; now and then a zero
+    column, a column of three entries or a non-unit entry."""
+    m, n = rng.randint(1, 4), rng.randint(1, 7) if n is None else n
+    units = [v for v in range(1, D) if gcd(v, D) == 1]
+    nonunits = [v for v in range(2, D) if gcd(v, D) > 1]
+    columns = []
+    for _ in range(n):
+        size = min(m, rng.choices((0, 1, 2, 3), (1, 6, 12, 1))[0])
+        column = [0] * m
+        for row in rng.sample(range(m), size):
+            column[row] = rng.choice(units)
+        if nonunits and size and rng.random() < 0.05:
+            column[rng.choice([r for r in range(m) if column[r]])] = rng.choice(nonunits)
+        columns.append(column)
+    return ZModMatrix.from_rows([list(row) for row in zip(*columns)], n, D)
+
+
+def unit_prune_rejects(checks, support):
+    """Some check row holds one nonzero entry on the support, and it is a unit."""
+    D = checks.modulus
+    for row in checks.entries:
+        on_support = [row[p] for p in support if row[p]]
+        if len(on_support) == 1 and gcd(on_support[0], D) == 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("D", (2, 3, 4, 6))
+def test_shell_floor_is_the_least_weight_the_unit_prune_passes(D):
+    rng = random.Random(400 + D)
+    seen = {"below n": 0, "past n": 0}
+    for _ in range(150):
+        checks = random_checks(rng, D)
+        n = checks.ncols
+        floor = distance._shell_floor(checks)
+        assert 1 <= floor <= n + 1
+        side = distance._prepare_side("cycle", checks, None, np.int64)
+        for weight in range(1, floor):
+            supports = list(combinations(range(n), weight))
+            assert all(unit_prune_rejects(checks, support) for support in supports), checks.entries
+            values = np.array(list(product(range(1, D), repeat=weight)), dtype=np.int64)
+            mask = distance._kernel_mask(side, np.array(supports, dtype=np.int64), values, D)
+            assert not mask.any(), checks.entries
+        if 1 < floor <= n:  # a girth: some support of that weight passes the prune
+            seen["below n"] += 1
+            supports = combinations(range(n), floor)
+            assert not all(unit_prune_rejects(checks, support) for support in supports)
+        elif floor > n:
+            seen["past n"] += 1
+        assert distance._shell_floor(checks, 2) == min(floor, 2)
+    assert min(seen.values()) >= 10, seen
+
+
+def shell_floors(spec):
+    return distance._shell_floor(spec.face_matrix), distance._shell_floor(spec.vertex_matrix)
+
+
+@pytest.mark.parametrize("D", (2, 3, 6))
+def test_shell_floors_of_named_complexes(D):
+    for k in range(1, 7):
+        for l in range(1, 7):
+            girth = min(k, l, 4) if min(k, l) >= 2 else 1
+            assert shell_floors(spec_for(torus_grid(k, l), D)) == (girth, girth), (k, l)
+    assert shell_floors(spec_for(torus(), D)) == (1, 1)
+    # rp2's face row is the single entry 2: zero mod 2, a non-unit mod 6, and
+    # mod 3 a unit on a one-entry column, a forest, so the floor is n + 1
+    assert shell_floors(spec_for(rp2(), D)) == ((2, 1) if D == 3 else (1, 1))
+
+
+def search_outcomes(search, budgets):
+    """Each budget's report, or its BudgetExceeded as (message, examined)."""
+    out = []
+    for budget in budgets:
+        try:
+            out.append(search(budget))
+        except BudgetExceeded as exc:
+            out.append((str(exc), exc.examined))
+    return out
+
+
+def budget_sweep(n, D, examined):
+    """0, 1, the witness's position and each shell's middle and ends up to it, +-1."""
+    budgets, total = {0, 1, examined - 1, examined, examined + 1}, 0
+    for weight in range(1, n + 1):
+        size = comb(n, weight) * (D - 1) ** weight
+        budgets |= {total + size // 2, total + size - 1, total + size, total + size + 1}
+        total += size
+        if total > examined:
+            break
+    return sorted(budgets)
+
+
+def same_with_floors_off(monkeypatch, cases):
+    """Each case is (n, D, search); the outcomes over a budget sweep do not
+    change when every shell floor is 1."""
+    sweeps = [
+        (search, budget_sweep(n, D, search(distance.DEFAULT_BUDGET).examined))
+        for n, D, search in cases
+    ]
+    with_floors = [search_outcomes(search, budgets) for search, budgets in sweeps]
+    with monkeypatch.context() as patch:
+        patch.setattr(distance, "_shell_floor", lambda checks, bound=None: 1)
+        without = [search_outcomes(search, budgets) for search, budgets in sweeps]
+    for got, want, (n, D, search) in zip(with_floors, without, cases):
+        assert got == want, (n, D, search)
+
+
+def css_case(complex2, D):
+    spec = spec_for(complex2, D)
+    return spec.n, D, functools.partial(distance_css, spec)
+
+
+def test_floors_off_equivalence_on_grids_and_named_complexes(monkeypatch):
+    cases = [
+        css_case(torus_grid(k, l), D)
+        for k in range(1, 5) for l in range(k, 5) for D in range(2, 7)
+    ]
+    cases += [css_case(complex2, D) for complex2 in (rp2(), torus()) for D in range(2, 7)]
+    same_with_floors_off(monkeypatch, cases)
+
+
+def test_floors_off_equivalence_on_acceptance_corpus(monkeypatch):
+    cases = [
+        css_case(complex2, D)
+        for complex2, _ in acceptance_complexes() for D in ACCEPTANCE_MODULI
+    ]
+    same_with_floors_off(monkeypatch, cases)
+
+
+def test_floors_off_equivalence_on_check_matrices(monkeypatch):
+    # two random check matrices as the two sides, each excluding the other's span
+    rng = random.Random(907)
+    cases = []
+    for D in (2, 3, 4, 6):
+        for _ in range(40):
+            a = random_checks(rng, D)
+            b = random_checks(rng, D, a.ncols)
+            sides = [
+                (COCYCLE, a, functools.partial(contains, b)),
+                (CYCLE, b, functools.partial(contains, a)),
+            ]
+            search = functools.partial(distance._weight_shell_search, a.ncols, D, sides, "css")
+            cases.append((a.ncols, D, search))
+    same_with_floors_off(monkeypatch, cases)
 
 
 def distance_or_infinity(report):
