@@ -116,6 +116,17 @@ def _distance_value(report: DistanceReport):
     return "NoLogicals" if report.no_logicals else report.distance
 
 
+def _checked_witness(report: DistanceReport, spec: StabilizerSpec):
+    """(the witness's operator on its preferred side, or None; whether it checks).
+
+    Its lift on every side it passes must be a logical operator of the
+    reported weight.  Every command that prints a distance checks it here.
+    """
+    lifts = [witness_pauli(report.read_as(side), spec.modulus) for side in report.sides]
+    ok = all(pauli.weight() == report.distance and is_logical(pauli, spec) for pauli in lifts)
+    return (lifts[0] if lifts else None), ok
+
+
 def cmd_validate(args) -> int:
     complex2, _ = documents.complex_from_dict(documents.load_json(args.path))
     violations = validate(complex2)
@@ -181,6 +192,8 @@ def cmd_params(args) -> int:
     else:
         try:
             dist = distance_css(spec, args.budget)
+            if not _checked_witness(dist, spec)[1]:
+                raise TheoremMismatch("distance witness fails the logical check")
             report["distance"] = _distance_value(dist)
             report["witness"] = list(dist.witness) if dist.witness else None
             report["witness_side"] = dist.witness_side
@@ -201,7 +214,6 @@ def cmd_params(args) -> int:
 
 def cmd_distance(args) -> int:
     _, chain, spec = _spec_from_args(args)
-    modulus = spec.modulus
     witness = spec.scalar_witness()
     if witness is not None:
         # no stabilizer code, so no distance; params reports the same status
@@ -221,22 +233,15 @@ def cmd_distance(args) -> int:
         "css_witness_side": css.witness_side,
         "examined_css": css.examined,
     }
-    reports = [css]
     if chain is not None:
-        # the homological report is the same search read with the cycle side preferred
-        hom = css.read_as("homological", CYCLE)
+        # the homological keys read the same search with the cycle side preferred
+        hom = css.read_as(CYCLE)
         payload["homological_witness"] = list(hom.witness) if hom.witness else None
         payload["homological_witness_side"] = hom.witness_side
         payload["examined_homological"] = hom.examined
         payload["routes_agree"] = True  # one search: kept for output compatibility
-        if hom.witness_side != css.witness_side:
-            reports.append(hom)
-    for rep in reports:
-        pauli = witness_pauli(rep, modulus)
-        if pauli is None:
-            continue
-        if pauli.weight() != rep.distance or not is_logical(pauli, spec):
-            raise TheoremMismatch(f"{rep.method} witness fails the logical check")
+    if not _checked_witness(css, spec)[1]:
+        raise TheoremMismatch("distance witness fails the logical check")
     _emit(payload, args.format)
     return EXIT_OK
 
@@ -369,18 +374,16 @@ def _verify_checks(complex2, chain, spec: StabilizerSpec, level: str, budget: in
     except BudgetExceeded:
         yield _skip("distance_routes", "budget exceeded")
         return
+    d = _distance_value(css)
     if chain is not None:
-        hom = css.read_as("homological", CYCLE)
-        detail = f"css={_distance_value(css)} homological={_distance_value(hom)}"
-        yield _check("distance_routes", True, detail=detail)
+        yield _check("distance_routes", True, detail=f"css={d} homological={d}")
     else:
-        yield _check("distance_css", True, detail=f"d={_distance_value(css)}")
-    pauli = witness_pauli(css, modulus)
+        yield _check("distance_css", True, detail=f"d={d}")
+    pauli, ok = _checked_witness(css, spec)
     if pauli is None:
         yield _skip("distance_witness", "no logical operators")
         yield _skip("logical_action", "no logical operators")
         return
-    ok = pauli.weight() == css.distance and is_logical(pauli, spec)
     yield _check("distance_witness", ok, detail=f"weight={pauli.weight()}")
     if dim > dense_cap:
         yield _skip("logical_action", f"dimension over cap {dense_cap}")

@@ -3,16 +3,20 @@
 The search covers W = r(B)-perp minus r(A) union r(A)-perp minus r(B).
 On a spec built from a chain complex these two sides are the nontrivial
 cocycles (ker delta2 minus im delta1) and the nontrivial cycles (ker d1
-minus im d2), so one search gives both reports: the symplectic (css)
-report prefers the cocycle side when the witness passes both, the
-homological report the cycle side.  The CLI keeps both sets of keys for
-output compatibility; the independent check of the distance is the
-brute-force scan of the tests.
+minus im d2).  One search gives one report, which lists every side its
+witness passes, the cocycle side first; `read_as(CYCLE)` prefers the
+cycle side, as the CLI's homological keys do for output compatibility.
+The independent check of the distance is the brute-force scan of the
+tests.
 
 Search order is pinned for deterministic witnesses: weights increase,
 supports are enumerated lexicographically, nonzero value assignments in
 odometer order.  The first candidate that passes a side is the witness,
 and every side it passes is recorded.
+
+The search holds each side's check rows and unit code densely; their
+bytes are predicted from the shapes first, and a prediction over
+DENSE_BYTES_CAP (1 GiB) raises BudgetExceeded with nothing examined.
 
 Candidates are checked in blocks with numpy: the check columns of a block
 of supports times all their value rows, mod D.  A support is skipped
@@ -51,6 +55,7 @@ from .zmod import ZModMatrix, contains, orthogonal_complement, product_dtype
 DEFAULT_BUDGET = 10**7
 CELL_CAP = 1 << 14  # entries in one block's products or candidate masks; bounds memory
 FIRST_BLOCK = 16  # candidates in the first block; later blocks double
+DENSE_BYTES_CAP = 1 << 30  # bytes of the check rows and unit codes the search holds densely
 
 CYCLE = "cycle"
 COCYCLE = "cocycle"
@@ -62,13 +67,11 @@ class DistanceReport:
 
     A cycle-side witness lifts to a Z-type logical operator, a cocycle-side
     witness to an X-type one.  `sides` lists every side the witness passes,
-    `witness_side` among them.
+    the preferred one first.
     """
 
     distance: int | None
     witness: tuple[int, ...] | None
-    witness_side: str | None
-    method: str
     examined: int
     sides: tuple[str, ...] = ()
 
@@ -76,11 +79,13 @@ class DistanceReport:
     def no_logicals(self) -> bool:
         return self.distance is None
 
-    def read_as(self, method: str, side: str) -> DistanceReport:
-        """The same search under `method`, tagged `side` when the witness passes it."""
-        if side not in self.sides:
-            side = self.witness_side
-        return replace(self, method=method, witness_side=side)
+    @property
+    def witness_side(self) -> str | None:
+        return self.sides[0] if self.sides else None
+
+    def read_as(self, side: str) -> DistanceReport:
+        """The same search with `side` preferred when the witness passes it."""
+        return replace(self, sides=tuple(sorted(self.sides, key=lambda s: s != side)))
 
 
 def is_in_normalizer(pauli: PauliProduct, spec: StabilizerSpec) -> bool:
@@ -230,14 +235,13 @@ def _weight_shell_search(
     n: int,
     modulus: int,
     sides: Sequence[tuple[str, ZModMatrix, Callable]],
-    method: str,
     budget: int,
 ) -> DistanceReport:
     """The shell scan; each side is (tag, check matrix, excluded-span contains).
 
     A candidate passes a side when the check matrix annihilates it and the
-    excluded span does not contain it.  The report's `witness_side` is the
-    first passing side in the given order, and `sides` all of them.
+    excluded span does not contain it.  The report's `sides` are the
+    passing sides in the given order.
     Candidates are checked in blocks of the pinned order: whole supports
     with all (D-1)^w value rows each, or one slice of a single support's
     value rows when a whole one does not fit.  Blocks start at FIRST_BLOCK
@@ -250,9 +254,13 @@ def _weight_shell_search(
     shells.
     """
     if not sides:
-        return DistanceReport(None, None, None, method, 0)
+        return DistanceReport(None, None, 0)
     D = modulus
     dtype = product_dtype(n, D)
+    dense = sum(2 * c.nrows * c.ncols for _, c, _ in sides) * np.dtype(dtype).itemsize
+    if dense > DENSE_BYTES_CAP:  # _prepare_side's check rows and unit codes
+        message = f"distance search would hold {dense} bytes of dense check rows"
+        raise BudgetExceeded(f"{message}, over the cap of {DENSE_BYTES_CAP}", examined=0)
     prepared = [_prepare_side(tag, checks, excluded, dtype) for tag, checks, excluded in sides]
     nrows = max(max(side[1].shape[0] for side in prepared), 1)
     floors = [1] * len(sides)
@@ -282,7 +290,7 @@ def _weight_shell_search(
             if allowed <= 0:
                 raise BudgetExceeded(
                     f"distance search exceeded budget {budget} in weight shell {weight} "
-                    f"of {n} after {examined} candidates ({method} route)",
+                    f"of {n} after {examined} candidates (css route)",
                     examined=examined + 1,
                 )
             if start == 0 and per_support <= min(block, allowed):
@@ -298,7 +306,7 @@ def _weight_shell_search(
             if hit is not None:
                 s, j, tags, vec = hit
                 position = examined + s * len(values) + j + 1
-                return DistanceReport(weight, vec, tags[0], method, position, tags)
+                return DistanceReport(weight, vec, position, tags)
             examined += len(chunk) * len(values)
             if stop == per_support:
                 left -= len(chunk)
@@ -306,7 +314,7 @@ def _weight_shell_search(
             else:
                 start = stop
             block = min(2 * block, CELL_CAP)
-    return DistanceReport(None, None, None, method, examined)
+    return DistanceReport(None, None, examined)
 
 
 def distance_css(spec: StabilizerSpec, budget: int = DEFAULT_BUDGET) -> DistanceReport:
@@ -326,7 +334,7 @@ def distance_css(spec: StabilizerSpec, budget: int = DEFAULT_BUDGET) -> Distance
             (COCYCLE, spec.face_matrix, functools.partial(contains, spec.vertex_matrix)),
             (CYCLE, spec.vertex_matrix, functools.partial(contains, spec.face_matrix)),
         ]
-    return _weight_shell_search(spec.n, spec.modulus, sides, "css", budget)
+    return _weight_shell_search(spec.n, spec.modulus, sides, budget)
 
 
 def distance_homological(chain: ChainComplexData, budget: int = DEFAULT_BUDGET) -> DistanceReport:
@@ -337,7 +345,7 @@ def distance_homological(chain: ChainComplexData, budget: int = DEFAULT_BUDGET) 
     minus im d2 (cycles), and K = 1 exactly when |H_1| = 1.  This is the
     css search read with the cycle side preferred.
     """
-    return distance_css(StabilizerSpec.from_chain(chain), budget).read_as("homological", CYCLE)
+    return distance_css(StabilizerSpec.from_chain(chain), budget).read_as(CYCLE)
 
 
 def witness_pauli(report: DistanceReport, modulus: int) -> PauliProduct | None:

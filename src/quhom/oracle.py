@@ -341,14 +341,6 @@ def verify_logical_action(pauli: PauliProduct, spec: StabilizerSpec, proj: Class
     return bool(squares**0.5 > RESIDUAL_TOL)
 
 
-def span_elements(matrix: ZModMatrix) -> set:
-    """Every element of the row span, as the additive closure of the rows."""
-    D, n = matrix.modulus, matrix.ncols
-    if D**n > EXHAUSTIVE_CAP:
-        raise BudgetExceeded(f"span ambient space {D}^{n} exceeds cap {EXHAUSTIVE_CAP}")
-    return set(map(tuple, additive_closure(matrix.array(np.int64), D, EXHAUSTIVE_CAP).tolist()))
-
-
 def complement_duality_checks(matrix: ZModMatrix) -> dict:
     """Exhaustive complement count and the character-sum dichotomy.
 
@@ -361,9 +353,10 @@ def complement_duality_checks(matrix: ZModMatrix) -> dict:
     D = matrix.modulus
     n = matrix.ncols
     dim = _checked_dimension(D, n, EXHAUSTIVE_CAP)
-    members = sorted(span_elements(matrix))
-    size = len(members)
-    elements = np.array(members, dtype=np.int64).reshape(size, n)
+    elements = additive_closure(matrix.array(np.int64), D, EXHAUSTIVE_CAP)
+    if n:  # ascending tuple order, so the character sums add in that order
+        elements = elements[np.lexsort(elements.T[::-1])]
+    size = len(elements)
     etas = _digit_table(D, n)
     roots = _roots_of_unity(D, dim)
     char_sums = np.empty(dim, dtype=np.complex128)

@@ -174,13 +174,6 @@ class ZModMatrix:
         cols, vals, ptr = self.indices.tolist(), self.data.tolist(), self.indptr.tolist()
         return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(ptr, ptr[1:])]
 
-    def row(self, i: int) -> Vector:
-        out = [0] * self.ncols
-        a, b = self.indptr[i], self.indptr[i + 1]
-        for j, v in zip(self.indices[a:b].tolist(), self.data[a:b].tolist()):
-            out[j] = v
-        return tuple(out)
-
     def row_weights(self) -> list[int]:
         """Number of nonzero entries in each row."""
         return (self.indptr[1:] - self.indptr[:-1]).tolist()

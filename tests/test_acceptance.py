@@ -207,8 +207,8 @@ def test_criterion_7_distance_route_agreement():
             for rep in (css, hom):
                 pauli = witness_pauli(rep, D)
                 if pauli is not None:
-                    assert pauli.weight() == rep.distance, (label, D, rep.method)
-                    assert is_logical(pauli, spec), (label, D, rep.method)
+                    assert pauli.weight() == rep.distance, (label, D, rep.witness_side)
+                    assert is_logical(pauli, spec), (label, D, rep.witness_side)
 
         grid_spec = _spec(torus_grid(2, 2), 2)
         assert distance_css(grid_spec).distance == 2
@@ -257,7 +257,7 @@ def test_criterion_9_logical_action():
                 if pauli is None:
                     continue
                 proj = projector(spec) if proj is None else proj
-                assert verify_logical_action(pauli, spec, proj), (label, D, rep.method)
+                assert verify_logical_action(pauli, spec, proj), (label, D, rep.witness_side)
                 checked += 1
         assert checked > 0
         return f"{checked} witnesses act beyond scalars on the code space"

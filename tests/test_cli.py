@@ -11,11 +11,12 @@ import pytest
 
 import quhom
 from quhom.cli import main
-from quhom.complex2 import chain_complex, rp2, torus_grid
+from quhom.complex2 import chain_complex, rp2, torus_grid, validate
+from quhom.distance import is_logical
 from quhom.documents import complex_to_dict
-from quhom.pauli import ENUMERATION_CAP, StabilizerSpec, export_check_matrix
+from quhom.pauli import ENUMERATION_CAP, PauliProduct, StabilizerSpec, export_check_matrix
 
-from _corpus import renamed
+from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, renamed
 
 
 def run_cli(capsys, *argv):
@@ -613,16 +614,52 @@ def test_params_check_matrix(tmp_path, capsys):
     assert report["orientable_mod_d"] is None
 
 
-def test_route_mismatch_exit_code(capsys, monkeypatch):
-    # a witness failing the logical check cannot come from valid inputs, so fake one
+@pytest.mark.parametrize("command", ("params", "distance", "verify"))
+def test_route_mismatch_exit_code(capsys, monkeypatch, command):
+    # a witness failing the logical check cannot come from valid inputs, so
+    # fake one; every command that prints a distance checks its witness
     import quhom.cli as cli
 
     monkeypatch.setattr(cli, "is_logical", lambda pauli, spec: False)
-    code, _, err = run_cli(
-        capsys, "distance", "--builtin", "torus", "--modulus", "2"
-    )
-    assert code == 5
-    assert "witness fails the logical check" in err
+    code, out, err = run_cli(capsys, command, "--builtin", "torus", "--modulus", "2")
+    if command == "verify":
+        assert code == 2
+        assert "FAIL distance_witness (weight=1)" in out and out.endswith("FAILED\n")
+    else:
+        assert (code, out) == (5, "")
+        assert "witness fails the logical check" in err
+
+
+def test_params_and_distance_report_one_witness(tmp_path, capsys):
+    # params prints the css reading; the homological keys prefer the cycle
+    # side exactly when the witness passes it, decided here by is_logical
+    grids = [(torus_grid(k, l), f"grid{k}x{l}") for k, l in ((1, 1), (1, 3), (2, 2), (3, 3))]
+    witnesses = 0
+    for complex2, label in [*acceptance_complexes(), *grids]:
+        if validate(complex2):
+            continue
+        for D in ACCEPTANCE_MODULI:
+            path = write_json(tmp_path / "c.json", complex_to_dict(complex2, D))
+            runs = [run_cli(capsys, command, path) for command in ("params", "distance")]
+            assert [code for code, _, _ in runs] == [0, 0], (label, D)
+            params, dist = (json.loads(out) for _, out, _ in runs)
+            if params["distance_status"] != "ok":
+                assert dist["distance"] is None, (label, D)
+                continue
+            assert params["distance"] == dist["distance"], (label, D)
+            assert (params["witness"], params["witness_side"]) == (
+                dist["css_witness"], dist["css_witness_side"]
+            ), (label, D)
+            witness = dist["css_witness"]
+            if witness is None:
+                assert dist["homological_witness_side"] is None, (label, D)
+                continue
+            witnesses += 1
+            spec = StabilizerSpec.from_chain(chain_complex(complex2, D))
+            cycle = is_logical(PauliProduct.z_type(D, tuple(witness)), spec)
+            assert (dist["homological_witness_side"] == "cycle") == cycle, (label, D)
+            assert dist["homological_witness"] == witness, (label, D)
+    assert witnesses > 100
 
 
 def run_python(*args):
@@ -753,6 +790,46 @@ def test_params_verify_grid_14x14_in_time(capsys):
     assert code == 0
     assert json.loads(out)["dimension"] == 36
     assert elapsed < 3.0, f"params --verify on the 14x14 grid took {elapsed:.2f}s, limit 3s"
+
+
+def test_dense_byte_cap_reads_as_an_exceeded_budget(capsys, monkeypatch):
+    # over the cap, params prints what a spent budget prints, and distance exits 4
+    from quhom import distance
+
+    argv = ("--builtin", "torus-grid:3x3", "--modulus", "2")
+    _, spent, _ = run_cli(capsys, "params", *argv, "--budget", "1")
+    monkeypatch.setattr(distance, "DENSE_BYTES_CAP", 0)
+    assert run_cli(capsys, "params", *argv, "--budget", "1") == (0, spent, "")
+    code, out, err = run_cli(capsys, "distance", *argv)
+    assert (code, out) == (4, "")
+    assert "would hold 5184 bytes of dense check rows" in err
+
+
+@pytest.mark.parametrize("command,expected", (("params", 0), ("distance", 4)))
+def test_largest_grid_is_refused_before_its_dense_sides(capsys, monkeypatch, command, expected):
+    # the grid cap admits 100x100, whose dense distance sides would take
+    # 6.4 GB; the command must end on the exact route's sparse memory
+    import tracemalloc
+
+    from quhom import distance
+
+    def refuse(*args):
+        raise AssertionError("the dense distance sides were built")
+
+    monkeypatch.setattr(distance, "_prepare_side", refuse)
+    argv = (command, "--builtin", "torus-grid:100x100", "--modulus", "6", "--budget", "1")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == expected
+    if command == "params":
+        assert '"distance_status": "budget_exceeded"' in out
+    else:
+        assert "would hold 6400000000 bytes of dense check rows" in err
+    assert peak < 64 * 2**20, f"peak {peak} bytes"
 
 
 def test_distance_grid_20x20_skips_the_shells_below_its_floors(capsys):

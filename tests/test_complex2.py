@@ -119,7 +119,7 @@ def test_boundary1_examples():
     assert boundary1(torus(), 5).entries == ((0, 0),)
     c = TwoComplex(("u", "w"), ("e",), (0,), (1,), (), (), (), (0,))
     mat = boundary1(c, 7)
-    assert mat.transpose().row(0) == (6, 1)  # -1 at source, +1 at target
+    assert mat.transpose().entries[0] == (6, 1)  # -1 at source, +1 at target
 
 
 def test_boundary2_examples():

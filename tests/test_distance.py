@@ -1,6 +1,5 @@
 import functools
 import random
-from dataclasses import replace
 from itertools import combinations, product
 from math import comb, gcd
 
@@ -106,8 +105,8 @@ def test_route_agreement_on_corpus():
             for rep in (css, hom):
                 pauli = witness_pauli(rep, D)
                 if pauli is not None:
-                    assert pauli.weight() == rep.distance, (label, D, rep.method)
-                    assert is_logical(pauli, spec), (label, D, rep.method)
+                    assert pauli.weight() == rep.distance, (label, D, rep.witness_side)
+                    assert is_logical(pauli, spec), (label, D, rep.witness_side)
 
 
 def test_distance_matches_bruteforce():
@@ -211,13 +210,13 @@ def test_witness_is_deterministic():
     assert first == second
 
 
-def scalar_shell_search(n, modulus, sides, method, budget):
+def scalar_shell_search(n, modulus, sides, budget):
     """One candidate at a time in the pinned order: the reference for the block search.
 
     The witness side is the first passing side in the given order.
     """
     if not sides:
-        return DistanceReport(None, None, None, method, 0)
+        return DistanceReport(None, None, 0)
     examined = 0
     for weight in range(1, n + 1):
         for support in combinations(range(n), weight):
@@ -239,8 +238,8 @@ def scalar_shell_search(n, modulus, sides, method, budget):
                     and not excluded(vec)
                 )
                 if tags:
-                    return DistanceReport(weight, vec, tags[0], method, examined, tags)
-    return DistanceReport(None, None, None, method, examined)
+                    return DistanceReport(weight, vec, examined, tags)
+    return DistanceReport(None, None, examined)
 
 
 def both_routes(complex2, D, budget=distance.DEFAULT_BUDGET):
@@ -253,7 +252,8 @@ def reference_routes(complex2, D, budget=distance.DEFAULT_BUDGET):
     """Both reports from two scalar searches, each with its own side order.
 
     The css search tries the cocycle side first, the homological one the
-    cycle side first.  Each has no sides when its own count says there are
+    cycle side first, so each lists its passing sides in its own preference
+    order, as the block search's reports do.  Each has no sides when its own count says there are
     no logicals: K = 1 for css, |H_1| = 1 for homological.
     """
     chain = chain_complex(complex2, D)
@@ -263,29 +263,23 @@ def reference_routes(complex2, D, budget=distance.DEFAULT_BUDGET):
     css_sides = [cocycle, cycle] if code_dimension(spec) > 1 else []
     hom_sides = [cycle, cocycle] if homology_cardinality(chain) > 1 else []
     return (
-        scalar_shell_search(spec.n, D, css_sides, "css", budget),
-        scalar_shell_search(spec.n, D, hom_sides, "homological", budget),
+        scalar_shell_search(spec.n, D, css_sides, budget),
+        scalar_shell_search(spec.n, D, hom_sides, budget),
     )
-
-
-def same_reports(got, want):
-    """Equal reports, passing sides compared as sets: the reference lists them by preference."""
-    unordered = lambda rep: replace(rep, sides=frozenset(rep.sides))  # noqa: E731
-    return [unordered(rep) for rep in got] == [unordered(rep) for rep in want]
 
 
 def test_block_search_matches_scalar_reference_on_acceptance_corpus():
     for complex2, label in acceptance_complexes():
         for D in ACCEPTANCE_MODULI:
             want = reference_routes(complex2, D)
-            assert same_reports(both_routes(complex2, D), want), (label, D)
+            assert both_routes(complex2, D) == want, (label, D)
 
 
 @pytest.mark.parametrize("k,l,D", REFERENCE_GRIDS)
 def test_block_search_matches_scalar_reference_on_grids(k, l, D):
     grid = torus_grid(k, l)
     css, hom = both_routes(grid, D)
-    assert same_reports((css, hom), reference_routes(grid, D))
+    assert (css, hom) == reference_routes(grid, D)
     assert css.distance == min(k, l)
 
 
@@ -300,7 +294,7 @@ def test_huge_modulus_keeps_exact_syndromes():
     D = 3 * 2**62
     never = lambda vec: False  # noqa: E731
     checks = ZModMatrix.from_rows([[2**63]], 1, D)  # 2^63 v = 0 mod D iff 3 divides v
-    report = distance._weight_shell_search(1, D, [("cycle", checks, never)], "css", 100)
+    report = distance._weight_shell_search(1, D, [("cycle", checks, never)], 100)
     assert (report.witness, report.examined) == ((3,), 3)
     for rep in both_routes(rp2(), D):  # even D: the weight-1 cycle survives
         assert (rep.distance, rep.witness, rep.witness_side, rep.examined) == (1, (1,), "cycle", 1)
@@ -335,6 +329,26 @@ def test_budget_edges(k, l, D):
         assert f"weight shell {shell} of {n} after {budget} candidates" in str(info.value)
 
 
+@pytest.mark.parametrize("D", (2, 6))
+def test_dense_sides_are_predicted_before_they_are_built(monkeypatch, D):
+    # both sides of the 3x3 grid: 9 x 18 int64 check rows and unit codes
+    spec = spec_for(torus_grid(3, 3), D)
+    predicted = 2 * (9 * 18 + 9 * 18) * 8
+    report = distance_css(spec)
+    monkeypatch.setattr(distance, "DENSE_BYTES_CAP", predicted)
+    assert distance_css(spec) == report
+
+    def refuse(*args):
+        raise AssertionError("a side was built over the cap")
+
+    monkeypatch.setattr(distance, "DENSE_BYTES_CAP", predicted - 1)
+    monkeypatch.setattr(distance, "_prepare_side", refuse)
+    with pytest.raises(BudgetExceeded) as info:
+        distance_css(spec)
+    assert info.value.examined == 0
+    assert f"would hold {predicted} bytes of dense check rows" in str(info.value)
+
+
 def test_negative_budget_stops_at_the_first_candidate():
     spec = spec_for(torus(), 3)
     with pytest.raises(BudgetExceeded) as info:
@@ -346,11 +360,11 @@ def test_unit_rule_never_prunes_a_nonunit_entry():
     # at D = 4 the single entry 2 has 2 * 2 = 0, so (2, 0) is annihilated
     never = lambda vec: False  # noqa: E731
     checks = ZModMatrix.from_rows([[2, 0]], 2, 4)
-    report = distance._weight_shell_search(2, 4, [("cycle", checks, never)], "css", 100)
+    report = distance._weight_shell_search(2, 4, [("cycle", checks, never)], 100)
     assert (report.witness, report.examined) == ((2, 0), 2)
     # a unit entry rules out every value on its support, though the count goes on
     checks = ZModMatrix.from_rows([[3, 0]], 2, 4)
-    report = distance._weight_shell_search(2, 4, [("cycle", checks, never)], "css", 100)
+    report = distance._weight_shell_search(2, 4, [("cycle", checks, never)], 100)
     assert (report.witness, report.examined) == ((0, 1), 4)
 
 
@@ -515,7 +529,7 @@ def test_floors_off_equivalence_on_check_matrices(monkeypatch):
                 (COCYCLE, a, functools.partial(contains, b)),
                 (CYCLE, b, functools.partial(contains, a)),
             ]
-            search = functools.partial(distance._weight_shell_search, a.ncols, D, sides, "css")
+            search = functools.partial(distance._weight_shell_search, a.ncols, D, sides)
             cases.append((a.ncols, D, search))
     same_with_floors_off(monkeypatch, cases)
 
@@ -555,7 +569,7 @@ def test_css_sides_equal_span_subset_decision(monkeypatch):
     # the sides a membership test of the complement generators keeps
     seen = []
     monkeypatch.setattr(
-        distance, "_weight_shell_search", lambda n, D, sides, method, budget: seen.append(sides)
+        distance, "_weight_shell_search", lambda n, D, sides, budget: seen.append(sides)
     )
     for complex2, label in acceptance_complexes():
         for D in ACCEPTANCE_MODULI:

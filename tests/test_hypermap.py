@@ -127,7 +127,7 @@ def test_reduce_to_basis():
     assert quotient.matvec((1, 0)) == (4,)
     # iota columns die in the quotient
     iota = iota_matrix(h, 5)
-    assert quotient.matvec(iota.transpose().row(0)) == (0,)
+    assert quotient.matvec(iota.transpose().entries[0]) == (0,)
     assert (quotient @ iota).is_zero()
 
 
@@ -138,7 +138,7 @@ def test_reduce_kills_iota_columns_generally():
             quotient = quotient_matrix(h, specials, D)
             iota = iota_matrix(h, D)
             for e in range(iota.ncols):
-                assert not any(quotient.matvec(iota.transpose().row(e)))
+                assert not any(quotient.matvec(iota.transpose().entries[e]))
 
 
 def test_delta_matrices_match_the_reduction_of_each_face():
@@ -149,7 +149,7 @@ def test_delta_matrices_match_the_reduction_of_each_face():
             for D in (*ACCEPTANCE_MODULI, 3 * 2**62):
                 d1, d2 = d1_matrix(h, D), d2_matrix(h, D)
                 chain = delta_matrices(h, specials, D)
-                columns = [reference_reduce_to_basis(d2.transpose().row(f), h, specials, D)
+                columns = [reference_reduce_to_basis(d2.transpose().entries[f], h, specials, D)
                            for f in range(d2.ncols)]
                 want = ZModMatrix.from_rows(columns, len(basis), D).transpose()
                 assert chain.d2 == want, (label, D, specials)
@@ -187,7 +187,7 @@ def test_to_two_complex_single_dart():
     assert len(c.faces) == 1
     assert c.walk_offsets == (0, 0)  # one degenerate face
     assert validate(c) == []
-    assert boundary2(c, 4).transpose().row(0) == ()
+    assert boundary2(c, 4).transpose().entries[0] == ()
 
 
 def test_to_two_complex_two_darts():

@@ -15,10 +15,15 @@ from quhom.oracle import (
     complement_duality_checks,
     dense_projector,
     projector_checks,
-    span_elements,
     verify_logical_action,
 )
-from quhom.pauli import PauliProduct, StabilizerSpec, code_dimension, enumerate_group
+from quhom.pauli import (
+    PauliProduct,
+    StabilizerSpec,
+    additive_closure,
+    code_dimension,
+    enumerate_group,
+)
 from quhom.zmod import ZModMatrix
 
 from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, span_corpus, two_complex_corpus
@@ -473,7 +478,7 @@ def test_complement_duality_on_corpus():
 
 def test_span_elements_closure():
     span = ZModMatrix.from_rows([(2, 0), (0, 3)], 2, 6)
-    elems = span_elements(span)
+    elems = set(map(tuple, additive_closure(span.array(np.int64), 6, 36).tolist()))
     assert len(elems) == 6
     assert (2, 3) in elems
 

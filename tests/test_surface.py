@@ -18,38 +18,40 @@ KEPT = {
 
 
 def _definitions(module: str, tree: ast.Module):
-    """(qualified name, bare name) of each public module-level function and method."""
+    """(qualified name, bare name, is a method) of each module-level function and method."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield f"{module}.{node.name}.{item.name}", item.name
+                    yield f"{module}.{node.name}.{item.name}", item.name, True
 
 
-def _referenced_names(tree: ast.Module) -> set:
-    """Every name the module reads, bare or as an attribute."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+def _referenced_names(trees) -> tuple[set, set]:
+    """(the bare names, the attribute names) the modules read."""
+    bare, attributes = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                bare.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    return bare, attributes
 
 
 def test_every_public_function_is_called_by_the_library_or_kept_on_purpose():
-    # __init__ only re-exports, so its imports are not calls; names match by
-    # name alone, so a method shares its use with any attribute of that name
+    # __init__ only re-exports, so its imports are not calls.  Names match by
+    # name alone; a method is used only when some module reads it as an
+    # attribute, so a local variable of the same name does not count
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
-    used = set().union(*map(_referenced_names, trees.values()))
+    bare, attributes = _referenced_names(trees.values())
     unused = {
         qualified
         for module, tree in trees.items()
-        for qualified, name in _definitions(module, tree)
-        if not name.startswith("_") and name not in used
+        for qualified, name, method in _definitions(module, tree)
+        if not name.startswith("_") and name not in attributes and (method or name not in bare)
     }
     assert unused == set(KEPT)
 

@@ -680,7 +680,7 @@ def test_solvers_and_complements_on_a_torus_grid_run_no_snf(monkeypatch):
     for span in spans:  # each span's membership set-up and its complement's
         assert span.elimination._unpivoted and orthogonal_complement(span).elimination._unpivoted
     for i in range(faces.nrows):
-        boundary = faces.row(i)
+        boundary = faces.entries[i]
         assert contains(faces, boundary)
         assert contains(orthogonal_complement(vertices), boundary)  # d1 d2 = 0
     assert not contains(faces, cycle)
