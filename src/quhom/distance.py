@@ -14,9 +14,10 @@ supports are enumerated lexicographically, nonzero value assignments in
 odometer order.  The first candidate that passes a side is the witness,
 and every side it passes is recorded.
 
-The search holds each side's check rows and unit code densely; their
-bytes are predicted from the shapes first, and a prediction over
-DENSE_BYTES_CAP (1 GiB) raises BudgetExceeded with nothing examined.
+The search holds each side's check rows and unit code densely, from the
+first shell that checks the side; their bytes are predicted from the
+shapes before shell 1, and a prediction over DENSE_BYTES_CAP (1 GiB)
+raises BudgetExceeded with nothing examined.
 
 Candidates are checked in blocks with numpy: the check columns of a block
 of supports times all their value rows, mod D.  A support is skipped
@@ -26,15 +27,18 @@ pinned order, skipped candidates included, so block sizes never show in
 a report.
 
 A side's floor is the least weight at which that prune can pass a
-support.  When every column of the side's check matrix holds one or two
-entries, all units mod D, the columns are the edges of a graph on the
-check rows and one ground node, and the floor is its girth: a support
-with fewer edges is a forest, whose leaf row holds a single unit entry
-on it.  Otherwise the floor is 1.  The floors are worked out when the
-search enters shell 2, so a budget spent in shell 1 never pays for them.
-A shell checks only the sides whose floor it has reached; a shell below
-every floor is added to `examined` without enumerating a support, and a
-budget that ends inside it raises as the enumeration would have.
+support.  When the side's check matrix has a check graph
+(`ZModMatrix.check_graph`: every column holds at most two entries, all
+units mod D) and no empty column, the columns are the edges of a graph
+on the check rows and one ground node, and the floor is its girth: a
+support with fewer edges is a forest, whose leaf row holds a single unit
+entry on it.  Otherwise the floor is 1.  Shell 1 needs only to know whether the floor passes 1,
+which one pass over the stored entries tells; the girth is worked out
+when the search enters shell 2.  A shell checks only the sides whose
+floor it has reached; a shell below every floor is added to `examined`
+without enumerating a support, and a budget that ends inside it raises
+as the enumeration would have.  So `params --budget 1` on a torus grid
+builds no dense side.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from math import comb, gcd
+from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
@@ -162,40 +166,35 @@ def _kernel_mask(side, supports: np.ndarray, values: np.ndarray, modulus: int) -
 
 
 def _shell_floor(checks: ZModMatrix, bound: int | None = None) -> int:
-    """Least weight of a support the unit prune passes, or 1 when the checks are no graph.
+    """Least weight of a support the unit prune passes: the girth of the check graph, or 1.
 
-    When every column holds one or two entries, all units mod D, the
-    columns are the edges of a graph on the check rows and one ground
-    node; a one-entry column joins its row to ground.  A support with
-    fewer edges than the girth is a forest, and a forest with an edge has
-    a leaf row, which holds a single unit entry on the support: the prune
-    rejects it.  A shortest cycle puts two entries on each row it meets,
-    so the girth is exact.  A BFS from every node finds it, stopping at
-    depth best/2; each node keeps the column of its tree edge, so that
-    parallel columns close a 2-cycle.  With no cycle shorter than `bound`
-    (default n + 1, which is what a forest gives) the result is `bound`.
+    The floor is 1 when the checks have no check graph
+    (`ZModMatrix.check_graph`) or it has an empty column, whose support
+    no row touches.  Otherwise every column is an edge between check rows
+    or from one to ground.  A support with fewer edges than the girth is
+    a forest, and a forest with an edge has a leaf row, which holds a
+    single unit entry on the support: the prune rejects it.  A shortest
+    cycle puts two entries on each row it meets, so the girth is exact.
+    A BFS from every node finds it, stopping at depth best/2; each node
+    keeps the column of its tree edge, so that parallel columns close a
+    2-cycle.  With no cycle shorter than `bound` (default n + 1, which is
+    what a forest gives) the result is `bound`, so at bound 2 the graph
+    alone, one pass over the stored entries, decides the floor.
     """
-    columns = checks.transpose()
-    ptr, rows = columns.indptr.tolist(), columns.indices.tolist()
-    if any(gcd(e, checks.modulus) != 1 for e in set(columns.data.tolist())):
+    graph = checks.check_graph
+    if graph is None or graph.empty_columns:
         return 1
-    ground = checks.nrows
-    adjacent = [[] for _ in range(ground + 1)]  # node -> [(neighbour, column)]
-    for column, (start, stop) in enumerate(zip(ptr, ptr[1:])):
-        if stop - start not in (1, 2):
-            return 1
-        a, b = rows[start], rows[start + 1] if stop - start == 2 else ground
-        adjacent[a].append((b, column))
-        adjacent[b].append((a, column))
     best = checks.ncols + 1 if bound is None else bound
-    for source in range(ground + 1):
+    if best <= 2:  # no column joins a node to itself, so no cycle is shorter than 2
+        return best
+    for source in range(len(graph.adjacent)):
         via = {source: -1}  # node -> column of its tree edge
         depth = {source: 0}
         frontier, d = [source], 0
         while frontier and 2 * d + 1 < best:  # cycles first closed at depth d have length >= 2d + 1
             reached = []
             for u in frontier:
-                for v, column in adjacent[u]:
+                for v, column, _ in graph.adjacent[u]:
                     if column == via[u]:
                         continue
                     if v in via:
@@ -246,12 +245,14 @@ def _weight_shell_search(
     with all (D-1)^w value rows each, or one slice of a single support's
     value rows when a whole one does not fit.  Blocks start at FIRST_BLOCK
     candidates, double up to CELL_CAP, and never reach past the budget.
-    From shell 2 on, a shell checks only the sides whose `_shell_floor` it
-    has reached, and a shell below every floor is counted without a block.
-    The floors are bounded by the last shell the budget reaches, since no
-    later shell is searched.  `examined` is the witness's 1-based position
-    in the pinned order, counting the candidates of skipped supports and
-    shells.
+    A shell checks only the sides whose `_shell_floor` it has reached, and
+    a shell below every floor is counted without a block.  Shell 1 reads
+    the floors at bound 2, which the check graphs decide; from shell 2
+    on they are bounded by the last shell the budget reaches, since no
+    later shell is searched.  A side's dense arrays are built in the
+    first shell that checks it.  `examined` is the witness's 1-based
+    position in the pinned order, counting the candidates of skipped
+    supports and shells.
     """
     if not sides:
         return DistanceReport(None, None, 0)
@@ -261,9 +262,9 @@ def _weight_shell_search(
     if dense > DENSE_BYTES_CAP:  # _prepare_side's check rows and unit codes
         message = f"distance search would hold {dense} bytes of dense check rows"
         raise BudgetExceeded(f"{message}, over the cap of {DENSE_BYTES_CAP}", examined=0)
-    prepared = [_prepare_side(tag, checks, excluded, dtype) for tag, checks, excluded in sides]
-    nrows = max(max(side[1].shape[0] for side in prepared), 1)
-    floors = [1] * len(sides)
+    prepared = {}  # side index -> _prepare_side's arrays, built in the side's first active shell
+    nrows = max(max(checks.nrows for _, checks, _ in sides), 1)
+    floors = [_shell_floor(checks, 2) for _, checks, _ in sides]
     examined = 0
     block = FIRST_BLOCK
     for weight in range(1, n + 1):
@@ -274,7 +275,11 @@ def _weight_shell_search(
                 last += 1
                 total += comb(n, last) * (D - 1) ** last
             floors = [_shell_floor(checks, last + 1) for _, checks, _ in sides]
-        active = [side for side, floor in zip(prepared, floors) if floor <= weight]
+        active = [i for i, floor in enumerate(floors) if floor <= weight]
+        for i in active:
+            if i not in prepared:
+                prepared[i] = _prepare_side(*sides[i], dtype)
+        active = [prepared[i] for i in active]
         if not active:
             size = comb(n, weight) * per_support
             if examined + size <= budget:

@@ -90,12 +90,22 @@ class StabilizerSpec:
 
     @classmethod
     def from_chain(cls, chain: ChainComplexData) -> StabilizerSpec:
-        return cls(
+        """The spec of a chain: F = d2^T and V = d1.
+
+        Their pairings F V^T = (d1 d2)^T are zero, as the chain checked
+        when it was built, so the spec holds the empty F x V matrix and
+        forms no second product.
+        """
+        spec = cls(
             modulus=chain.modulus,
             n=chain.num_edges,
             face_matrix=chain.d2.transpose(),
             vertex_matrix=chain.d1,
         )
+        vars(spec)["pairings"] = ZModMatrix.from_coo(
+            spec.num_face_generators, spec.num_vertex_generators, chain.modulus, (), (), ()
+        )
+        return spec
 
     @property
     def num_face_generators(self) -> int:
@@ -113,7 +123,8 @@ class StabilizerSpec:
 
     @cached_property
     def pairings(self) -> ZModMatrix:
-        """F V^T: entry (f, v) is the commutation phase of face f with vertex v; built once.
+        """F V^T: entry (f, v) is the commutation phase of face f with vertex v; built once,
+        and given as zero by `from_chain`.
 
         Z^v X^u and X^u Z^v differ by w^(v.u), so the commutator of a face
         and a vertex generator is the scalar w^(v.u), and a face-vertex

@@ -1,17 +1,21 @@
 """Exact linear algebra over Z_D for arbitrary integer D >= 2.
 
 Z_D is not a PID when D is composite.  A submodule of Z_D^n is the row
-span of a matrix, and each matrix keeps one elimination of its rows on
-unit pivots mod D, which needs no factorization of D
-(`UnitPivotElimination`).  The span's cardinality, membership and
-orthogonal complement all read that elimination: membership reduces a
+span of a matrix.  When every column of the matrix holds at most two
+entries, all units mod D, as the boundary matrices of a surface do, the
+matrix is a signed graph on its rows (`CheckGraph`, kept as
+`ZModMatrix.check_graph`), and the span is counted from the graph's
+components and the balance of its cycles.  Otherwise, and for membership
+and the orthogonal complement, the matrix keeps one elimination of its
+rows on unit pivots mod D, which needs no factorization of D
+(`UnitPivotElimination`), built on first use: membership reduces a
 vector by the pivot rows, and the complement's generators are lifted
 through them by back-substitution.  The integer Smith normal form, exact
 over Python ints, runs only on the block of rows left with no unit
-entry, once per span; torus grids leave no such block.  Matrices are compressed sparse
-rows in numpy arrays, and their products, transposes and row reads cost
-O(nnz); dense rows are built only on demand.  Values are treated as
-immutable; all operations are pure functions.
+entry, once per span; torus grids leave no such block.  Matrices are
+compressed sparse rows in numpy arrays, and their products, transposes
+and row reads cost O(nnz); dense rows are built only on demand.  Values
+are treated as immutable; all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -80,8 +84,8 @@ class ZModMatrix:
     reduced once, when `from_rows` or `from_coo` builds the matrix; every
     operation below reads the arrays in O(nnz), apart from the dense views
     `entries` and `array`.  Matrices are never changed after they are
-    built; the transpose and the unit-pivot elimination of the rows, which
-    answers for the row span, are built once and kept.
+    built; the transpose, the check graph and the unit-pivot elimination
+    of the rows, which answer for the row span, are built once and kept.
     """
 
     def __init__(self, nrows: int, ncols: int, modulus: int, indptr, indices, data):
@@ -159,6 +163,37 @@ class ZModMatrix:
         return UnitPivotElimination(self)
 
     @cached_property
+    def check_graph(self) -> CheckGraph | None:
+        """The rows as a graph, or None unless every column holds at most two entries, all units.
+
+        Read off the transpose; see `CheckGraph`.
+        """
+        columns = self.transpose()
+        ptr, rows, data = columns.indptr.tolist(), columns.indices.tolist(), columns.data.tolist()
+        D = self.modulus
+        inverse = {}
+        for e in set(data):
+            if gcd(e, D) != 1:
+                return None
+            inverse[e] = pow(e, -1, D)
+        ground = self.nrows
+        adjacent = [[] for _ in range(ground + 1)]
+        empty = 0
+        for column, (start, stop) in enumerate(zip(ptr, ptr[1:])):
+            if stop - start == 2:
+                (u, v), (a, b) = rows[start:stop], data[start:stop]
+                adjacent[u].append((v, column, -a * inverse[b] % D))
+                adjacent[v].append((u, column, -b * inverse[a] % D))
+            elif stop - start == 1:
+                adjacent[rows[start]].append((ground, column, 0))
+                adjacent[ground].append((rows[start], column, 0))
+            elif start == stop:
+                empty += 1
+            else:
+                return None
+        return CheckGraph(D, adjacent, empty)
+
+    @cached_property
     def entries(self) -> IntRows:
         """Dense rows as tuples of Python ints; built on first use."""
         return tuple(map(tuple, self.array(self.data.dtype).tolist()))
@@ -225,6 +260,57 @@ class ZModMatrix:
 
     def is_zero(self) -> bool:
         return not len(self.data)
+
+
+class CheckGraph:
+    """A matrix over Z_D whose columns hold at most two entries, all units, as a graph.
+
+    The nodes are the rows and one ground node, numbered nrows.  A column
+    with entries a in row u and b in row v is an edge u-v; a one-entry
+    column is an edge from its row to ground; an empty column is no edge,
+    and `empty_columns` counts them.  `adjacent[u]` lists (neighbour,
+    column, multiplier) for the edges at u, the multiplier from row u to
+    row v being mu = -a b^-1 mod D: y A = 0 on that column iff y_v = mu y_u.
+    The multiplier of an edge to or from ground is 0.
+    """
+
+    def __init__(
+        self, modulus: int, adjacent: list[list[tuple[int, int, int]]], empty_columns: int
+    ):
+        self.modulus, self.adjacent, self.empty_columns = modulus, adjacent, empty_columns
+
+    @cached_property
+    def left_kernel_size(self) -> int:
+        """Size of {y in Z_D^rows : y A = 0}, component by component.
+
+        Potentials p along a spanning forest, p(root) = 1 and p(v) = mu p(u),
+        are units, and a kernel vector is y = p t on each component.  An edge
+        to ground forces a unit times t to 0, so such a component gives 1
+        choice of t.  Otherwise every edge u-v asks (p(v) - mu p(u)) t = 0,
+        which holds for gcd(D, g) values of t, g the gcd of these defects
+        (gcd(D, 0) = D).  A tree edge has defect 0 both ways.
+        """
+        D, adjacent = self.modulus, self.adjacent
+        ground = len(adjacent) - 1
+        potential = [0] * ground  # 0 until reached; potentials are units, never 0 mod D
+        size = 1
+        for root in range(ground):
+            if potential[root]:
+                continue
+            potential[root] = 1
+            queue, grounded, g = [root], False, 0
+            for u in queue:
+                pu = potential[u]
+                for v, _, mu in adjacent[u]:
+                    if v == ground:
+                        grounded = True
+                    elif potential[v]:
+                        g = gcd(g, potential[v] - mu * pu)
+                    else:
+                        potential[v] = mu * pu % D
+                        queue.append(v)
+            size *= 1 if grounded else gcd(D, g)
+        return size
 
 
 @dataclass(frozen=True)
@@ -488,8 +574,16 @@ class UnitPivotElimination:
 
 
 def span_cardinality(matrix: ZModMatrix) -> int:
-    """Number of elements of the row span mod D."""
-    return matrix.elimination.cardinality
+    """Number of elements of the row span mod D.
+
+    The span is the image of y -> y A, so it has D^rows / |left kernel|
+    elements when the matrix has a check graph; otherwise the elimination
+    counts it.
+    """
+    graph = matrix.check_graph
+    if graph is None:
+        return matrix.elimination.cardinality
+    return matrix.modulus**matrix.nrows // graph.left_kernel_size
 
 
 def kernel_cardinality(matrix: ZModMatrix) -> int:
@@ -497,7 +591,7 @@ def kernel_cardinality(matrix: ZModMatrix) -> int:
 
     The image A Z_D^n has as many elements as the row span of A.
     """
-    return matrix.modulus**matrix.ncols // matrix.elimination.cardinality
+    return matrix.modulus**matrix.ncols // span_cardinality(matrix)
 
 
 def contains(matrix: ZModMatrix, x: Sequence[int]) -> bool:

@@ -8,9 +8,10 @@ written, not the code it defines.
 
 import random
 from functools import lru_cache
+from math import gcd
 
-from quhom.complex2 import TwoComplex
-from quhom.documents import complex_from_dict
+from quhom.complex2 import TwoComplex, torus_grid
+from quhom.documents import complex_from_dict, complex_to_dict
 from quhom.hypermap import Hypermap, SpecialDarts
 from quhom.pauli import StabilizerSpec, export_check_matrix
 from quhom.zmod import ZModMatrix
@@ -130,6 +131,43 @@ def span_corpus(count, seed=40951):
         gens = [tuple(rng.randrange(D) for _ in range(n)) for _ in range(k)]
         out.append((ZModMatrix.from_rows(gens, n, D), f"s{i}"))
     return tuple(out)
+
+
+def random_graph_checks(rng, D, n=None, max_rows=4, max_columns=7):
+    """Check rows whose columns are mostly graph edges: two unit entries, or
+    one (an edge to ground), parallel ones included; now and then a zero
+    column, a column of three entries or a non-unit entry.  Units and
+    non-units are drawn below 40, and past 40 also as their negatives."""
+    m, n = rng.randint(1, max_rows), rng.randint(1, max_columns) if n is None else n
+    units = [v for v in range(1, min(D, 40)) if gcd(v, D) == 1]
+    nonunits = [v for v in range(2, min(D, 40)) if gcd(v, D) > 1]
+    if D > 40:
+        units += [D - v for v in units]
+        nonunits += [D - v for v in nonunits]
+    columns = []
+    for _ in range(n):
+        size = min(m, rng.choices((0, 1, 2, 3), (1, 6, 12, 1))[0])
+        column = [0] * m
+        for row in rng.sample(range(m), size):
+            column[row] = rng.choice(units)
+        if nonunits and size and rng.random() < 0.05:
+            column[rng.choice([r for r in range(m) if column[r]])] = rng.choice(nonunits)
+        columns.append(column)
+    return ZModMatrix.from_rows([list(row) for row in zip(*columns)], n, D)
+
+
+def relabeled_grid_doc(k, l, D, seed=0):
+    """The k x l torus grid under new names, with some edges flipped and every list shuffled."""
+    rng = random.Random(seed)
+    doc = complex_to_dict(torus_grid(k, l), D)
+    flipped = {e["name"] for e in doc["edges"] if rng.random() < 0.5}
+    for e in doc["edges"]:
+        if e["name"] in flipped:
+            e["source"], e["target"] = e["target"], e["source"]
+    for face in doc["faces"]:
+        steps = [(s.rstrip("~"), s.endswith("~")) for s in face["walk"]]
+        face["walk"] = [e + "~" * (inverse != (e in flipped)) for e, inverse in steps]
+    return renamed(doc, rng)
 
 
 def renamed(doc, rng):

@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import json
 import os
-import random
 import subprocess
 import sys
 import time
@@ -16,7 +15,7 @@ from quhom.distance import is_logical
 from quhom.documents import complex_to_dict
 from quhom.pauli import ENUMERATION_CAP, PauliProduct, StabilizerSpec, export_check_matrix
 
-from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, renamed
+from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, relabeled_grid_doc
 
 
 def run_cli(capsys, *argv):
@@ -847,6 +846,8 @@ def test_distance_grid_20x20_skips_the_shells_below_its_floors(capsys):
 
 
 def test_shell_floors_are_worked_out_only_past_shell_1(capsys, monkeypatch):
+    # shell 1 asks each side only whether its floor passes 1 (bound 2, one
+    # pass over the entries); the girth waits for shell 2
     from quhom import distance
 
     floors = counted(monkeypatch, distance, "_shell_floor")
@@ -855,9 +856,10 @@ def test_shell_floors_are_worked_out_only_past_shell_1(capsys, monkeypatch):
             capsys, "params", "--budget", "1", "--builtin", "torus-grid:10x10", "--modulus", D
         )
         assert code == 0
-    assert floors == []
+    assert [bound for _, bound in floors] == [2] * 6  # one per side and run
+    floors.clear()
     code, _, _ = run_cli(capsys, "distance", "--builtin", "torus-grid:3x3", "--modulus", "2")
-    assert code == 0 and len(floors) == 2  # one per side, once
+    assert code == 0 and [bound for _, bound in floors[:2]] == [2, 2] and len(floors) == 4
 
 
 def count_products(monkeypatch):
@@ -877,14 +879,15 @@ def count_products(monkeypatch):
 
 def test_params_computes_the_scalar_pairings_once(tmp_path, capsys, monkeypatch):
     # F V^T (faces x vertices) is cached on the spec: cmd_params and
-    # distance_css both ask for the witness.  An isolated vertex makes the
-    # chain check d1 @ d2 (5 x 8 times 8 x 4) differ in shape from F V^T.
+    # distance_css both ask for the witness.  On a complex it is (d1 d2)^T,
+    # which the chain check d1 @ d2 (5 x 8 times 8 x 4, an isolated vertex
+    # making the shapes differ) has already found zero: one product.
     doc = complex_to_dict(torus_grid(2, 2), 6)
     doc["vertices"].append("isolated")
     shapes = count_products(monkeypatch)
     code, out, _ = run_cli(capsys, "params", write_json(tmp_path / "grid.json", doc))
     assert code == 0 and json.loads(out)["dimension"] == 36  # an isolated vertex leaves H_1
-    assert sorted(shapes) == [(4, 8, 5), (5, 8, 4)]
+    assert shapes == [(5, 8, 4)]
     spec = StabilizerSpec.from_chain(chain_complex(torus_grid(3, 4), 6))
     path = tmp_path / "grid.chk"
     path.write_text(export_check_matrix(spec), encoding="utf-8")
@@ -942,30 +945,25 @@ def counted_property(monkeypatch, owner, name):
 
 
 def test_params_verify_counts_each_span_once(capsys, monkeypatch):
-    # K, |S|, |ker d1| and |H_1| all read the eliminations of F = d2^T and V = d1
-    from quhom import zmod
+    # K, |S|, |ker d1| and |H_1| all read the check graphs of F = d2^T and
+    # V = d1, each built once; no elimination and no dense distance side is
+    # built, and the chain check d1 @ d2 is the one sparse product
+    from quhom import distance, zmod
 
-    calls = counted(monkeypatch, zmod.UnitPivotElimination, "__init__")
-    code, out, _ = run_cli(
-        capsys, "params", "--verify", "--budget", "1", "--builtin", "torus-grid:10x10",
-        "--modulus", "3",
-    )
-    assert code == 0 and json.loads(out)["verified"] is True
-    assert len(calls) == 2
-
-
-def relabeled_grid_doc(k, l, D, seed=0):
-    """The k x l torus grid under new names, with some edges flipped and every list shuffled."""
-    rng = random.Random(seed)
-    doc = complex_to_dict(torus_grid(k, l), D)
-    flipped = {e["name"] for e in doc["edges"] if rng.random() < 0.5}
-    for e in doc["edges"]:
-        if e["name"] in flipped:
-            e["source"], e["target"] = e["target"], e["source"]
-    for face in doc["faces"]:
-        steps = [(s.rstrip("~"), s.endswith("~")) for s in face["walk"]]
-        face["walk"] = [e + "~" * (inverse != (e in flipped)) for e, inverse in steps]
-    return renamed(doc, rng)
+    eliminations = counted(monkeypatch, zmod.UnitPivotElimination, "__init__")
+    prepared = counted(monkeypatch, distance, "_prepare_side")
+    graphs = counted_property(monkeypatch, zmod.ZModMatrix, "check_graph")
+    shapes = count_products(monkeypatch)
+    for D in ("2", "3", "6"):
+        shapes.clear()
+        code, out, _ = run_cli(
+            capsys, "params", "--verify", "--budget", "1", "--builtin", "torus-grid:10x10",
+            "--modulus", D,
+        )
+        assert code == 0 and json.loads(out)["verified"] is True
+        assert shapes == [(100, 200, 100)]
+    assert (eliminations, prepared) == ([], [])
+    assert len(graphs) == 6  # two per run
 
 
 @pytest.mark.parametrize("argv,expected", (

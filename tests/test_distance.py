@@ -22,7 +22,12 @@ from quhom.errors import BudgetExceeded, ScalarViolation
 from quhom.pauli import PauliProduct, StabilizerSpec, code_dimension, syndrome
 from quhom.zmod import ZModMatrix, contains, orthogonal_complement
 
-from _corpus import ACCEPTANCE_MODULI, acceptance_complexes, two_complex_corpus
+from _corpus import (
+    ACCEPTANCE_MODULI,
+    acceptance_complexes,
+    random_graph_checks,
+    two_complex_corpus,
+)
 from _reference import identity
 
 # torus grids on which the scalar reference search stays cheap
@@ -386,25 +391,6 @@ def test_kernel_mask_equals_unpruned_products(D):
                 assert mask[s, j] == zero, (rows, support, vals)
 
 
-def random_checks(rng, D, n=None):
-    """Check rows whose columns are mostly graph edges: two unit entries, or
-    one (an edge to ground), parallel ones included; now and then a zero
-    column, a column of three entries or a non-unit entry."""
-    m, n = rng.randint(1, 4), rng.randint(1, 7) if n is None else n
-    units = [v for v in range(1, D) if gcd(v, D) == 1]
-    nonunits = [v for v in range(2, D) if gcd(v, D) > 1]
-    columns = []
-    for _ in range(n):
-        size = min(m, rng.choices((0, 1, 2, 3), (1, 6, 12, 1))[0])
-        column = [0] * m
-        for row in rng.sample(range(m), size):
-            column[row] = rng.choice(units)
-        if nonunits and size and rng.random() < 0.05:
-            column[rng.choice([r for r in range(m) if column[r]])] = rng.choice(nonunits)
-        columns.append(column)
-    return ZModMatrix.from_rows([list(row) for row in zip(*columns)], n, D)
-
-
 def unit_prune_rejects(checks, support):
     """Some check row holds one nonzero entry on the support, and it is a unit."""
     D = checks.modulus
@@ -420,7 +406,7 @@ def test_shell_floor_is_the_least_weight_the_unit_prune_passes(D):
     rng = random.Random(400 + D)
     seen = {"below n": 0, "past n": 0}
     for _ in range(150):
-        checks = random_checks(rng, D)
+        checks = random_graph_checks(rng, D)
         n = checks.ncols
         floor = distance._shell_floor(checks)
         assert 1 <= floor <= n + 1
@@ -523,8 +509,8 @@ def test_floors_off_equivalence_on_check_matrices(monkeypatch):
     cases = []
     for D in (2, 3, 4, 6):
         for _ in range(40):
-            a = random_checks(rng, D)
-            b = random_checks(rng, D, a.ncols)
+            a = random_graph_checks(rng, D)
+            b = random_graph_checks(rng, D, a.ncols)
             sides = [
                 (COCYCLE, a, functools.partial(contains, b)),
                 (CYCLE, b, functools.partial(contains, a)),

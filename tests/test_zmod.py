@@ -1,5 +1,5 @@
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import product
 from math import gcd, prod
 from unittest import mock
@@ -10,7 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quhom import zmod
-from quhom.complex2 import boundary1, boundary2, chain_complex, homology_cardinality, torus_grid
+from quhom.complex2 import (
+    boundary1,
+    boundary2,
+    chain_complex,
+    homology_cardinality,
+    rp2,
+    torus,
+    torus_grid,
+)
+from quhom.documents import complex_from_dict
+from quhom.hypermap import SpecialDarts, to_two_complex
 from quhom.zmod import (
     SmithDecomposition,
     ZModMatrix,
@@ -22,7 +32,14 @@ from quhom.zmod import (
     span_cardinality,
 )
 
-from _corpus import ACCEPTANCE_MODULI, acceptance_complexes
+from _corpus import (
+    ACCEPTANCE_MODULI,
+    acceptance_complexes,
+    hypermap_corpus,
+    random_graph_checks,
+    random_special_darts,
+    relabeled_grid_doc,
+)
 
 
 def bareiss_det(rows):
@@ -531,7 +548,95 @@ def test_unit_pivot_cardinality_pivots_as_the_previous_scan(case):
     rows, n, D = case
     want = with_snf_blocks(previous_unit_pivot_cardinality, rows, D)
     matrix = ZModMatrix.from_rows(rows, n, D)
-    assert with_snf_blocks(span_cardinality, matrix) == want
+    assert with_snf_blocks(lambda m: zmod.UnitPivotElimination(m).cardinality, matrix) == want
+
+
+GRAPH_MODULI = (2, 3, 4, 5, 6, 12, 3 * 2**62)
+
+
+def graph_features(matrix):
+    """The shapes a check graph can take that this matrix shows."""
+    graph = matrix.check_graph
+    if graph is None:
+        return {"no graph"}
+    D = matrix.modulus
+    columns = [tuple(c) for c in matrix.transpose().sparse_rows()]
+    features = {"graph"}
+    if graph.empty_columns:
+        features.add("empty column")
+    if 0 in matrix.row_weights():
+        features.add("empty row")
+    if any(len(c) == 1 for c in columns):
+        features.add("one-entry column")
+    pairs = [c for c in columns if len(c) == 2]
+    if len(set(pairs)) < len(pairs):
+        features.add("parallel columns")
+    rows = graph.adjacent[: matrix.nrows]
+    if {mu for edges in rows for v, _, mu in edges if v < matrix.nrows} - {1, D - 1}:
+        features.add("other unit multiplier")
+    size = graph.left_kernel_size
+    while size % D == 0:
+        size //= D
+    if size > 1:
+        features.add("proper divisor")  # a component with 1 < gcd(D, g) < D
+    return features
+
+
+@pytest.mark.parametrize("D", GRAPH_MODULI)
+def test_graph_count_equals_the_elimination_on_random_graph_like_matrices(D):
+    rng = random.Random(610 + D % 997)
+    seen = Counter()
+    for i in range(400):
+        big = i % 2
+        matrix = random_graph_checks(rng, D, max_rows=4 + 4 * big, max_columns=7 + 5 * big)
+        want = zmod.UnitPivotElimination(matrix).cardinality
+        assert span_cardinality(matrix) == want, matrix.entries
+        assert kernel_cardinality(matrix) == D**matrix.ncols // want
+        seen.update(graph_features(matrix))
+    wanted = ["graph", "no graph", "empty column", "empty row", "one-entry column",
+              "parallel columns"]
+    if D in (5, 12, 3 * 2**62):  # units other than +-1
+        wanted.append("other unit multiplier")
+    if D in (4, 6, 12, 3 * 2**62):
+        wanted.append("proper divisor")
+    assert min(seen[feature] for feature in wanted) >= 5, seen
+
+
+def named_boundary_matrices(D):
+    """d1 and d2^T of relabeled grids up to 6x6, rp2, the torus, the
+    acceptance complexes and converted corpus hypermaps."""
+    complexes = [
+        complex_from_dict(relabeled_grid_doc(k, l, D, seed=k * l))[0]
+        for k in range(1, 7) for l in range(k, 7)
+    ]
+    complexes += [rp2(), torus(), *(c for c, _ in acceptance_complexes())]
+    rng = random.Random(61)
+    for hypermap, _ in hypermap_corpus(60):
+        complexes.append(to_two_complex(hypermap, SpecialDarts.default(hypermap)))
+        complexes.append(to_two_complex(hypermap, random_special_darts(rng, hypermap)))
+    for complex2 in complexes:
+        chain = chain_complex(complex2, D)
+        yield chain.d1
+        yield chain.d2.transpose()
+
+
+@pytest.mark.parametrize("D", GRAPH_MODULI)
+def test_graph_count_equals_the_elimination_on_named_complexes(D):
+    graphs = 0
+    for matrix in named_boundary_matrices(D):
+        assert span_cardinality(matrix) == zmod.UnitPivotElimination(matrix).cardinality
+        graphs += matrix.check_graph is not None
+    assert graphs >= 100, graphs
+
+
+def test_no_check_graph_past_two_entries_or_on_a_non_unit():
+    # a column of three entries, and 2 at D = 4; both are counted by the elimination
+    for rows, n, D, size in (([[1], [1], [1]], 1, 3, 3), ([[2, 1], [1, 0]], 2, 4, 16)):
+        matrix = ZModMatrix.from_rows(rows, n, D)
+        assert matrix.check_graph is None
+        assert span_cardinality(matrix) == size and "elimination" in vars(matrix)
+    d1 = chain_complex(torus_grid(3, 3), 6).d1
+    assert span_cardinality(d1) == 6**8 and "elimination" not in vars(d1)
 
 
 def refuse_snf(*args):
